@@ -262,7 +262,7 @@ def cmd_gldim_end(args):
                     rp.LayeredModule.from_json(algebra, mod_json)))
         gencog = gc.GenCog(engine, engine.required_ids() | extra)
         res = gc.gldim_end(gencog)
-        report["results"] = {"mode": "exact",
+        report["results"] = {"mode": "exact" if res.exact else "upper-bound",
                              "value": "inf" if res.value == math.inf else res.value,
                              "summands": len(gencog.summands)}
         _emit(report, args)

@@ -198,16 +198,6 @@ def quotient_projection(span, n, p):
     return proj, section
 
 
-def column_space_basis(a, p):
-    """Canonical basis of the column space: the pivot columns of a."""
-    if a.size == 0:
-        return zeros(a.shape[0], 0)
-    _, pivots = rref(a.T, p)
-    # pivots of a^T index independent rows of a^T = independent columns of a
-    _, col_pivots = rref(a, p)
-    return a[:, col_pivots].copy()
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomials and factorization over F_p
 #

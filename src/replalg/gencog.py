@@ -19,7 +19,7 @@ import numpy as np
 from . import artrans as ar
 from . import exactfield as ef
 from . import replicated as rp
-from .errors import AnomalyError, ContractError, InputError
+from .errors import AnomalyError, ContractError, InputError, OracleUnavailable
 from .replicated import LayeredModule, LayeredMorphism
 from .splitting import single_eigenvalue
 
@@ -437,7 +437,8 @@ def m_dimension(gencog, x, max_steps=MDIM_MAX_STEPS):
 
 
 class GldimEndResult:
-    """Exact value, or a (lower bound, windowed upper check) pair."""
+    """Exact value, an upper bound (value with exact=False), or a (lower
+    bound, windowed upper check) pair."""
 
     def __init__(self, value=None, exact=False, lower=None, window_checked=None,
                  window_size=None, witnesses=None, indeterminates=0):
@@ -452,6 +453,8 @@ class GldimEndResult:
     def __repr__(self):
         if self.exact:
             return f"GldimEnd(value={self.value})"
+        if self.value is not None:
+            return f"GldimEnd(value<={self.value})"
         return (f"GldimEnd(lower={self.lower}, window_checked={self.window_checked}, "
                 f"window={self.window_size})")
 
@@ -478,12 +481,13 @@ def gldim_end(gencog, max_steps=MDIM_MAX_STEPS, oracle_cap=400):
             witnesses = [(idx, val, chain)]
     if worst >= 1:
         return GldimEndResult(value=worst + 2, exact=True, witnesses=witnesses)
-    # every M-dimension is 0: gl.dim End <= 2; resolve below 2 by the oracle
+    # every M-dimension is 0: gl.dim End <= 2; resolve below 2 by the oracle,
+    # and report the bound 2 as not exact when the oracle declines to run
     from .endalg import end_algebra_gldim
     try:
         value = end_algebra_gldim(gencog, cap=oracle_cap)
-    except Exception:
-        value = 2
+    except OracleUnavailable:
+        return GldimEndResult(value=2, exact=False, witnesses=witnesses)
     return GldimEndResult(value=value, exact=True, witnesses=witnesses)
 
 

@@ -399,7 +399,6 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
     # Omega_M^i(Z) = tau^i Z for 0 <= i <= d - (2m+3)
     ok_tau = True
     zstate = (engine.registry.canon(z0),)
-    cur = z.copy() if hasattr(z, "copy") else z
     tau_pow = z
     for i in range(1, d - (2 * m + 3) + 1):
         nxt = []

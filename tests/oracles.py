@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 
+from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
+from replalg import splitting as sp
 from replalg.errors import InputError
 
 
@@ -50,3 +52,71 @@ def exhaustive_indecomposables_a2_m1(p):
                                        and rp.is_iso_layered(piece, k) for k in found):
                                 found.append(piece)
     return found
+
+
+# ---------------------------------------------------------------------------
+# the factor-based Fitting search that replalg.splitting used before its
+# locality certificate, kept verbatim as a reference for its replacement
+# ---------------------------------------------------------------------------
+
+
+def reference_single_eigenvalue(blocks, p, seed=ef.DEFAULT_SEED):
+    """lam if the endomorphism is lam*id + nilpotent, else None, by
+    factoring the characteristic polynomial."""
+    facs = ef.factor_poly(sp.endo_char_poly(blocks, p), p, seed)
+    if len(facs) == 1 and ef.poly_deg(facs[0][0]) == 1:
+        return (-facs[0][0][0]) % p
+    if not facs:  # zero-dimensional module
+        return 0
+    return None
+
+
+def _reference_split_once(m, hom_fn, seed):
+    ends = hom_fn(m, m)
+    r = len(ends)
+    if r <= 1:
+        return None
+    p = m.p
+    for f in ends:
+        pieces = sp._primary_split(m, f.blocks_flat(), p, seed)
+        if pieces:
+            return pieces
+    rng = np.random.default_rng(seed)
+    nblocks = len(ends[0].blocks_flat())
+    for _ in range(sp.RANDOM_TRIES):
+        coeffs = rng.integers(0, p, size=r)
+        blocks = [np.mod(sum(int(c) * f.blocks_flat()[i] for c, f in zip(coeffs, ends)), p)
+                  for i in range(nblocks)]
+        pieces = sp._primary_split(m, blocks, p, seed)
+        if pieces:
+            return pieces
+    if p ** r <= sp.EXHAUSTIVE_CAP * (p - 1):
+        for code in range(1, p ** r):
+            coeffs = [(code // p ** k) % p for k in range(r)]
+            lead = next((c for c in coeffs if c), 0)
+            if lead != 1:
+                continue
+            blocks = [np.mod(sum(c * f.blocks_flat()[i] for c, f in zip(coeffs, ends)), p)
+                      for i in range(nblocks)]
+            pieces = sp._primary_split(m, blocks, p, seed)
+            if pieces:
+                return pieces
+    return None
+
+
+def reference_fitting_split(m, hom_fn, seed=ef.DEFAULT_SEED):
+    """Pieces of m by the factor-based search: every basis endomorphism,
+    then 20 seeded random combinations, then an exhaustive sweep when End
+    is small; a piece is kept when none of them splits it."""
+    out = []
+    stack = [m]
+    while stack:
+        cur = stack.pop(0)
+        if cur.total_dim == 0:
+            continue
+        pieces = _reference_split_once(cur, hom_fn, seed)
+        if pieces is None:
+            out.append(cur)
+        else:
+            stack.extend(pieces)
+    return out

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from replalg import artrans as ar
+from replalg import endalg
 from replalg import exactfield as ef
 from replalg import gencog as gc
 from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg import windows as w
 from replalg.endalg import end_algebra_gldim
-from replalg.errors import ContractError, OracleUnavailable
+from replalg.errors import AnomalyError, ContractError, OracleUnavailable
 from replalg.gencog import GenCog, MDimEngine, WitnessNotFound
 
 P = 32003
@@ -124,6 +125,32 @@ def test_gldim_end_additive_generator(a2_ctx):
     res = gc.gldim_end(addgen)
     assert res.value == 2
     assert end_algebra_gldim(addgen) == 2
+
+
+def _oracle_raising(exc):
+    def oracle(*args, **kwargs):
+        raise exc
+    return oracle
+
+
+def test_gldim_end_propagates_oracle_anomaly(a2_ctx, monkeypatch):
+    # the additive generator has every M-dimension 0, so gldim_end asks
+    # the oracle; an anomaly there must never turn into a value
+    alg, cat, engine = a2_ctx
+    addgen = GenCog(engine, set(range(len(cat))))
+    monkeypatch.setattr(endalg, "end_algebra_gldim",
+                        _oracle_raising(AnomalyError("oracle anomaly")))
+    with pytest.raises(AnomalyError):
+        gc.gldim_end(addgen)
+
+
+def test_gldim_end_without_oracle_is_not_exact(a2_ctx, monkeypatch):
+    alg, cat, engine = a2_ctx
+    addgen = GenCog(engine, set(range(len(cat))))
+    monkeypatch.setattr(endalg, "end_algebra_gldim",
+                        _oracle_raising(OracleUnavailable("cap")))
+    res = gc.gldim_end(addgen)
+    assert res.value == 2 and not res.exact
 
 
 def test_end_algebra_oracle_matches_gldim_of_algebra():

@@ -1,0 +1,186 @@
+"""Fitting splits: the factor-free scalar test, the locality certificate and
+verdict kinds, checked against the factor-based search they replace
+(`oracles.reference_fitting_split`, `oracles.reference_single_eigenvalue`)."""
+
+import collections
+
+import numpy as np
+import pytest
+
+from replalg import artrans as ar
+from replalg import exactfield as ef
+from replalg import quiverrep as qr
+from replalg import replicated as rp
+from replalg import splitting as sp
+from replalg import windows as w
+from oracles import reference_fitting_split, reference_single_eigenvalue
+
+P = 32003
+
+
+def a3():
+    return qr.Quiver(["1", "2", "3"], [("a", "2", "1"), ("b", "3", "2")])
+
+
+def kronecker():
+    return qr.Quiver(["1", "2"], [("b", "2", "1"), ("c", "2", "1")])
+
+
+def _record_verdicts(monkeypatch):
+    """Counter of the verdict kinds of every Fitting split made by the
+    module stacks and the catalog while monkeypatch is active."""
+    seen = collections.Counter()
+
+    def recording_split(m, hom_fn, seed=ef.DEFAULT_SEED):
+        labelled = sp.fitting_split_labelled(m, hom_fn, seed)
+        seen.update(kind for _, kind in labelled)
+        return [piece for piece, _ in labelled]
+
+    for module in (qr, rp, ar):
+        monkeypatch.setattr(module, "fitting_split", recording_split)
+    return seen
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    return _record_verdicts(monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def kron_p3_census():
+    """The bound-3 census of the Kronecker quiver at p=3, m=1 (the window
+    of `verify lem47 --d 5 --prime 3`) and the verdicts made building it."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _record_verdicts(mp)
+        census = w.census_modules(rp.build_replicated(kronecker(), 1, 3), 3)
+    return census, seen
+
+
+@pytest.fixture(scope="module")
+def a3_m2_catalog():
+    return ar.indec_catalog(rp.build_replicated(a3(), 2, P)).modules
+
+
+def _random_invertible(n, p, rng):
+    while True:
+        a = rng.integers(0, p, size=(n, n))
+        if ef.is_invertible(a, p):
+            return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scalar_test_matches_factoring(p):
+    rng = np.random.default_rng(1000 + p)
+    scalar_hits = 0
+    for n in range(1, 10):
+        for trial in range(12):
+            if trial % 2:
+                # lam + nilpotent, conjugated so it is not triangular
+                lam = int(rng.integers(0, p))
+                nil = np.triu(rng.integers(0, p, size=(n, n)), 1)
+                s = _random_invertible(n, p, rng)
+                a = ef.mul(ef.mul(s, np.mod(lam * ef.eye(n) + nil, p), p), ef.inverse(s, p), p)
+            else:
+                a = rng.integers(0, p, size=(n, n))
+            blocks = [np.asarray(a, dtype=np.int64)]
+            want = reference_single_eigenvalue(blocks, p)
+            assert sp.single_eigenvalue(blocks, p) == want, (p, n, a)
+            scalar_hits += want is not None
+    # two scalar-plus-nilpotent blocks with equal and unequal scalars
+    for lam, mu in ((1, 1), (1, 2 % p)):
+        blocks = [np.array([[lam, 1], [0, lam]], dtype=np.int64),
+                  np.array([[mu]], dtype=np.int64), ef.zeros(0, 0)]
+        assert sp.single_eigenvalue(blocks, p) == reference_single_eigenvalue(blocks, p)
+    assert sp.single_eigenvalue([ef.zeros(0, 0)], p) == 0
+    assert scalar_hits >= 9 * 6
+
+
+def _same_split(m, hom_fn):
+    new = sp.fitting_split(m, hom_fn)
+    old = reference_fitting_split(m, hom_fn)
+    assert [x.to_json() for x in new] == [x.to_json() for x in old]
+    return new
+
+
+def test_fitting_split_matches_reference_on_a3_m2_catalog(a3_m2_catalog):
+    mods = a3_m2_catalog
+    assert len(mods) == 30
+    for x in mods:
+        assert len(_same_split(x, rp.hom_layered)) == 1
+    n = len(mods)
+    for i, x in enumerate(mods):
+        y, z = mods[(i + 1) % n], mods[(i + 7) % n]
+        xx = rp.LayeredModule.direct_sum([x, x])[0]
+        xy = rp.LayeredModule.direct_sum([x, y])[0]
+        xxz = rp.LayeredModule.direct_sum([x, x, z])[0]
+        assert len(_same_split(xx, rp.hom_layered)) == 2
+        assert len(_same_split(xy, rp.hom_layered)) == 2
+        assert len(_same_split(xxz, rp.hom_layered)) == 3
+
+
+def test_fitting_split_matches_reference_on_kronecker_p3_census(kron_p3_census):
+    census, _ = kron_p3_census
+    assert len(census) == 85
+    for x in census:
+        assert len(_same_split(x, rp.hom_layered)) == 1
+    # sums of non-bricks: End is a matrix ring over a local ring or F_9
+    fat = [x for x in census if len(rp.hom_layered(x, x)) > 1][:6]
+    assert len(fat) == 6
+    for x, y in zip(fat, fat[1:] + fat[:1]):
+        _same_split(rp.LayeredModule.direct_sum([x, x])[0], rp.hom_layered)
+        _same_split(rp.LayeredModule.direct_sum([x, y])[0], rp.hom_layered)
+
+
+def test_no_probabilistic_verdicts_in_kronecker_p3_census(kron_p3_census):
+    census, verdicts = kron_p3_census
+    assert len(census) == 85
+    assert verdicts[sp.PROBABILISTIC] == 0
+    assert verdicts[sp.CERTIFIED_LOCAL] > 0
+    assert set(verdicts) <= set(sp.VERDICT_KINDS)
+
+
+def test_no_probabilistic_verdicts_in_a3_m2_catalog(verdicts):
+    cat = ar.indec_catalog(rp.build_replicated(a3(), 2, P))
+    assert len(cat.modules) == 30
+    assert verdicts[sp.PROBABILISTIC] == 0
+
+
+def test_verdict_counts_a3_m1_catalog(verdicts):
+    # one verdict per registered catalog entry; every entry is a brick
+    cat = ar.indec_catalog(rp.build_replicated(a3(), 1, P))
+    assert len(cat.modules) == 18
+    assert dict(verdicts) == {sp.BRICK: 18}
+
+
+def test_certified_through_residue_field_branch():
+    # Kronecker (2,2) regular at a degree-2 point of P^1(F_3): End = F_9
+    comp = ef.fmat([[0, 1], [1, 1]], 3)  # companion of x^2 - x - 1, irreducible over F_3
+    m = qr.Representation(kronecker(), 3, [2, 2], [ef.eye(2), comp])
+    assert len(qr.hom_basis(m, m)) == 2
+    # some endomorphism is not scalar + nilpotent, so End/rad is not F_3
+    # and the certificate cannot have taken its e = 1 branch
+    assert not qr.end_is_local(m)
+    [(piece, kind)] = sp.fitting_split_labelled(m, qr.hom_basis)
+    assert kind == sp.CERTIFIED_LOCAL
+    assert piece.dims == (2, 2)
+
+
+def test_certificate_refuses_non_local_end_and_search_splits():
+    # S + S for a simple S: End = M_2(F_p), offered through a basis of
+    # scalar-plus-nilpotent matrices, so no basis element splits and the
+    # certificate must fail (the ideal generated by E12 is all of M_2)
+    p = 5
+    q = kronecker()
+    s2 = qr.Representation(q, p, [2, 0], [ef.zeros(2, 0), ef.zeros(2, 0)])
+    basis = [ef.eye(2), ef.fmat([[0, 1], [0, 0]], p), ef.fmat([[0, 0], [1, 0]], p),
+             ef.fmat([[1, 1], [-1, -1]], p)]
+
+    def hom_fn(x, y):
+        if x is s2 and y is s2:
+            return [qr.RepMorphism(s2, s2, [b, ef.zeros(0, 0)]) for b in basis]
+        return qr.hom_basis(x, y)
+
+    for b in basis:
+        assert sp.single_eigenvalue([b], p) is not None
+    labelled = sp.fitting_split_labelled(s2, hom_fn)
+    assert [(x.dims, kind) for x, kind in labelled] == [((1, 0), sp.BRICK)] * 2
