@@ -19,8 +19,8 @@ import numpy as np
 from . import exactfield as ef
 from . import replicated as rp
 from .errors import AnomalyError, BudgetExceeded, InputError
-from .replicated import DUAL, PATH, LayeredModule, LayeredMorphism
-from .splitting import fitting_split, single_eigenvalue
+from .replicated import DUAL, PATH, LayeredModule
+from .splitting import fitting_split
 
 CATALOG_BUDGET = 10000
 PHASE_SECONDS = 60.0
@@ -142,6 +142,7 @@ class IndecCatalog:
         self.projective = projective
         self.injective = injective
         self.seed = seed
+        self._index = rp.IsoRegistry(modules, seed=seed)
         self._hom_bases = {}
         self._leq = None
 
@@ -155,14 +156,9 @@ class IndecCatalog:
     def layer0(self, idx):
         return self.modules[idx].is_layer_module(0)
 
-    def find(self, m, seed=None):
+    def find(self, m):
         """Catalog index of a module isomorphic to m, or None."""
-        seed = self.seed if seed is None else seed
-        dims = m.component_dims()
-        for idx, cand in enumerate(self.modules):
-            if cand.component_dims() == dims and rp.is_iso_layered(cand, m, seed):
-                return idx
-        return None
+        return self._index.find(m)
 
     def label(self, idx):
         return f"X{idx}[{self.modules[idx].dim_label()}]"
@@ -183,21 +179,7 @@ class IndecCatalog:
         scalar-corrected nilpotent parts of the endomorphism basis."""
         if i != j:
             return self.hom_basis(i, j)
-        x = self.modules[i]
-        out = []
-        for f in self.hom_basis(i, i):
-            lam = single_eigenvalue(f.blocks, x.p, self.seed)
-            if lam is None:
-                raise AnomalyError(f"endomorphism of {self.label(i)} is not scalar + nilpotent")
-            g = LayeredMorphism(x, x, [np.mod(b - lam * ef.eye(b.shape[0]), x.p)
-                                       for b in f.blocks])
-            if not g.is_zero():
-                out.append(g)
-        flats = np.array([g.flatten() for g in out], dtype=np.int64)
-        if len(out) > 1:
-            r, pivots = ef.rref(flats, x.p)
-            out = [LayeredMorphism.from_flat(x, x, r[t]) for t in range(len(pivots))]
-        return out
+        return rp.rad_end_basis(self.hom_basis(i, i), self.seed)
 
     def irreducible_mult(self, i, j):
         """dim rad(X_i, X_j) / rad^2, the arrow multiplicity in the AR quiver."""
@@ -290,22 +272,16 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET, seed=ef.DEFAULT_SEED,
     seeds = [algebra.proj(i, k) for k in range(algebra.m + 1)
              for i in range(algebra.quiver.n_vertices)]
     seeds += [algebra.inj(i, algebra.m) for i in range(algebra.quiver.n_vertices)]
-    modules = []
-
-    def locate(m):
-        dims = m.component_dims()
-        for idx, cand in enumerate(modules):
-            if cand.component_dims() == dims and rp.is_iso_layered(cand, m, seed):
-                return idx
-        return None
+    index = rp.IsoRegistry(seed=seed)
+    modules = index.modules
 
     def register(m):
-        idx = locate(m)
+        idx = index.find(m)
         if idx is not None:
             return idx, False
         if len(fitting_split(m, rp.hom_layered, seed)) != 1:
             raise AnomalyError("tau closure produced a decomposable module")
-        modules.append(m)
+        index.add(m)
         if len(modules) > budget:
             raise BudgetExceeded(
                 f"catalog exceeded {budget} entries: "
@@ -333,18 +309,10 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET, seed=ef.DEFAULT_SEED,
             table[idx] = jdx
             if fresh:
                 queue.append(jdx)
-    projective = set()
-    injective = set()
-    for idx, m in enumerate(modules):
-        dims = m.component_dims()
-        for k in range(algebra.m + 1):
-            for i in range(algebra.quiver.n_vertices):
-                if algebra.proj(i, k).component_dims() == dims and \
-                        rp.is_iso_layered(algebra.proj(i, k), m, seed):
-                    projective.add(idx)
-                if algebra.inj(i, k).component_dims() == dims and \
-                        rp.is_iso_layered(algebra.inj(i, k), m, seed):
-                    injective.add(idx)
+    # every proj and inj was registered as a seed, so each is found
+    comps = algebra.components()
+    projective = {index.find(algebra.proj(i, k)) for k, i in comps}
+    injective = {index.find(algebra.inj(i, k)) for k, i in comps}
     cat = IndecCatalog(algebra,
                        modules,
                        [tau_map.get(i) for i in range(len(modules))],

@@ -328,14 +328,14 @@ def cmd_construct(args):
             raise InputError("construct lem47 needs --d")
         engine = gc.MDimEngine.windowed(algebra, seed=args.seed)
         gencog, n, z = gc.construct_lem47(algebra, args.d, engine=engine)
-        results = {"d": args.d, "witness_Z": list(z.dims),
+        results = {"d": args.d, "witness_Z": z.component_dims(),
                    "witness_N": n.dim_label(),
                    "summands": sorted(engine.registry.modules[s].dim_label()
                                       for s in gencog.summands)}
     else:
         engine = gc.MDimEngine.windowed(algebra, seed=args.seed)
         gencog, n0, nprime = gc.construct_lem48(algebra, engine=engine)
-        results = {"N": n0.dim_label(), "Nprime": list(nprime.dims),
+        results = {"N": n0.dim_label(), "Nprime": nprime.component_dims(),
                    "summands": sorted(engine.registry.modules[s].dim_label()
                                       for s in gencog.summands)}
     if args.out:
@@ -386,6 +386,9 @@ def main(argv=None):
     }
     t0 = time.monotonic()
     try:
+        # the library accepts m = 0 (the base algebra); the CLI studies A^(m), m >= 1
+        if args.m < 1:
+            raise InputError(f"replication level m must be >= 1, got {args.m}")
         code = handlers[args.command](args)
     except (InputError, ContractError, WindowOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)

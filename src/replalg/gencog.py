@@ -18,9 +18,10 @@ import numpy as np
 
 from . import artrans as ar
 from . import exactfield as ef
+from . import quiverrep as qr
 from . import replicated as rp
 from .errors import AnomalyError, ContractError, InputError, OracleUnavailable
-from .replicated import LayeredModule, LayeredMorphism
+from .replicated import IsoRegistry, LayeredModule, LayeredMorphism
 from .splitting import single_eigenvalue
 
 MDIM_MAX_STEPS = 64
@@ -34,27 +35,6 @@ class WitnessNotFound(ContractError):
     def __init__(self, message, max_cardinality=None):
         super().__init__(message)
         self.max_cardinality = max_cardinality
-
-
-class IsoRegistry:
-    """Canonical representatives of iso classes of layered modules."""
-
-    def __init__(self, modules=None, seed=ef.DEFAULT_SEED):
-        self.modules = list(modules or [])
-        self.seed = seed
-
-    def canon(self, m, register=True):
-        dims = m.component_dims()
-        for idx, cand in enumerate(self.modules):
-            if cand.component_dims() == dims and rp.is_iso_layered(cand, m, self.seed):
-                return idx
-        if not register:
-            return None
-        self.modules.append(m)
-        return len(self.modules) - 1
-
-    def __len__(self):
-        return len(self.modules)
 
 
 class GenCog:
@@ -98,21 +78,6 @@ class ApproxResult:
         self.surjective = morphism.is_surjective()
 
 
-def _rad_basis_of(m, seed):
-    """Scalar-corrected nilpotent basis of rad End(M) for M with local
-    endomorphism algebra and residue field F_p."""
-    out = []
-    for f in rp.hom_layered(m, m):
-        lam = single_eigenvalue(f.blocks, m.p, seed)
-        if lam is None:
-            raise AnomalyError("summand endomorphism is not scalar + nilpotent")
-        g = LayeredMorphism(m, m, [np.mod(b - lam * ef.eye(b.shape[0]), m.p)
-                                   for b in f.blocks])
-        if not g.is_zero():
-            out.append(g)
-    return out
-
-
 def min_right_approx(summands, x, hom_fn=rp.hom_layered, seed=ef.DEFAULT_SEED):
     """Minimal right add-M approximation of X for M = (+) summands
     (pairwise non-isomorphic indecomposables).
@@ -132,7 +97,7 @@ def min_right_approx(summands, x, hom_fn=rp.hom_layered, seed=ef.DEFAULT_SEED):
             if not homs[j]:
                 continue
             if i == j:
-                rad_ij = _rad_basis_of(mi, seed)
+                rad_ij = rp.rad_end_basis(hom_fn(mi, mi), seed)
             else:
                 rad_ij = hom_fn(mi, mj)
             for r in rad_ij:
@@ -292,19 +257,13 @@ class MDimEngine:
     def hom_fn(self):
         if self.catalog is not None:
             def fn(a, b):
-                ia = self._fast_index(a)
-                ib = self._fast_index(b)
+                ia = self.registry.identity_index(a)
+                ib = self.registry.identity_index(b)
                 if ia is not None and ib is not None:
                     return self.catalog.hom_basis(ia, ib)
                 return rp.hom_layered(a, b)
             return fn
         return rp.hom_layered
-
-    def _fast_index(self, m):
-        for idx, cand in enumerate(self.registry.modules):
-            if cand is m:
-                return idx
-        return None
 
     def omega_ids(self, x_id, summand_ids):
         """Registry ids (with multiplicity) of the indecomposable summands
@@ -567,7 +526,6 @@ def _simple_projective_vertices(quiver):
 def preprojective_slices(quiver, p, depth):
     """tau^{-j} walks from the indecomposable projectives of the base
     algebra: slices[j][i] = tau^{-j} P(vertex i) (None once zero)."""
-    from . import quiverrep as qr
     slices = [[qr.projective(quiver, p, v) for v in quiver.vertices]]
     for _ in range(depth):
         prev = slices[-1]
@@ -589,38 +547,18 @@ def ar_sequence_middle(quiver, p, z, pool, seed=ef.DEFAULT_SEED):
     contain every predecessor slice of z (sound for maps into a
     preprojective module).  The mesh dimension identity is verified and
     failure raises."""
-    from . import quiverrep as qr
     tz = qr.tau(z)
-    mods = []
+    pool_index = IsoRegistry(seed=seed, iso=qr.is_iso)
     for m in pool:
-        if m is None or m.total_dim == 0:
-            continue
-        if not any(c.dims == m.dims and qr.is_iso(c, m, seed) for c in mods):
-            mods.append(m)
-    z_idx = next((i for i, m in enumerate(mods)
-                  if m.dims == z.dims and qr.is_iso(m, z, seed)), None)
-    if z_idx is None:
-        mods.append(z)
-        z_idx = len(mods) - 1
+        if m is not None and m.total_dim:
+            pool_index.canon(m)
+    z_idx = pool_index.canon(z)
+    mods = pool_index.modules
 
     def rad_basis(i, j):
         if i != j:
             return qr.hom_basis(mods[i], mods[j])
-        a = mods[i]
-        out = []
-        for f in qr.hom_basis(a, a):
-            lam = single_eigenvalue(f.blocks, p, seed)
-            if lam is None:
-                raise AnomalyError("pool endomorphism not scalar + nilpotent")
-            g = qr.RepMorphism(a, a, [np.mod(blk - lam * ef.eye(blk.shape[0]), p)
-                                      for blk in f.blocks])
-            if not g.is_zero():
-                out.append(g)
-        if len(out) > 1:
-            flats = np.array([g.flatten() for g in out], dtype=np.int64)
-            red, pivots = ef.rref(flats, p)
-            out = [qr.RepMorphism.from_flat(a, a, red[t]) for t in range(len(pivots))]
-        return out
+        return rp.rad_end_basis(qr.hom_basis(mods[i], mods[i]), seed)
 
     middle = []
     for y_idx, y in enumerate(mods):
@@ -639,9 +577,9 @@ def ar_sequence_middle(quiver, p, z, pool, seed=ef.DEFAULT_SEED):
         mult = len(rad) - dim_rad2
         if mult > 0:
             middle.append((y, mult))
-    want = np.array(z.dims) + np.array(tz.dims)
-    got = sum(mult * np.array(y.dims) for y, mult in middle) if middle \
-        else np.zeros(len(z.dims), dtype=np.int64)
+    want = np.array(z.component_dims()) + np.array(tz.component_dims())
+    got = sum(mult * np.array(y.component_dims()) for y, mult in middle) if middle \
+        else np.zeros(len(want), dtype=np.int64)
     if not np.array_equal(want, got):
         raise AnomalyError("mesh dimension identity failed for the knitted sequence")
     return tz, middle
@@ -651,7 +589,6 @@ def construct_lem47(algebra, d, engine=None, search_depth=8):
     """M = A + DA_m + (tau^i Y_j for 0 <= i <= d-(2m+3)) + P, with the Y_j
     the middle of the almost split sequence ending in Z, where tau^(d-(2m+2)) Z
     is simple projective.  Returns (GenCog, witness N = cosyzygy^{2m} Z, Z)."""
-    from . import quiverrep as qr
     m_level = algebra.m
     if d < 2 * m_level + 3:
         raise InputError(f"lem47 needs d >= 2m+3 = {2 * m_level + 3}, got {d}")
@@ -697,7 +634,6 @@ def construct_lem47(algebra, d, engine=None, search_depth=8):
 def construct_lem48(algebra, engine=None, search_bound=3):
     """M = A + DA_m + P + N' for a non-split self-extension N' of a brick N
     with Ext^1(N, N) != 0.  Returns (GenCog, N at layer 0, N')."""
-    from . import quiverrep as qr
     quiver, p = algebra.quiver, algebra.p
     n = _find_self_extending_brick(quiver, p, search_bound)
     if n is None:
@@ -715,14 +651,14 @@ def construct_lem48(algebra, engine=None, search_bound=3):
 
 
 def _find_self_extending_brick(quiver, p, bound):
-    from . import quiverrep as qr
+    base = rp.build_replicated(quiver, 0, p)
     rng = np.random.default_rng(ef.DEFAULT_SEED)
     for total in range(2, bound * quiver.n_vertices + 1):
         for dims in _dim_vectors(quiver.n_vertices, total, bound):
             candidates = _candidate_maps(quiver, p, dims, rng)
             for maps in candidates:
                 try:
-                    m = qr.Representation(quiver, p, dims, maps)
+                    m = LayeredModule(base, [(dims, maps)], conn={})
                 except InputError:
                     continue
                 if len(qr.hom_basis(m, m)) == 1 and qr.ext1_dim(m, m) > 0:

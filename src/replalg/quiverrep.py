@@ -1,4 +1,11 @@
-"""Quivers, hereditary path algebras, and their modules as representations.
+"""Quivers, hereditary path algebras, and the base-algebra entry points.
+
+A module over the path algebra A = kQ is a LayeredModule over the m = 0
+replicated algebra build_replicated(quiver, 0, p); its single layer is the
+representation.  This module builds the standard A-modules, computes
+Ext^1 from the Hom complex of `replicated.hom_complex`, realizes
+extensions, and names the base-algebra calls (hom_basis, is_iso,
+decompose, tau, tau_inverse) that run on the shared module machinery.
 
 Conventions, fixed once and pinned by tests:
   * a right module over kQ is a representation in which an arrow a: i -> j
@@ -18,9 +25,10 @@ import json
 
 import numpy as np
 
+from . import artrans as ar
 from . import exactfield as ef
+from . import replicated as rp
 from .errors import InputError
-from .splitting import find_invertible_combo, fitting_split, single_eigenvalue
 
 
 class Quiver:
@@ -231,260 +239,55 @@ class PathBasis:
         """Id of the reversed path inside the opposite quiver's basis."""
         return opposite_paths.index[(self.target[p], tuple(reversed(self.arrows_of[p])))]
 
+    def standard_layer(self, kind, v):
+        """(dims, maps) of the simple S(v), projective P(v) or injective
+        I(v) for kind "S", "P" or "I", with 0/1 entries.
 
-class Representation:
-    """A module over the path algebra: dims per vertex, one matrix per arrow."""
-
-    def __init__(self, quiver, p, dims, maps=None):
-        self.quiver = quiver
-        self.p = p
-        self.dims = tuple(int(d) for d in dims)
-        if len(self.dims) != quiver.n_vertices or any(d < 0 for d in self.dims):
-            raise InputError(f"bad dimension vector {dims}")
-        if maps is None:
-            maps = [ef.zeros(self.dims[quiver.arrow_target[a]],
-                             self.dims[quiver.arrow_source[a]])
-                    for a in range(len(quiver.arrows))]
-        self.maps = []
-        for a, mat in enumerate(maps):
-            mat = ef.fmat(mat, p) if not isinstance(mat, np.ndarray) else np.mod(mat.astype(np.int64), p)
-            want = (self.dims[quiver.arrow_target[a]], self.dims[quiver.arrow_source[a]])
-            if mat.shape != want:
-                raise InputError(f"arrow {quiver.arrows[a][0]}: matrix shape {mat.shape}, expected {want}")
-            self.maps.append(mat)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims)
-
-    def is_zero(self):
-        return self.total_dim == 0
-
-    def act_path(self, pid):
-        """Matrix of the action along a path (source component -> target)."""
-        pb = self.quiver.paths
-        out = ef.eye(self.dims[pb.source[pid]])
-        for a in pb.arrows_of[pid]:
-            out = ef.mul(self.maps[a], out, self.p)
-        return out
-
-    # -- generic-module protocol used by splitting and shared machinery --
-
-    def component_dims(self):
-        return list(self.dims)
-
-    def submodule(self, bases):
-        """Submodule spanned by per-vertex column bases; bases must be
-        independent columns and closed under the arrow maps.
-
-        Returns (sub, inclusion).
+        P(v): the component at j has basis the paths v ~> j, and an arrow
+        acts by right extension of paths.  I(v): the component at j has
+        basis the dual paths j ~> v, and an arrow a: j -> j' sends q* to
+        (q')* when q = a.q'.  S(v): the trivial path at v alone.
         """
-        dims = [b.shape[1] for b in bases]
-        maps = []
-        for a in range(len(self.quiver.arrows)):
-            s, t = self.quiver.arrow_source[a], self.quiver.arrow_target[a]
-            mapped = ef.mul(self.maps[a], bases[s], self.p)
-            coords = ef.coordinates_in_span(bases[t], mapped, self.p)
-            if coords is None:
-                raise InputError("submodule bases not closed under arrow maps")
-            maps.append(coords)
-        sub = Representation(self.quiver, self.p, dims, maps)
-        incl = RepMorphism(sub, self, [bases[i].copy() for i in range(len(bases))])
-        return sub, incl
-
-    def quotient(self, span):
-        """Quotient by the subrepresentation spanned by per-vertex columns
-        (must be arrow-stable).  Returns (quotient, projection)."""
-        projs, sections = [], []
-        for i in range(self.quiver.n_vertices):
-            pr, sec = ef.quotient_projection(span[i], self.dims[i], self.p)
-            projs.append(pr)
-            sections.append(sec)
-        dims = [pr.shape[0] for pr in projs]
-        maps = []
-        for a in range(len(self.quiver.arrows)):
-            s, t = self.quiver.arrow_source[a], self.quiver.arrow_target[a]
-            maps.append(ef.mul(projs[t], ef.mul(self.maps[a], sections[s], self.p), self.p))
-        quo = Representation(self.quiver, self.p, dims, maps)
-        proj = RepMorphism(self, quo, projs)
-        if not proj.is_morphism():
-            raise InputError("quotient span is not arrow-stable")
-        return quo, proj
-
-    def dual(self):
-        """The dual module over the opposite quiver (transposed arrow maps)."""
-        op = self.quiver.opposite()
-        return Representation(op, self.p, self.dims,
-                              [self.maps[a].T.copy() for a in range(len(self.quiver.arrows))])
-
-    @staticmethod
-    def direct_sum(mods):
-        """Block direct sum; returns (sum, inclusions, projections)."""
-        if not mods:
-            raise InputError("direct_sum of empty list")
-        quiver, p = mods[0].quiver, mods[0].p
-        for m in mods:
-            if m.quiver is not quiver or m.p != p:
-                raise InputError("direct_sum: mixed quivers or primes")
-        dims = [sum(m.dims[i] for m in mods) for i in range(quiver.n_vertices)]
-        offs = []
-        run = [0] * quiver.n_vertices
-        for m in mods:
-            offs.append(list(run))
-            run = [run[i] + m.dims[i] for i in range(quiver.n_vertices)]
+        quiver, nv = self.quiver, self.quiver.n_vertices
+        if kind == "P":
+            basis = [[q for q in self.from_vertex[v] if self.target[q] == j] for j in range(nv)]
+        elif kind == "I":
+            basis = [[q for q in self.into_vertex[v] if self.source[q] == j] for j in range(nv)]
+        else:
+            basis = [[v] if j == v else [] for j in range(nv)]
+        dims = [len(b) for b in basis]
+        pos = [{q: k for k, q in enumerate(b)} for b in basis]
         maps = []
         for a in range(len(quiver.arrows)):
             s, t = quiver.arrow_source[a], quiver.arrow_target[a]
-            blk = ef.zeros(dims[t], dims[s])
-            for k, m in enumerate(mods):
-                blk[offs[k][t]:offs[k][t] + m.dims[t],
-                    offs[k][s]:offs[k][s] + m.dims[s]] = m.maps[a]
-            maps.append(blk)
-        total = Representation(quiver, p, dims, maps)
-        incls, projs = [], []
-        for k, m in enumerate(mods):
-            iblocks, pblocks = [], []
-            for i in range(quiver.n_vertices):
-                inc = ef.zeros(dims[i], m.dims[i])
-                prj = ef.zeros(m.dims[i], dims[i])
-                inc[offs[k][i]:offs[k][i] + m.dims[i], :] = ef.eye(m.dims[i])
-                prj[:, offs[k][i]:offs[k][i] + m.dims[i]] = ef.eye(m.dims[i])
-                iblocks.append(inc)
-                pblocks.append(prj)
-            incls.append(RepMorphism(m, total, iblocks))
-            projs.append(RepMorphism(total, m, pblocks))
-        return total, incls, projs
-
-    def to_json(self):
-        return {
-            "dims": {v: self.dims[i] for i, v in enumerate(self.quiver.vertices)},
-            "maps": {self.quiver.arrows[a][0]: self.maps[a].tolist()
-                     for a in range(len(self.quiver.arrows))},
-        }
-
-    @classmethod
-    def from_json(cls, quiver, p, data):
-        try:
-            dims = [data["dims"][v] for v in quiver.vertices]
-            maps = []
-            for a, (name, s, t) in enumerate(quiver.arrows):
-                raw = data["maps"].get(name)
-                if raw is None:
-                    maps.append(ef.zeros(dims[quiver.vindex[t]], dims[quiver.vindex[s]]))
+            mat = ef.zeros(dims[t], dims[s])
+            for k, q in enumerate(basis[s]):
+                if kind == "I":  # strip a leading arrow from a dual path
+                    arrs = self.arrows_of[q]
+                    ext = self.index.get((t, arrs[1:])) if arrs and arrs[0] == a else None
                 else:
-                    mat = np.array(raw, dtype=np.int64).reshape(
-                        dims[quiver.vindex[t]], dims[quiver.vindex[s]])
-                    maps.append(np.mod(mat, p))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad representation JSON: {exc}") from exc
-        return cls(quiver, p, dims, maps)
-
-    def __repr__(self):
-        return f"Rep{self.dims}"
-
-
-class RepMorphism:
-    """A morphism of representations: one matrix per vertex, intertwining
-    all arrow maps."""
-
-    def __init__(self, source, target, blocks):
-        self.source = source
-        self.target = target
-        self.p = source.p
-        self.blocks = [np.mod(b.astype(np.int64), source.p) for b in blocks]
-        for i in range(source.quiver.n_vertices):
-            want = (target.dims[i], source.dims[i])
-            if self.blocks[i].shape != want:
-                raise InputError(f"morphism block {i}: shape {self.blocks[i].shape}, expected {want}")
-
-    def is_morphism(self):
-        q = self.source.quiver
-        for a in range(len(q.arrows)):
-            s, t = q.arrow_source[a], q.arrow_target[a]
-            lhs = ef.mul(self.blocks[t], self.source.maps[a], self.p)
-            rhs = ef.mul(self.target.maps[a], self.blocks[s], self.p)
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
-
-    def blocks_flat(self):
-        return self.blocks
-
-    def is_zero(self):
-        return all(not b.any() for b in self.blocks)
-
-    def compose(self, other):
-        """self after other (other: X -> Y, self: Y -> Z gives X -> Z)."""
-        return RepMorphism(other.source, self.target,
-                           [ef.mul(self.blocks[i], other.blocks[i], self.p)
-                            for i in range(len(self.blocks))])
-
-    def flatten(self):
-        return np.concatenate([b.reshape(-1) for b in self.blocks]) \
-            if self.blocks else np.zeros(0, dtype=np.int64)
-
-    @staticmethod
-    def from_flat(source, target, vec):
-        blocks = []
-        pos = 0
-        for i in range(source.quiver.n_vertices):
-            r, c = target.dims[i], source.dims[i]
-            blocks.append(np.array(vec[pos:pos + r * c], dtype=np.int64).reshape(r, c))
-            pos += r * c
-        return RepMorphism(source, target, blocks)
-
-    def kernel(self):
-        """Kernel submodule with its inclusion."""
-        bases = [ef.kernel_basis(self.blocks[i], self.p) for i in range(len(self.blocks))]
-        return self.source.submodule(bases)
-
-    def cokernel(self):
-        """Cokernel with the projection from the target."""
-        span = [self.blocks[i] for i in range(len(self.blocks))]
-        return self.target.quotient(span)
-
-    def rank(self):
-        return sum(ef.rank(b, self.p) for b in self.blocks)
-
-    def is_injective(self):
-        return all(ef.rank(b, self.p) == b.shape[1] for b in self.blocks)
-
-    def is_surjective(self):
-        return all(ef.rank(b, self.p) == b.shape[0] for b in self.blocks)
-
-    def __repr__(self):
-        return f"RepMorphism{tuple(b.shape for b in self.blocks)}"
+                    ext = self.index.get((self.source[q], self.arrows_of[q] + (a,)))
+                if ext is not None and ext in pos[t]:
+                    mat[pos[t][ext], k] = 1
+            maps.append(mat)
+        return dims, maps
 
 
 # ---------------------------------------------------------------------------
-# standard modules
+# standard modules: LayeredModules over the m = 0 algebra
 # ---------------------------------------------------------------------------
 
 
 def simple(quiver, p, v):
-    vi = _vertex_index(quiver, v)
-    dims = [1 if i == vi else 0 for i in range(quiver.n_vertices)]
-    return Representation(quiver, p, dims)
+    return rp.build_replicated(quiver, 0, p).simple(_vertex_index(quiver, v), 0)
 
 
 def projective(quiver, p, v):
-    """P(v): component at j has basis the paths v ~> j; an arrow acts by
-    right extension of paths."""
-    vi = _vertex_index(quiver, v)
-    pb = quiver.paths
-    basis = {j: [q for q in pb.from_vertex[vi] if pb.target[q] == j]
-             for j in range(quiver.n_vertices)}
-    return _path_module(quiver, p, basis, extend="right")
+    return rp.build_replicated(quiver, 0, p).proj(_vertex_index(quiver, v), 0)
 
 
 def injective(quiver, p, v):
-    """I(v): component at j has basis the dual paths j ~> v; an arrow
-    a: j -> j' sends q* to (q')* when q = a.q'."""
-    vi = _vertex_index(quiver, v)
-    pb = quiver.paths
-    basis = {j: [q for q in pb.into_vertex[vi] if pb.source[q] == j]
-             for j in range(quiver.n_vertices)}
-    return _path_module(quiver, p, basis, extend="strip_left")
+    return rp.build_replicated(quiver, 0, p).inj(_vertex_index(quiver, v), 0)
 
 
 def _vertex_index(quiver, v):
@@ -494,100 +297,58 @@ def _vertex_index(quiver, v):
     return quiver.vindex[key]
 
 
-def _path_module(quiver, p, basis, extend):
-    pb = quiver.paths
-    dims = [len(basis[j]) for j in range(quiver.n_vertices)]
-    pos = {j: {q: k for k, q in enumerate(basis[j])} for j in range(quiver.n_vertices)}
-    maps = []
-    for a in range(len(quiver.arrows)):
-        s, t = quiver.arrow_source[a], quiver.arrow_target[a]
-        mat = ef.zeros(dims[t], dims[s])
-        for k, q in enumerate(basis[s]):
-            if extend == "right":
-                ext = pb.index.get((pb.source[q], pb.arrows_of[q] + (a,)))
-            else:  # strip a leading arrow from a dual path
-                arrs = pb.arrows_of[q]
-                ext = (pb.index.get((quiver.arrow_target[a], arrs[1:]))
-                       if arrs and arrs[0] == a else None)
-            if ext is not None and ext in pos[t]:
-                mat[pos[t][ext], k] = 1
-        maps.append(mat)
-    return Representation(quiver, p, dims, maps)
-
-
 # ---------------------------------------------------------------------------
-# Hom and Ext via the canonical two-term complex
-#
-# For hereditary kQ the standard projective resolution of M gives, after
-# applying Hom(-, N), the complex
-#     0 -> Hom(M,N) -> (+)_i hom(M_i, N_i) --d--> (+)_{a: i->j} hom(M_i, N_j)
-# with (d phi)_a = N_a phi_i - phi_j M_a; Ext^1(M,N) is coker d.
+# base-algebra entry points on the shared module machinery; callers working
+# over A use these names so that layer traces report base-algebra work apart
+# from work over A^(m)
 # ---------------------------------------------------------------------------
-
-
-def coerce_same_quiver(m, n):
-    """Rebuild n over m's quiver object when the quivers agree by text
-    (memoized algebras keep the first quiver object around)."""
-    if n.quiver is m.quiver:
-        return n
-    if n.quiver.to_text() != m.quiver.to_text() or n.p != m.p:
-        raise InputError("modules over different quivers")
-    return Representation(m.quiver, m.p, n.dims, n.maps)
-
-
-def _hom_complex_matrix(m, n):
-    quiver, p = m.quiver, m.p
-    cols = sum(n.dims[i] * m.dims[i] for i in range(quiver.n_vertices))
-    rows = sum(n.dims[quiver.arrow_target[a]] * m.dims[quiver.arrow_source[a]]
-               for a in range(len(quiver.arrows)))
-    d = ef.zeros(rows, cols)
-    col_off = []
-    pos = 0
-    for i in range(quiver.n_vertices):
-        col_off.append(pos)
-        pos += n.dims[i] * m.dims[i]
-    row = 0
-    for a in range(len(quiver.arrows)):
-        i, j = quiver.arrow_source[a], quiver.arrow_target[a]
-        blk = n.dims[j] * m.dims[i]
-        if blk:
-            if n.dims[i]:
-                # vec_rm(N_a . phi_i) = (N_a kron I) vec_rm(phi_i)
-                d[row:row + blk, col_off[i]:col_off[i] + n.dims[i] * m.dims[i]] = \
-                    np.kron(n.maps[a], ef.eye(m.dims[i]))
-            if m.dims[j]:
-                # vec_rm(phi_j . M_a) = (I kron M_a^T) vec_rm(phi_j)
-                d[row:row + blk, col_off[j]:col_off[j] + n.dims[j] * m.dims[j]] = np.mod(
-                    d[row:row + blk, col_off[j]:col_off[j] + n.dims[j] * m.dims[j]]
-                    - np.kron(ef.eye(n.dims[j]), m.maps[a].T), p)
-        row += blk
-    return d
 
 
 def hom_basis(m, n):
     """A basis of Hom(M, N), canonical for fixed inputs."""
-    n = coerce_same_quiver(m, n)
-    if m.total_dim == 0 or n.total_dim == 0:
-        return []
-    d = _hom_complex_matrix(m, n)
-    ker = ef.kernel_basis(d, m.p)
-    return [RepMorphism.from_flat(m, n, ker[:, k]) for k in range(ker.shape[1])]
+    return rp.hom_layered(m, n)
 
 
-def hom_dim(m, n):
-    n = coerce_same_quiver(m, n)
-    if m.total_dim == 0 or n.total_dim == 0:
-        return 0
-    d = _hom_complex_matrix(m, n)
-    return d.shape[1] - ef.rank(d, m.p)
+def is_iso(m, n, seed=ef.DEFAULT_SEED):
+    """Whether M and N are isomorphic."""
+    return rp.is_iso_layered(m, n, seed)
+
+
+def decompose(m, seed=ef.DEFAULT_SEED):
+    """Indecomposable direct summands of M, as (module, multiplicity) pairs."""
+    return rp.decompose_layered(m, seed)
+
+
+def tau(m):
+    """Auslander-Reiten translate DTr; zero for projective modules."""
+    return ar.tau(m)
+
+
+def tau_inverse(m):
+    """TrD; zero for injective modules."""
+    return ar.tau_inverse(m)
+
+
+# ---------------------------------------------------------------------------
+# Ext^1 over the hereditary algebra
+#
+# The standard projective resolution of M gives, after applying Hom(-, N),
+# the complex
+#     0 -> Hom(M,N) -> (+)_i hom(M_i, N_i) --d--> (+)_{a: i->j} hom(M_i, N_j)
+# with (d phi)_a = N_a phi_i - phi_j M_a, which is `replicated.hom_complex`
+# at m = 0; Ext^1(M, N) is coker d.
+# ---------------------------------------------------------------------------
+
+
+def _ext_complex(m, n):
+    if m.algebra.m != 0:
+        raise InputError("Ext^1 over the hereditary algebra needs modules over the m = 0 algebra")
+    return rp.hom_complex(m, n)
 
 
 def ext1_dim(m, n):
     """dim Ext^1(M, N) over the hereditary path algebra."""
-    n = coerce_same_quiver(m, n)
-    if m.total_dim == 0 or n.total_dim == 0:
-        return 0
-    d = _hom_complex_matrix(m, n)
+    d = _ext_complex(m, n)
     return d.shape[0] - ef.rank(d, m.p)
 
 
@@ -618,37 +379,31 @@ def realize_extension(m, n, class_index):
 def realize_extension_class(m, n, coeffs):
     """The middle term for an arbitrary coefficient vector over the
     canonical basis of Ext^1(M, N)."""
-    n = coerce_same_quiver(m, n)
-    quiver, p = m.quiver, m.p
-    d = _hom_complex_matrix(m, n)
-    rows = d.shape[0]
-    proj_q, section = ef.quotient_projection(d, rows, p)
+    d = _ext_complex(m, n)
+    alg, p = m.algebra, m.p
+    quiver = alg.quiver
+    proj_q, section = ef.quotient_projection(d, d.shape[0], p)
     edim = proj_q.shape[0]
     if len(coeffs) != edim:
         raise InputError(f"expected {edim} class coefficients, got {len(coeffs)}")
     xi_flat = np.mod(section @ np.array(coeffs, dtype=np.int64).reshape(-1, 1), p)[:, 0]
-    xi = []
+    (ndims, nmaps), (mdims, mmaps) = n.layers[0], m.layers[0]
+    dims = [a + b for a, b in zip(ndims, mdims)]
+    maps = []
     pos = 0
     for a in range(len(quiver.arrows)):
         i, j = quiver.arrow_source[a], quiver.arrow_target[a]
-        blk = n.dims[j] * m.dims[i]
-        xi.append(np.array(xi_flat[pos:pos + blk], dtype=np.int64).reshape(n.dims[j], m.dims[i]))
-        pos += blk
-    dims = [n.dims[i] + m.dims[i] for i in range(quiver.n_vertices)]
-    maps = []
-    for a in range(len(quiver.arrows)):
-        i, j = quiver.arrow_source[a], quiver.arrow_target[a]
         blk = ef.zeros(dims[j], dims[i])
-        blk[:n.dims[j], :n.dims[i]] = n.maps[a]
-        blk[:n.dims[j], n.dims[i]:] = xi[a]
-        blk[n.dims[j]:, n.dims[i]:] = m.maps[a]
+        blk[:ndims[j], :ndims[i]] = nmaps[a]
+        blk[:ndims[j], ndims[i]:] = xi_flat[pos:pos + ndims[j] * mdims[i]].reshape(
+            ndims[j], mdims[i])
+        blk[ndims[j]:, ndims[i]:] = mmaps[a]
         maps.append(blk)
-    e = Representation(quiver, p, dims, maps)
-    iblocks = [np.vstack([ef.eye(n.dims[i]), ef.zeros(m.dims[i], n.dims[i])])
-               for i in range(quiver.n_vertices)]
-    pblocks = [np.hstack([ef.zeros(m.dims[i], n.dims[i]), ef.eye(m.dims[i])])
-               for i in range(quiver.n_vertices)]
-    return e, RepMorphism(n, e, iblocks), RepMorphism(e, m, pblocks)
+        pos += ndims[j] * mdims[i]
+    e = rp.LayeredModule(alg, [(dims, maps)], conn={})
+    iblocks = [np.vstack([ef.eye(x), ef.zeros(y, x)]) for x, y in zip(ndims, mdims)]
+    pblocks = [np.hstack([ef.zeros(y, x), ef.eye(y)]) for x, y in zip(ndims, mdims)]
+    return e, rp.LayeredMorphism(n, e, iblocks), rp.LayeredMorphism(e, m, pblocks)
 
 
 def sequence_splits(incl):
@@ -659,204 +414,5 @@ def sequence_splits(incl):
     if not basis:
         return n.total_dim == 0
     restricted = np.array([h.compose(incl).flatten() for h in basis], dtype=np.int64).T
-    target = RepMorphism(n, n, [ef.eye(d) for d in n.dims]).flatten().reshape(-1, 1)
+    target = rp.LayeredMorphism.identity(n).flatten().reshape(-1, 1)
     return ef.solve(restricted, target, n.p) is not None
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing and decomposition
-# ---------------------------------------------------------------------------
-
-def is_iso(m, n, seed=ef.DEFAULT_SEED):
-    """Whether M and N are isomorphic (bounded-determinism search for an
-    invertible morphism, exhaustive on tiny Hom spaces)."""
-    if m.component_dims() != n.component_dims():
-        return False
-    if m.total_dim == 0:
-        return True
-    basis = hom_basis(m, n)
-    if not basis:
-        return False
-    return find_invertible_combo([h.blocks for h in basis], m.p, seed) is not None
-
-
-def decompose(m, seed=ef.DEFAULT_SEED):
-    """Indecomposable direct summands of M, as (module, multiplicity) pairs.
-
-    Fitting splitting: characteristic polynomials of endomorphisms are
-    factored and M splits along coprime-factor kernels; a piece is declared
-    indecomposable when no endomorphism splits it.
-    """
-    pieces = fitting_split(m, hom_basis, seed)
-    out = []
-    for piece in pieces:
-        for k, (rep, mult) in enumerate(out):
-            if is_iso(piece, rep, seed):
-                out[k] = (rep, mult + 1)
-                break
-        else:
-            out.append((piece, 1))
-    return out
-
-
-def end_is_local(m, seed=ef.DEFAULT_SEED):
-    """True when End(M) is local with residue field F_p: every basis
-    endomorphism is scalar + nilpotent."""
-    ends = hom_basis(m, m)
-    for f in ends:
-        if single_eigenvalue(f.blocks, m.p, seed) is None:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# tops, covers, and the Auslander-Reiten translate tau = DTr
-# ---------------------------------------------------------------------------
-
-
-def radical_span(m):
-    """Per-vertex spanning columns of rad M = sum of arrow images."""
-    quiver = m.quiver
-    spans = [[] for _ in range(quiver.n_vertices)]
-    for a in range(len(quiver.arrows)):
-        t = quiver.arrow_target[a]
-        if m.maps[a].size:
-            spans[t].append(m.maps[a])
-    return [np.hstack(s) if s else ef.zeros(m.dims[i], 0)
-            for i, s in enumerate(spans)]
-
-
-def top_generators(m):
-    """[(vertex, column vector)] lifting a basis of M/rad M."""
-    spans = radical_span(m)
-    gens = []
-    for i in range(m.quiver.n_vertices):
-        proj, section = ef.quotient_projection(spans[i], m.dims[i], m.p)
-        for k in range(proj.shape[0]):
-            gens.append((i, section[:, k].copy()))
-    return gens
-
-
-def morphism_from_generator(vertex, vec, m):
-    """The morphism P(vertex) -> M sending the trivial-path generator to vec."""
-    quiver, p = m.quiver, m.p
-    pb = quiver.paths
-    proj = projective(quiver, p, quiver.vertices[vertex])
-    basis = [q for q in pb.from_vertex[vertex]]
-    by_target = {j: [q for q in basis if pb.target[q] == j] for j in range(quiver.n_vertices)}
-    blocks = []
-    for j in range(quiver.n_vertices):
-        cols = [ef.mul(m.act_path(q), vec.reshape(-1, 1), p) for q in by_target[j]]
-        blocks.append(np.hstack(cols) if cols else ef.zeros(m.dims[j], 0))
-    return proj, RepMorphism(proj, m, blocks)
-
-
-def projective_cover(m):
-    """Minimal projective cover: (P, cover, summand vertices in order)."""
-    gens = top_generators(m)
-    if not gens:
-        zero = Representation(m.quiver, m.p, [0] * m.quiver.n_vertices)
-        return zero, RepMorphism(zero, m, [ef.zeros(d, 0) for d in m.dims]), []
-    parts = [morphism_from_generator(v, vec, m) for v, vec in gens]
-    total, incls, _ = Representation.direct_sum([pr for pr, _ in parts])
-    blocks = []
-    for j in range(m.quiver.n_vertices):
-        cols = [mor.blocks[j] for _, mor in parts]
-        blocks.append(np.hstack(cols) if cols else ef.zeros(m.dims[j], 0))
-    cover = RepMorphism(total, m, blocks)
-    return total, cover, [v for v, _ in gens]
-
-
-def _projective_coordinates(cover_source_vertices, phi):
-    """Express a morphism between explicit projective sums as a matrix of
-    path-algebra elements; entry (s, t) is a dict path_id -> coefficient."""
-    quiver = phi.source.quiver
-    pb = quiver.paths
-    src_verts = cover_source_vertices[1]
-    tgt_verts = cover_source_vertices[0]
-    # column offsets of each source generator (trivial path slot)
-    src_off = []
-    run = {j: 0 for j in range(quiver.n_vertices)}
-    for y in src_verts:
-        paths_by_tgt = {}
-        for q in pb.from_vertex[y]:
-            paths_by_tgt.setdefault(pb.target[q], []).append(q)
-        src_off.append({j: run[j] for j in range(quiver.n_vertices)})
-        for j in range(quiver.n_vertices):
-            run[j] += len(paths_by_tgt.get(j, []))
-    tgt_layout = []
-    run = {j: 0 for j in range(quiver.n_vertices)}
-    for x in tgt_verts:
-        entry = {}
-        for j in range(quiver.n_vertices):
-            qs = [q for q in pb.from_vertex[x] if pb.target[q] == j]
-            entry[j] = (run[j], qs)
-            run[j] += len(qs)
-        tgt_layout.append(entry)
-    lam = [[{} for _ in src_verts] for _ in tgt_verts]
-    for t, y in enumerate(src_verts):
-        gen_col = src_off[t][y] + [q for q in pb.from_vertex[y]
-                                   if pb.target[q] == y].index(y)  # trivial path position
-        image = phi.blocks[y][:, gen_col]
-        for s in range(len(tgt_verts)):
-            off, qs = tgt_layout[s][y]
-            for k, q in enumerate(qs):
-                c = int(image[off + k])
-                if c:
-                    lam[s][t][q] = c
-    return lam
-
-
-def transpose(m):
-    """Tr M over the opposite quiver, from a minimal projective presentation."""
-    quiver, p = m.quiver, m.p
-    p0, cover, verts0 = projective_cover(m)
-    ker, incl = cover.kernel()
-    p1, cover1, verts1 = projective_cover(ker)
-    if not verts1:
-        return Representation(quiver.opposite(), p, [0] * quiver.n_vertices)
-    phi = incl.compose(cover1)
-    lam = _projective_coordinates((verts0, verts1), phi)
-    op = quiver.opposite()
-    pb, pb_op = quiver.paths, op.paths
-    if not verts0:
-        total1_op, _, _ = Representation.direct_sum(
-            [projective(op, p, op.vertices[y]) for y in verts1])
-        return total1_op
-    # psi: (+)_s P_op(x_s) -> (+)_t P_op(y_t), block (t,s) = left multiplication
-    # by the reversed coordinates of lam[s][t]
-    parts0 = [projective(op, p, op.vertices[x]) for x in verts0]
-    parts1 = [projective(op, p, op.vertices[y]) for y in verts1]
-    total0, _, projs0 = Representation.direct_sum(parts0)
-    total1, incls1, _ = Representation.direct_sum(parts1)
-    acc = None
-    for s, x in enumerate(verts0):
-        for t, y in enumerate(verts1):
-            if not lam[s][t]:
-                continue
-            vec = np.zeros(parts1[t].dims[x], dtype=np.int64)
-            qs_op = [q for q in pb_op.from_vertex[y] if pb_op.target[q] == x]
-            for q, c in lam[s][t].items():
-                q_op = pb.reversed_id(pb_op, q)
-                vec[qs_op.index(q_op)] = c
-            _, mor = morphism_from_generator(x, np.mod(vec, p), parts1[t])
-            # morphism P_op(x_s) -> total1 via this block
-            blk = incls1[t].compose(mor).compose(projs0[s])
-            acc = blk if acc is None else RepMorphism(
-                total0, total1,
-                [np.mod(acc.blocks[i] + blk.blocks[i], p) for i in range(quiver.n_vertices)])
-    if acc is None:
-        return total1
-    coker, _ = acc.cokernel()
-    return coker
-
-
-def tau(m):
-    """Auslander-Reiten translate DTr; zero for projective modules."""
-    tr = transpose(m)
-    return tr.dual()
-
-
-def tau_inverse(m):
-    """TrD; zero for injective modules."""
-    return transpose(m.dual())

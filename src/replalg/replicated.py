@@ -6,28 +6,36 @@ a dual path at layer k eats path prefixes from layer k-1 on the right and
 path suffixes from layer k on the left, and products of two dual elements
 vanish.
 
-A module is a tuple of layer representations M_0..M_m over the base
-quiver together with connecting matrices g[k, p] from the component of
-M_k at target(p) to the component of M_{k-1} at source(p), one per dual
-basis element.  Only the duals of maximal paths are free data; the rest
-are derived through the prefix/suffix relations and all relations are
-re-checked on every construction, so convention errors fail fast.
+A module is a tuple of layers M_0..M_m, each a plain (dims, maps) record
+of a representation of the base quiver, together with connecting
+matrices g[k, p] from the component of M_k at target(p) to the component
+of M_{k-1} at source(p), one per dual basis element.  Only the duals of
+maximal paths are free data; the rest are derived through the
+prefix/suffix relations and all relations are re-checked on every
+construction, so convention errors fail fast.
+
+For m = 0 the algebra is the path algebra A itself, so the modules over
+build_replicated(quiver, 0, p) are the A-modules: there is one module
+type for A and for every A^(m).
 
 Components are ordered (layer, vertex), flattened as k * n_vertices + i;
 dimension vectors print as (layer0 | layer1 | ...).
 """
 
-import json
+from collections import namedtuple
 
 import numpy as np
 
 from . import exactfield as ef
-from . import quiverrep as qr
 from .errors import AnomalyError, InputError, WindowOverflow
-from .splitting import find_invertible_combo, fitting_split
+from .splitting import find_invertible_combo, fitting_split, single_eigenvalue
 
 PATH = "p"
 DUAL = "d"
+
+Layer = namedtuple("Layer", "dims maps")
+Layer.__doc__ = """One layer of a module: per-vertex dimensions and one
+matrix per arrow, of shape (dims[target], dims[source])."""
 
 
 def _left_extension(quiver, pb, a, q):
@@ -48,8 +56,8 @@ class ReplicatedAlgebra:
     """Basis and multiplication table of the m-replicated algebra."""
 
     def __init__(self, quiver, m, p):
-        if m < 1:
-            raise InputError(f"replication level m must be >= 1, got {m}")
+        if m < 0:
+            raise InputError(f"replication level m must be >= 0, got {m}")
         ef.FieldSpec(p)
         self.quiver = quiver
         self.m = m
@@ -59,6 +67,14 @@ class ReplicatedAlgebra:
         self.basis += [(DUAL, k, q) for k in range(1, m + 1) for q in range(pb.n)]
         self.dim = len(self.basis)
         self.n_components = (m + 1) * quiver.n_vertices
+        self.conn_keys = [(k, q) for k in range(1, m + 1) for q in range(pb.n)]
+        # (source, target) component of every action edge, in the order of
+        # LayeredModule.edge_matrices: arrows layer by layer, then duals
+        self.edges = [(self.comp_index(k, s), self.comp_index(k, t))
+                      for k in range(m + 1)
+                      for s, t in zip(quiver.arrow_source, quiver.arrow_target)]
+        self.edges += [(self.comp_index(k, pb.target[q]), self.comp_index(k - 1, pb.source[q]))
+                       for k, q in self.conn_keys]
         self._proj = {}
         self._inj = {}
         self._opposite = None
@@ -174,24 +190,18 @@ class ReplicatedAlgebra:
             return self.proj(i, k + 1)
         key = (i, k)
         if key not in self._inj:
-            self._inj[key] = rep_at_layer(
-                self, qr.injective(self.quiver, self.p, self.quiver.vertices[i]), self.m)
+            self._inj[key] = self._concentrated(self.quiver.paths.standard_layer("I", i), k)
         return self._inj[key]
 
     def _build_proj(self, i, k):
-        quiver, p, pb = self.quiver, self.p, self.quiver.paths
+        quiver, pb = self.quiver, self.quiver.paths
         if not (0 <= i < quiver.n_vertices and 0 <= k <= self.m):
             raise InputError(f"proj({i},{k}) out of range")
         if k == 0:
-            return rep_at_layer(self, qr.projective(quiver, p, quiver.vertices[i]), 0)
-        layers = []
-        for l in range(self.m + 1):
-            if l == k:
-                layers.append(qr.projective(quiver, p, quiver.vertices[i]))
-            elif l == k - 1:
-                layers.append(qr.injective(quiver, p, quiver.vertices[i]))
-            else:
-                layers.append(qr.Representation(quiver, p, [0] * quiver.n_vertices))
+            return self._concentrated(pb.standard_layer("P", i), 0)
+        layers = [self._zero_layer()] * (self.m + 1)
+        layers[k] = pb.standard_layer("P", i)
+        layers[k - 1] = pb.standard_layer("I", i)
         conn = {}
         for pid in range(pb.n):
             tv, sv = pb.target[pid], pb.source[pid]
@@ -214,11 +224,18 @@ class ReplicatedAlgebra:
         quiver = self.quiver
         if not (0 <= i < quiver.n_vertices and 0 <= k <= self.m):
             raise InputError(f"simple({i},{k}) out of range")
-        return rep_at_layer(self, qr.simple(quiver, self.p, quiver.vertices[i]), k)
+        return self._concentrated(quiver.paths.standard_layer("S", i), k)
 
     def zero_module(self):
-        layers = [qr.Representation(self.quiver, self.p, [0] * self.quiver.n_vertices)
-                  for _ in range(self.m + 1)]
+        return LayeredModule(self, [self._zero_layer()] * (self.m + 1), conn={})
+
+    def _zero_layer(self):
+        return ([0] * self.quiver.n_vertices, None)
+
+    def _concentrated(self, layer, k):
+        """The module with the given layer at layer k and zero elsewhere."""
+        layers = [self._zero_layer()] * (self.m + 1)
+        layers[k] = layer
         return LayeredModule(self, layers, conn={})
 
     def __repr__(self):
@@ -240,41 +257,75 @@ def build_replicated(quiver, m, p=ef.DEFAULT_PRIME, check=True):
     return _ALGEBRAS[key]
 
 
+def _layer(quiver, p, dims, maps=None):
+    """A checked Layer: dims has one entry >= 0 per vertex, there is one
+    map per arrow, of shape (dims[target], dims[source]), reduced mod p."""
+    shape_dims = tuple(int(d) for d in dims)
+    if len(shape_dims) != quiver.n_vertices or any(d < 0 for d in shape_dims):
+        raise InputError(f"bad dimension vector {dims}")
+    shapes = [(shape_dims[t], shape_dims[s])
+              for s, t in zip(quiver.arrow_source, quiver.arrow_target)]
+    if maps is None:
+        maps = [ef.zeros(*want) for want in shapes]
+    if len(maps) != len(shapes):
+        raise InputError(f"expected {len(shapes)} arrow maps, got {len(maps)}")
+    out = []
+    for a, (mat, want) in enumerate(zip(maps, shapes)):
+        mat = np.mod(mat.astype(np.int64), p) if isinstance(mat, np.ndarray) else ef.fmat(mat, p)
+        if mat.shape != want:
+            raise InputError(f"arrow {quiver.arrows[a][0]}: matrix shape {mat.shape}, expected {want}")
+        out.append(mat)
+    return Layer(shape_dims, out)
+
+
+def _block_diag(blocks):
+    out = ef.zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
 class LayeredModule:
-    """A right module over a ReplicatedAlgebra: one representation per
-    layer plus connecting matrices for every dual basis element."""
+    """A right module over a ReplicatedAlgebra: one layer per level, given
+    as (dims, maps) pairs and stored as checked Layer records, plus
+    connecting matrices for every dual basis element."""
 
     def __init__(self, algebra, layers, conn=None, maximal_conn=None, validate=True):
         self.algebra = algebra
         quiver, p, pb = algebra.quiver, algebra.p, algebra.quiver.paths
         if len(layers) != algebra.m + 1:
             raise InputError(f"expected {algebra.m + 1} layers, got {len(layers)}")
-        self.layers = []
-        for rep in layers:
-            if rep.quiver is not quiver:
-                # memoized algebras keep the first quiver object; accept
-                # text-equal copies by rebuilding the layer over ours
-                if rep.quiver.to_text() != quiver.to_text() or rep.p != p:
-                    raise InputError("layer over the wrong quiver or prime")
-                rep = qr.Representation(quiver, p, rep.dims, rep.maps)
-            elif rep.p != p:
-                raise InputError("layer over the wrong prime")
-            self.layers.append(rep)
+        self.layers = [_layer(quiver, p, dims, maps) for dims, maps in layers]
+        self._dims = tuple(d for layer in self.layers for d in layer.dims)
         if conn is None:
             conn = self._derive_conn(maximal_conn or {})
         self.conn = {}
-        for k in range(1, algebra.m + 1):
-            for pid in range(pb.n):
-                mat = conn.get((k, pid))
-                want = (self.layers[k - 1].dims[pb.source[pid]],
-                        self.layers[k].dims[pb.target[pid]])
-                if mat is None:
-                    mat = ef.zeros(*want)
-                else:
-                    mat = np.mod(np.array(mat, dtype=np.int64).reshape(want), p)
-                self.conn[(k, pid)] = mat
+        for k, pid in algebra.conn_keys:
+            mat = conn.get((k, pid))
+            want = (self.layers[k - 1].dims[pb.source[pid]],
+                    self.layers[k].dims[pb.target[pid]])
+            if mat is None:
+                mat = ef.zeros(*want)
+            else:
+                mat = np.mod(np.array(mat, dtype=np.int64).reshape(want), p)
+            self.conn[(k, pid)] = mat
+        self._edge_mats = tuple(mat for layer in self.layers for mat in layer.maps) + \
+            tuple(self.conn[key] for key in algebra.conn_keys)
         if validate:
             self._validate()
+
+    @classmethod
+    def _assemble(cls, algebra, dims, mats):
+        """The module with component dims and action matrices in the order
+        of algebra.edges (the inverse of component_dims/edge_matrices)."""
+        nv, na = algebra.quiver.n_vertices, len(algebra.quiver.arrows)
+        layers = [(dims[k * nv:(k + 1) * nv], mats[k * na:(k + 1) * na])
+                  for k in range(algebra.m + 1)]
+        conn = dict(zip(algebra.conn_keys, mats[(algebra.m + 1) * na:]))
+        return cls(algebra, layers, conn=conn)
 
     def _derive_conn(self, maximal_conn):
         """Fill in connecting matrices for all paths from the maximal-path
@@ -354,21 +405,21 @@ class LayeredModule:
         return self.algebra.p
 
     def component_dims(self):
-        return [self.layers[k].dims[i] for (k, i) in self.algebra.components()]
+        return list(self._dims)
 
     @property
     def total_dim(self):
-        return sum(self.component_dims())
+        return sum(self._dims)
 
     def is_zero(self):
         return self.total_dim == 0
 
     def dim_table(self):
         """Per-layer dimension vectors, e.g. ((1, 1), (1, 0))."""
-        return tuple(rep.dims for rep in self.layers)
+        return tuple(layer.dims for layer in self.layers)
 
     def dim_label(self):
-        return "|".join(",".join(str(d) for d in rep.dims) for rep in self.layers)
+        return "|".join(",".join(str(d) for d in layer.dims) for layer in self.layers)
 
     def support_layers(self):
         return [k for k in range(self.algebra.m + 1) if sum(self.layers[k].dims)]
@@ -376,67 +427,50 @@ class LayeredModule:
     def is_layer_module(self, k):
         return self.support_layers() in ([k], [])
 
+    def act_path(self, k, pid):
+        """Matrix of the action of a path on layer k (source -> target)."""
+        pb = self.algebra.quiver.paths
+        out = ef.eye(self.layers[k].dims[pb.source[pid]])
+        for a in pb.arrows_of[pid]:
+            out = ef.mul(self.layers[k].maps[a], out, self.p)
+        return out
+
     def action_matrix(self, b):
         """Matrix of the right action of a basis element, from its left
         component to its right component."""
         t, k, q = b
         if t == PATH:
-            return self.layers[k].act_path(q)
+            return self.act_path(k, q)
         return self.conn[(k, q)]
+
+    def edge_matrices(self):
+        """Arrow and connecting matrices in the order of algebra.edges."""
+        return self._edge_mats
 
     # -- constructions --------------------------------------------------------
 
     def submodule(self, bases):
         """Submodule spanned by per-component column bases (must be closed
         under all actions).  Returns (sub, inclusion)."""
-        alg, pb = self.algebra, self.algebra.quiver.paths
-        nv = alg.quiver.n_vertices
-        sub_layers, incl_parts = [], []
-        for k in range(alg.m + 1):
-            layer_bases = [bases[alg.comp_index(k, i)] for i in range(nv)]
-            sub, incl = self.layers[k].submodule(layer_bases)
-            sub_layers.append(sub)
-            incl_parts.append(incl)
-        conn = {}
-        for (k, pid), mat in self.conn.items():
-            src_basis = bases[alg.comp_index(k, pb.target[pid])]
-            tgt_basis = bases[alg.comp_index(k - 1, pb.source[pid])]
-            moved = ef.mul(mat, src_basis, alg.p)
-            coords = ef.coordinates_in_span(tgt_basis, moved, alg.p)
+        alg = self.algebra
+        mats = []
+        for (src, tgt), mat in zip(alg.edges, self.edge_matrices()):
+            coords = ef.coordinates_in_span(bases[tgt], ef.mul(mat, bases[src], alg.p), alg.p)
             if coords is None:
-                raise InputError("submodule bases not closed under connecting actions")
-            conn[(k, pid)] = coords
-        sub = LayeredModule(alg, sub_layers, conn=conn)
-        blocks = [bases[c].copy() for c in range(alg.n_components)]
-        return sub, LayeredMorphism(sub, self, blocks)
+                raise InputError("submodule bases not closed under the action")
+            mats.append(coords)
+        sub = LayeredModule._assemble(alg, [b.shape[1] for b in bases], mats)
+        return sub, LayeredMorphism(sub, self, [b.copy() for b in bases])
 
     def quotient(self, span):
         """Quotient by the span of per-component columns (must be stable
         under all actions).  Returns (quotient, projection)."""
-        alg, pb = self.algebra, self.algebra.quiver.paths
-        nv = alg.quiver.n_vertices
-        projs, sections = [], []
-        for c in range(alg.n_components):
-            dim = self.component_dims()[c]
-            pr, sec = ef.quotient_projection(span[c], dim, alg.p)
-            projs.append(pr)
-            sections.append(sec)
-        quo_layers = []
-        for k in range(alg.m + 1):
-            dims = [projs[alg.comp_index(k, i)].shape[0] for i in range(nv)]
-            maps = []
-            for a in range(len(alg.quiver.arrows)):
-                s, t = alg.quiver.arrow_source[a], alg.quiver.arrow_target[a]
-                maps.append(ef.mul(projs[alg.comp_index(k, t)],
-                                   ef.mul(self.layers[k].maps[a],
-                                          sections[alg.comp_index(k, s)], alg.p), alg.p))
-            quo_layers.append(qr.Representation(alg.quiver, alg.p, dims, maps))
-        conn = {}
-        for (k, pid), mat in self.conn.items():
-            src = alg.comp_index(k, pb.target[pid])
-            tgt = alg.comp_index(k - 1, pb.source[pid])
-            conn[(k, pid)] = ef.mul(projs[tgt], ef.mul(mat, sections[src], alg.p), alg.p)
-        quo = LayeredModule(alg, quo_layers, conn=conn)
+        alg, p = self.algebra, self.algebra.p
+        projs, sections = zip(*[ef.quotient_projection(span[c], dim, p)
+                                for c, dim in enumerate(self.component_dims())])
+        mats = [ef.mul(projs[tgt], ef.mul(mat, sections[src], p), p)
+                for (src, tgt), mat in zip(alg.edges, self.edge_matrices())]
+        quo = LayeredModule._assemble(alg, [pr.shape[0] for pr in projs], mats)
         proj = LayeredMorphism(self, quo, projs)
         if not proj.is_morphism():
             raise InputError("quotient span is not stable under all actions")
@@ -448,35 +482,23 @@ class LayeredModule:
         if not mods:
             raise InputError("direct_sum of empty list")
         alg = mods[0].algebra
-        for m in mods:
-            if m.algebra is not alg:
-                raise InputError("direct_sum: modules over different algebras")
-        pb = alg.quiver.paths
-        layer_sums = []
-        for k in range(alg.m + 1):
-            layer_sums.append(qr.Representation.direct_sum([m.layers[k] for m in mods]))
-        conn = {}
-        for k in range(1, alg.m + 1):
-            for pid in range(pb.n):
-                tgt_dims = [m.conn[(k, pid)].shape[0] for m in mods]
-                src_dims = [m.conn[(k, pid)].shape[1] for m in mods]
-                blk = ef.zeros(sum(tgt_dims), sum(src_dims))
-                ro = co = 0
-                for m in mods:
-                    g = m.conn[(k, pid)]
-                    blk[ro:ro + g.shape[0], co:co + g.shape[1]] = g
-                    ro += g.shape[0]
-                    co += g.shape[1]
-                conn[(k, pid)] = blk
-        total = LayeredModule(alg, [ls[0] for ls in layer_sums], conn=conn)
+        if any(m.algebra is not alg for m in mods):
+            raise InputError("direct_sum: modules over different algebras")
+        dims = [m.component_dims() for m in mods]
+        mats = [_block_diag(blocks) for blocks in zip(*[m.edge_matrices() for m in mods])]
+        total_dims = [sum(col) for col in zip(*dims)]
+        total = LayeredModule._assemble(alg, total_dims, mats)
         incls, projs = [], []
-        for idx, m in enumerate(mods):
-            iblocks, pblocks = [], []
-            for (k, i) in alg.components():
-                iblocks.append(layer_sums[k][1][idx].blocks[i])
-                pblocks.append(layer_sums[k][2][idx].blocks[i])
+        offs = [0] * alg.n_components
+        for m, mdims in zip(mods, dims):
+            iblocks = []
+            for c, d in enumerate(mdims):
+                inc = ef.zeros(total_dims[c], d)
+                inc[offs[c]:offs[c] + d, :] = ef.eye(d)
+                offs[c] += d
+                iblocks.append(inc)
             incls.append(LayeredMorphism(m, total, iblocks))
-            projs.append(LayeredMorphism(total, m, pblocks))
+            projs.append(LayeredMorphism(total, m, [b.T for b in iblocks]))
         return total, incls, projs
 
     def dual(self):
@@ -485,46 +507,45 @@ class LayeredModule:
         alg = self.algebra
         op = alg.opposite()
         pb, pb_op = alg.quiver.paths, op.quiver.paths
-        layers = []
-        for kk in range(alg.m + 1):
-            src = self.layers[alg.m - kk]
-            layers.append(qr.Representation(
-                op.quiver, alg.p, src.dims,
-                [src.maps[a].T.copy() for a in range(len(alg.quiver.arrows))]))
-        conn = {}
-        for kk in range(1, alg.m + 1):
-            for pid in range(pb.n):
-                pid_op = pb.reversed_id(pb_op, pid)
-                conn[(kk, pid_op)] = self.conn[(alg.m - kk + 1, pid)].T.copy()
+        layers = [(layer.dims, [mat.T for mat in layer.maps]) for layer in reversed(self.layers)]
+        conn = {(kk, pb.reversed_id(pb_op, pid)): self.conn[(alg.m - kk + 1, pid)].T.copy()
+                for kk, pid in alg.conn_keys}
         return LayeredModule(op, layers, conn=conn)
 
     def to_json(self):
-        alg, pb = self.algebra, self.algebra.quiver.paths
+        alg, quiver = self.algebra, self.algebra.quiver
         connecting = []
-        for k in range(1, alg.m + 1):
-            for pid in range(pb.n):
-                mat = self.conn[(k, pid)]
-                if mat.any():
-                    connecting.append({"k": k, "path": pb.name(pid), "matrix": mat.tolist()})
-        return {
-            "m": alg.m,
-            "p": alg.p,
-            "layers": [rep.to_json() for rep in self.layers],
-            "connecting": connecting,
-        }
+        for k, pid in alg.conn_keys:
+            mat = self.conn[(k, pid)]
+            if mat.any():
+                connecting.append({"k": k, "path": quiver.paths.name(pid), "matrix": mat.tolist()})
+        layers = [{"dims": {v: layer.dims[i] for i, v in enumerate(quiver.vertices)},
+                   "maps": {name: layer.maps[a].tolist()
+                            for a, (name, _, _) in enumerate(quiver.arrows)}}
+                  for layer in self.layers]
+        return {"m": alg.m, "p": alg.p, "layers": layers, "connecting": connecting}
 
     @classmethod
     def from_json(cls, algebra, data):
+        quiver = algebra.quiver
         try:
             if data["m"] != algebra.m or data["p"] != algebra.p:
                 raise InputError("module JSON does not match the algebra (m or p differ)")
-            layers = [qr.Representation.from_json(algebra.quiver, algebra.p, d)
-                      for d in data["layers"]]
+            layers = []
+            for entry in data["layers"]:
+                dims = [entry["dims"][v] for v in quiver.vertices]
+                maps = []
+                for name, s, t in quiver.arrows:
+                    shape = (dims[quiver.vindex[t]], dims[quiver.vindex[s]])
+                    raw = entry["maps"].get(name)
+                    maps.append(ef.zeros(*shape) if raw is None
+                                else np.array(raw, dtype=np.int64).reshape(shape))
+                layers.append((dims, maps))
             conn = {}
             for entry in data["connecting"]:
-                pid = algebra.quiver.paths.by_name(entry["path"])
+                pid = quiver.paths.by_name(entry["path"])
                 conn[(entry["k"], pid)] = np.array(entry["matrix"], dtype=np.int64)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad layered-module JSON: {exc}") from exc
         return cls(algebra, layers, conn=conn)
 
@@ -540,14 +561,9 @@ class LayeredMorphism:
         self.source = source
         self.target = target
         self.p = source.algebra.p
-        sdims, tdims = source.component_dims(), target.component_dims()
-        self.blocks = []
-        for c, b in enumerate(blocks):
-            b = np.mod(np.array(b, dtype=np.int64).reshape(tdims[c], sdims[c]), self.p)
-            self.blocks.append(b)
-
-    def blocks_flat(self):
-        return self.blocks
+        sdims, tdims = source._dims, target._dims
+        self.blocks = [np.mod(np.asarray(b, dtype=np.int64).reshape(tdims[c], sdims[c]), self.p)
+                       for c, b in enumerate(blocks)]
 
     def is_morphism(self):
         for src, tgt, ms, mt in _action_edges(self.source, self.target):
@@ -578,12 +594,10 @@ class LayeredMorphism:
 
     @staticmethod
     def from_flat(source, target, vec):
-        sdims, tdims = source.component_dims(), target.component_dims()
         blocks, pos = [], 0
-        for c in range(len(sdims)):
-            r, cdim = tdims[c], sdims[c]
-            blocks.append(np.array(vec[pos:pos + r * cdim], dtype=np.int64).reshape(r, cdim))
-            pos += r * cdim
+        for s, t in zip(source._dims, target._dims):
+            blocks.append(vec[pos:pos + s * t])
+            pos += s * t
         return LayeredMorphism(source, target, blocks)
 
     @staticmethod
@@ -625,52 +639,51 @@ class LayeredMorphism:
 def _action_edges(m, n):
     """Aligned action matrices of two modules over the same algebra:
     yields (src_comp, tgt_comp, m_matrix, n_matrix)."""
-    alg = m.algebra
-    if n.algebra is not alg:
+    if n.algebra is not m.algebra:
         raise InputError("modules over different algebras")
-    quiver, pb = alg.quiver, alg.quiver.paths
-    for k in range(alg.m + 1):
-        for a in range(len(quiver.arrows)):
-            src = alg.comp_index(k, quiver.arrow_source[a])
-            tgt = alg.comp_index(k, quiver.arrow_target[a])
-            yield src, tgt, m.layers[k].maps[a], n.layers[k].maps[a]
-    for k in range(1, alg.m + 1):
-        for pid in range(pb.n):
-            src = alg.comp_index(k, pb.target[pid])
-            tgt = alg.comp_index(k - 1, pb.source[pid])
-            yield src, tgt, m.conn[(k, pid)], n.conn[(k, pid)]
+    for (src, tgt), ms, mt in zip(m.algebra.edges, m.edge_matrices(), n.edge_matrices()):
+        yield src, tgt, ms, mt
 
 
-def hom_layered(m, n):
-    """A basis of the space of layered morphisms M -> N (canonical)."""
-    if m.algebra is not n.algebra:
-        raise InputError("hom_layered: modules over different algebras")
-    sdims, tdims = m.component_dims(), n.component_dims()
-    ncols = sum(s * t for s, t in zip(sdims, tdims))
-    if ncols == 0:
-        return []
-    col_off = []
-    pos = 0
-    for c in range(len(sdims)):
-        col_off.append(pos)
-        pos += sdims[c] * tdims[c]
-    rows = []
+def hom_complex(m, n):
+    """The matrix d with Hom(M, N) = ker d.
+
+    Columns hold the row-major entries of one matrix phi_c per component;
+    each action edge e: c -> c' (an arrow of a layer, or a dual element)
+    contributes the rows of (d phi)_e = N_e phi_c - phi_c' M_e.  At m = 0
+    this is the two-term complex of the standard projective resolution
+    over the hereditary algebra A, so Ext^1(M, N) = coker d there.
+    """
+    sdims, tdims = m._dims, n._dims
+    col_off = [0]
+    for s, t in zip(sdims, tdims):
+        col_off.append(col_off[-1] + s * t)
+    ncols = col_off[-1]
     p = m.algebra.p
+    rows = []
     for src, tgt, ms, mt in _action_edges(m, n):
         blk = tdims[tgt] * sdims[src]
         if blk == 0:
             continue
         row = ef.zeros(blk, ncols)
         if tdims[src]:
-            row[:, col_off[src]:col_off[src] + tdims[src] * sdims[src]] = \
-                np.kron(mt, ef.eye(sdims[src]))
+            # vec_rm(N_e . phi_src) = (N_e kron I) vec_rm(phi_src)
+            row[:, col_off[src]:col_off[src + 1]] = np.kron(mt, ef.eye(sdims[src]))
         if sdims[tgt]:
-            row[:, col_off[tgt]:col_off[tgt] + tdims[tgt] * sdims[tgt]] = np.mod(
-                row[:, col_off[tgt]:col_off[tgt] + tdims[tgt] * sdims[tgt]]
-                - np.kron(ef.eye(tdims[tgt]), ms.T), p)
+            # vec_rm(phi_tgt . M_e) = (I kron M_e^T) vec_rm(phi_tgt)
+            row[:, col_off[tgt]:col_off[tgt + 1]] = np.mod(
+                row[:, col_off[tgt]:col_off[tgt + 1]] - np.kron(ef.eye(tdims[tgt]), ms.T), p)
         rows.append(row)
-    d = np.vstack(rows) if rows else ef.zeros(0, ncols)
-    ker = ef.kernel_basis(d, p)
+    return np.vstack(rows) if rows else ef.zeros(0, ncols)
+
+
+def hom_layered(m, n):
+    """A basis of the space of layered morphisms M -> N (canonical)."""
+    if m.algebra is not n.algebra:
+        raise InputError("hom_layered: modules over different algebras")
+    if not any(s and t for s, t in zip(m._dims, n._dims)):
+        return []
+    ker = ef.kernel_basis(hom_complex(m, n), m.p)
     return [LayeredMorphism.from_flat(m, n, ker[:, c]) for c in range(ker.shape[1])]
 
 
@@ -679,9 +692,9 @@ def hom_dim_layered(m, n):
 
 
 def is_iso_layered(m, n, seed=ef.DEFAULT_SEED):
-    """Isomorphism test for layered modules (same search strategy as the
-    representation-level test)."""
-    if m.component_dims() != n.component_dims():
+    """Whether M and N are isomorphic: a search for an invertible morphism
+    (basis elements, seeded combinations, exhaustive on tiny Hom spaces)."""
+    if m._dims != n._dims:
         return False
     if m.total_dim == 0:
         return True
@@ -691,18 +704,84 @@ def is_iso_layered(m, n, seed=ef.DEFAULT_SEED):
     return find_invertible_combo([h.blocks for h in basis], m.p, seed) is not None
 
 
+class IsoRegistry:
+    """One representative per isomorphism class, with ids in first-seen
+    order.  Candidates are bucketed by component dimensions and tried in
+    id order, so a lookup makes the iso tests of a linear scan that skips
+    other dimensions.  iso(candidate, module, seed) is the test used
+    (is_iso_layered by default)."""
+
+    def __init__(self, modules=(), seed=ef.DEFAULT_SEED, iso=None):
+        self.modules = []
+        self.seed = seed
+        self.iso = iso
+        self._buckets = {}
+        self._by_identity = {}
+        for m in modules:
+            self.add(m)
+
+    def find(self, m):
+        """Id of a registered module isomorphic to m, or None."""
+        iso = self.iso or is_iso_layered
+        for idx in self._buckets.get(m._dims, ()):
+            if iso(self.modules[idx], m, self.seed):
+                return idx
+        return None
+
+    def add(self, m):
+        """Register m as a new class (no iso test) and return its id."""
+        idx = len(self.modules)
+        self.modules.append(m)
+        self._buckets.setdefault(m._dims, []).append(idx)
+        self._by_identity.setdefault(id(m), idx)
+        return idx
+
+    def canon(self, m):
+        """Id of m's class, registering m when it is new."""
+        idx = self.find(m)
+        return self.add(m) if idx is None else idx
+
+    def identity_index(self, m):
+        """Id of this very object, or None (no iso test)."""
+        return self._by_identity.get(id(m))
+
+    def __len__(self):
+        return len(self.modules)
+
+
 def decompose_layered(m, seed=ef.DEFAULT_SEED):
     """Indecomposable summands of a layered module with multiplicities."""
-    pieces = fitting_split(m, hom_layered, seed)
-    out = []
-    for piece in pieces:
-        for k, (mod, mult) in enumerate(out):
-            if is_iso_layered(piece, mod, seed):
-                out[k] = (mod, mult + 1)
-                break
-        else:
-            out.append((piece, 1))
-    return out
+    classes = IsoRegistry(seed=seed)
+    mults = []
+    for piece in fitting_split(m, hom_layered, seed):
+        idx = classes.find(piece)
+        if idx is None:
+            idx = classes.add(piece)
+            mults.append(0)
+        mults[idx] += 1
+    return list(zip(classes.modules, mults))
+
+
+def rad_end_basis(ends, seed=ef.DEFAULT_SEED):
+    """Basis of rad End(M), rref-reduced, from a basis `ends` of End(M),
+    for M with local End and residue field F_p: the nonzero f - lam*id.
+    Raises AnomalyError when some f is not scalar + nilpotent."""
+    if not ends:
+        return []
+    x, p = ends[0].source, ends[0].p
+    flats = []
+    for f in ends:
+        lam = single_eigenvalue(f.blocks, p, seed)
+        if lam is None:
+            raise AnomalyError(f"endomorphism of {x!r} is not scalar + nilpotent")
+        g = np.concatenate([np.mod(b - lam * ef.eye(b.shape[0]), p).reshape(-1)
+                            for b in f.blocks])
+        if g.any():
+            flats.append(g)
+    if not flats:
+        return []
+    r, pivots = ef.rref(np.array(flats, dtype=np.int64), p)
+    return [LayeredMorphism.from_flat(x, x, r[t]) for t in range(len(pivots))]
 
 
 # ---------------------------------------------------------------------------
@@ -711,17 +790,14 @@ def decompose_layered(m, seed=ef.DEFAULT_SEED):
 
 
 def rep_at_layer(algebra, rep, k):
-    """Embed an A-module as a layered module concentrated in layer k.
-    Representations over a text-equal copy of the quiver (memoized
-    algebras keep the first quiver object) are rebuilt in place."""
-    quiver, p = algebra.quiver, algebra.p
-    if rep.quiver is not quiver:
-        if rep.quiver.to_text() != quiver.to_text() or rep.p != p:
-            raise InputError("representation over the wrong quiver")
-        rep = qr.Representation(quiver, p, rep.dims, rep.maps)
-    layers = [rep if l == k else qr.Representation(quiver, p, [0] * quiver.n_vertices)
-              for l in range(algebra.m + 1)]
-    return LayeredModule(algebra, layers, conn={})
+    """Embed an A-module (a module over the m = 0 algebra of the same
+    quiver and prime) as a layered module concentrated in layer k."""
+    base = rep.algebra
+    if base.m != 0 or base.p != algebra.p or (
+            base.quiver is not algebra.quiver
+            and base.quiver.to_text() != algebra.quiver.to_text()):
+        raise InputError("rep_at_layer: not a module over the base algebra")
+    return algebra._concentrated(rep.layers[0], k)
 
 
 def radical_span(m):
@@ -763,7 +839,7 @@ def generator_morphism(comp, vec, m):
         if l == k:
             for q in pb.from_vertex[i]:
                 if pb.target[q] == j:
-                    cols.append(ef.mul(m.layers[k].act_path(q), vec.reshape(-1, 1), alg.p))
+                    cols.append(ef.mul(m.act_path(k, q), vec.reshape(-1, 1), alg.p))
         elif l == k - 1:
             for r in pb.into_vertex[i]:
                 if pb.source[r] == j:
@@ -850,15 +926,9 @@ def convert_window(m, target_algebra):
     if sup and max(sup) > target_algebra.m:
         raise WindowOverflow(
             f"module supported up to layer {max(sup)} exceeds window m={target_algebra.m}")
-    quiver, p = target_algebra.quiver, target_algebra.p
-    zero = qr.Representation(quiver, p, [0] * quiver.n_vertices)
-    # rebuild layers over the target's quiver object (equal by text)
-    layers = [qr.Representation(quiver, p, m.layers[k].dims, m.layers[k].maps)
-              if k <= alg.m else zero for k in range(target_algebra.m + 1)]
-    conn = {}
-    for (k, pid), mat in m.conn.items():
-        if k <= target_algebra.m:
-            conn[(k, pid)] = mat
+    layers = [m.layers[k] if k <= alg.m else target_algebra._zero_layer()
+              for k in range(target_algebra.m + 1)]
+    conn = {key: mat for key, mat in m.conn.items() if key[0] <= target_algebra.m}
     return LayeredModule(target_algebra, layers, conn=conn)
 
 

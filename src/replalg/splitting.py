@@ -1,8 +1,4 @@
-"""Fitting-lemma decomposition, generic over the module protocol.
-
-Works for any module object exposing `p`, `total_dim`, `component_dims()`
-and `submodule(bases) -> (sub, incl)`, with morphisms exposing
-`blocks_flat()` (square per-component matrices for endomorphisms).
+"""Fitting-lemma decomposition of layered modules.
 
 An endomorphism whose characteristic polynomial has at least two distinct
 irreducible factors splits the module into the corresponding primary
@@ -212,7 +208,7 @@ def _split_once(m, hom_fn, seed):
     if r <= 1:
         return None, BRICK
     p = m.p
-    basis = [f.blocks_flat() for f in ends]
+    basis = [f.blocks for f in ends]
     mins = []
     for blocks in basis:
         cp = endo_char_poly(blocks, p)

@@ -190,7 +190,7 @@ def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
                     got = ar.stable_hom_dim(proj_chains[v][i], chain[j])
                     if got != 0:
                         bad.append({"vertex": quiver.vertices[v], "i": i, "j": j,
-                                    "x": x.to_json(), "stable_hom": got})
+                                    "x": x.to_json()["layers"][0], "stable_hom": got})
     checks.append({"check": f"all (i < j <= {window}) x {len(base)} modules",
                    "ok": not bad})
     return _report("lem22", {"quiver": quiver.to_text(), "m": m, "p": p,
@@ -430,7 +430,7 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
         bad.append({"window_checked": upper.window_checked,
                     "indeterminates": upper.indeterminates})
     return _report("lem47", {"quiver": quiver.to_text(), "m": m, "p": p, "d": d,
-                             "bound": bound, "witness_Z": list(z.dims),
+                             "bound": bound, "witness_Z": z.component_dims(),
                              "witness_N": n.dim_label()}, checks, bad, t0)
 
 
@@ -459,7 +459,7 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
     if not ok_inf:
         bad.append({"mdim": str(mres.value)})
     return _report("lem48", {"quiver": quiver.to_text(), "m": m, "p": p,
-                             "N": n0.dim_label(), "Nprime": list(nprime.dims)},
+                             "N": n0.dim_label(), "Nprime": nprime.component_dims()},
                    checks, bad, t0)
 
 

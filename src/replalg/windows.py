@@ -31,15 +31,13 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED,
                          rounds=CLOSURE_ROUNDS, ext_cap=EXT_ENUM_CAP):
     """Window census of indecomposable modules over the base hereditary
     algebra with every vertex dimension <= bound (partial by design)."""
-    found = []
+    found = rp.IsoRegistry(seed=seed, iso=qr.is_iso)
 
     def add(m):
-        if m.total_dim == 0 or any(d > bound for d in m.dims):
+        if m.total_dim == 0 or any(d > bound for d in m.component_dims()) \
+                or found.find(m) is not None:
             return False
-        for cand in found:
-            if cand.dims == m.dims and qr.is_iso(cand, m, seed):
-                return False
-        found.append(m)
+        found.add(m)
         return True
 
     for v in quiver.vertices:
@@ -50,23 +48,22 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED,
         cur = qr.projective(quiver, p, v)
         for _ in range(4 * bound):
             cur = qr.tau_inverse(cur)
-            if cur.total_dim == 0 or any(d > bound for d in cur.dims):
+            if cur.total_dim == 0 or any(d > bound for d in cur.component_dims()):
                 break
             add(cur)
         cur = qr.injective(quiver, p, v)
         for _ in range(4 * bound):
             cur = qr.tau(cur)
-            if cur.total_dim == 0 or any(d > bound for d in cur.dims):
+            if cur.total_dim == 0 or any(d > bound for d in cur.component_dims()):
                 break
             add(cur)
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         grew = False
-        snapshot = list(found)
+        snapshot = list(found.modules)
         for m in snapshot:
             for n in snapshot:
-                dims = [m.dims[i] + n.dims[i] for i in range(quiver.n_vertices)]
-                if any(d > bound for d in dims):
+                if any(a + b > bound for a, b in zip(m.component_dims(), n.component_dims())):
                     continue
                 e = qr.ext1_dim(m, n)
                 if e == 0:
@@ -85,7 +82,7 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED,
                             grew = True
         if not grew:
             break
-    return found
+    return found.modules
 
 
 def _digits(code, p, length):
@@ -104,16 +101,11 @@ def census_modules(algebra, bound, seed=ef.DEFAULT_SEED):
     quiver, p, m = algebra.quiver, algebra.p, algebra.m
     base = base_indecomposables(quiver, p, bound, seed)
     walg = rp.build_replicated(quiver, 2 * m + 2, p, check=False)
-    out = []
+    out = rp.IsoRegistry(seed=seed)
 
     def add(mod):
-        if mod.is_zero() or any(d > bound for d in mod.component_dims()):
-            return
-        dims = mod.component_dims()
-        for cand in out:
-            if cand.component_dims() == dims and rp.is_iso_layered(cand, mod, seed):
-                return
-        out.append(mod)
+        if not mod.is_zero() and all(d <= bound for d in mod.component_dims()):
+            out.canon(mod)
 
     for k in range(m + 1):
         for i in range(quiver.n_vertices):
@@ -132,4 +124,4 @@ def census_modules(algebra, bound, seed=ef.DEFAULT_SEED):
                     add(rp.convert_window(shifted, algebra))
                 except InputError:
                     pass
-    return out
+    return out.modules

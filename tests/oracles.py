@@ -34,12 +34,10 @@ def exhaustive_indecomposables_a2_m1(p):
                     ranges = [range(p) if r * c else [0] for (r, c) in shapes]
                     for m0, m1, g in itertools.product(*ranges):
                         layers = [
-                            qr.Representation(quiver, p, [d10, d20],
-                                              [np.array([[m0]] if d10 * d20 else [],
-                                                        dtype=np.int64).reshape(d10, d20)]),
-                            qr.Representation(quiver, p, [d11, d21],
-                                              [np.array([[m1]] if d11 * d21 else [],
-                                                        dtype=np.int64).reshape(d11, d21)]),
+                            ([d10, d20], [np.array([[m0]] if d10 * d20 else [],
+                                                   dtype=np.int64).reshape(d10, d20)]),
+                            ([d11, d21], [np.array([[m1]] if d11 * d21 else [],
+                                                   dtype=np.int64).reshape(d11, d21)]),
                         ]
                         conn = {(1, a_id): np.array([[g]] if d20 * d11 else [],
                                                     dtype=np.int64).reshape(d20, d11)}
@@ -78,14 +76,14 @@ def _reference_split_once(m, hom_fn, seed):
         return None
     p = m.p
     for f in ends:
-        pieces = sp._primary_split(m, f.blocks_flat(), p, seed)
+        pieces = sp._primary_split(m, f.blocks, p, seed)
         if pieces:
             return pieces
     rng = np.random.default_rng(seed)
-    nblocks = len(ends[0].blocks_flat())
+    nblocks = len(ends[0].blocks)
     for _ in range(sp.RANDOM_TRIES):
         coeffs = rng.integers(0, p, size=r)
-        blocks = [np.mod(sum(int(c) * f.blocks_flat()[i] for c, f in zip(coeffs, ends)), p)
+        blocks = [np.mod(sum(int(c) * f.blocks[i] for c, f in zip(coeffs, ends)), p)
                   for i in range(nblocks)]
         pieces = sp._primary_split(m, blocks, p, seed)
         if pieces:
@@ -96,7 +94,7 @@ def _reference_split_once(m, hom_fn, seed):
             lead = next((c for c in coeffs if c), 0)
             if lead != 1:
                 continue
-            blocks = [np.mod(sum(c * f.blocks_flat()[i] for c, f in zip(coeffs, ends)), p)
+            blocks = [np.mod(sum(c * f.blocks[i] for c, f in zip(coeffs, ends)), p)
                       for i in range(nblocks)]
             pieces = sp._primary_split(m, blocks, p, seed)
             if pieces:

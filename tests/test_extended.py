@@ -60,11 +60,13 @@ def test_reversed_orientation_catalog():
     assert ar.ar_quiver(cat).mesh_violations() == []
 
 
-def test_reversed_orientation_tau_agreement():
+def test_reversed_orientation_tau_coxeter():
+    # for a: 1 -> 2, S(1) is non-projective, and the almost split sequence
+    # 0 -> S(2) -> P(1) -> S(1) -> 0 gives tau S(1) = S(2), the simple
+    # projective; its dimension vector is Phi dim S(1) with the Coxeter
+    # matrix Phi = [[0, -1], [1, -1]]
     quiver = a2r()
     alg = rp.build_replicated(quiver, 1, P)
-    s1 = alg.simple(quiver.vindex["1"], 0)  # S(1) is non-projective here
-    t = ar.tau(s1)
-    t_base = qr.tau(qr.simple(quiver, P, "1"))
-    assert t.is_layer_module(0)
-    assert qr.is_iso(t.layers[0], t_base)
+    t = ar.tau(alg.simple(quiver.vindex["1"], 0))
+    assert t.dim_table() == ((0, 1), (0, 0))
+    assert rp.is_iso_layered(t, alg.proj(quiver.vindex["2"], 0))

@@ -237,7 +237,7 @@ def test_mdim_indeterminate_on_window_exit():
     engine = MDimEngine.windowed(alg, dim_cap=2)
     gencog = GenCog(engine, engine.required_ids())
     z = qr.tau_inverse(qr.tau_inverse(qr.projective(alg.quiver, P, "1")))
-    assert z.dims == (5, 4)  # its cover kernel P(1)^3 exceeds the cap
+    assert z.component_dims() == [5, 4]  # its cover kernel P(1)^3 exceeds the cap
     res = gc.m_dimension(gencog, rp.rep_at_layer(alg, z, 0))
     assert res.indeterminate
     assert res.value is None
@@ -248,7 +248,7 @@ def test_lem48_kronecker():
     engine = MDimEngine.windowed(alg)
     gencog, n0, nprime = gc.construct_lem48(alg, engine=engine)
     assert n0.dim_label() == "1,1|0,0"
-    assert nprime.dims == (2, 2)
+    assert nprime.component_dims() == [2, 2]
     summands = [engine.registry.modules[i] for i in sorted(gencog.summands)]
     res = gc.min_right_approx(summands, n0)
     assert rp.is_iso_layered(res.kernel, n0)
@@ -260,7 +260,7 @@ def test_lem48_kronecker():
 def test_lem47_kronecker_d5():
     alg = rp.build_replicated(kronecker(), 1, P)
     gencog, n, z = gc.construct_lem47(alg, 5)
-    assert z.dims == (3, 2)
+    assert z.component_dims() == [3, 2]
     labels = sorted(gencog.engine.registry.modules[i].dim_label()
                     for i in gencog.summands)
     # M = A + DA_1 + P (the Y_j = P(2) summands merge into A)
@@ -287,7 +287,7 @@ def test_base_census_kronecker_counts():
     base = w.base_indecomposables(kronecker(), 3, 3)
     assert len(base) == 29
     from collections import Counter
-    counts = Counter(m.dims for m in base)
+    counts = Counter(m.dim_table()[0] for m in base)
     assert counts[(1, 1)] == 4 and counts[(2, 2)] == 7 and counts[(3, 3)] == 12
 
 

@@ -3,11 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
+from replalg import artrans as ar
 from replalg import exactfield as ef
 from replalg import quiverrep as qr
-from replalg.errors import InputError
+from replalg import replicated as rp
+from replalg import windows as w
+from replalg.errors import AnomalyError, InputError
 
 P = 32003
+
+
+def rep(quiver, p, dims, maps=None):
+    """The A-module with this dimension vector and these arrow maps."""
+    return rp.LayeredModule(rp.build_replicated(quiver, 0, p), [(dims, maps)])
 
 
 def a2():
@@ -28,8 +36,9 @@ def brute_force_hom_dim(m, n):
     """Oracle: enumerate all morphism tuples over a tiny field and count
     the intertwiners directly."""
     p = m.p
-    quiver = m.quiver
-    shapes = [(n.dims[i], m.dims[i]) for i in range(quiver.n_vertices)]
+    quiver = m.algebra.quiver
+    mdims, ndims = m.component_dims(), n.component_dims()
+    shapes = [(ndims[i], mdims[i]) for i in range(quiver.n_vertices)]
     sizes = [r * c for r, c in shapes]
     total = sum(sizes)
     assert p ** total <= 4096, "oracle only runs on tiny instances"
@@ -43,8 +52,8 @@ def brute_force_hom_dim(m, n):
         ok = True
         for a in range(len(quiver.arrows)):
             s, t = quiver.arrow_source[a], quiver.arrow_target[a]
-            if not np.array_equal(ef.mul(blocks[t], m.maps[a], p),
-                                  ef.mul(n.maps[a], blocks[s], p)):
+            if not np.array_equal(ef.mul(blocks[t], m.layers[0].maps[a], p),
+                                  ef.mul(n.layers[0].maps[a], blocks[s], p)):
                 ok = False
                 break
         if ok:
@@ -82,12 +91,12 @@ def test_path_basis_a2():
 def test_projective_dims_a2():
     q = a2()
     # P(1): only the trivial path at 1
-    assert qr.projective(q, P, "1").dims == (1, 0)
+    assert qr.projective(q, P, "1").component_dims() == [1, 0]
     # P(2): e_2 and the path a
-    assert qr.projective(q, P, "2").dims == (1, 1)
-    assert qr.injective(q, P, "1").dims == (1, 1)
-    assert qr.injective(q, P, "2").dims == (0, 1)
-    assert qr.simple(q, P, "2").dims == (0, 1)
+    assert qr.projective(q, P, "2").component_dims() == [1, 1]
+    assert qr.injective(q, P, "1").component_dims() == [1, 1]
+    assert qr.injective(q, P, "2").component_dims() == [0, 1]
+    assert qr.simple(q, P, "2").component_dims() == [0, 1]
     with pytest.raises(InputError):
         qr.simple(q, P, "7")
 
@@ -95,23 +104,22 @@ def test_projective_dims_a2():
 def test_hom_dims_a2_against_oracle():
     q = a2()
     p1, p2 = qr.projective(q, 3, "1"), qr.projective(q, 3, "2")
-    assert qr.hom_dim(p1, p2) == 1
-    assert qr.hom_dim(p2, p1) == 0
+    assert rp.hom_dim_layered(p1, p2) == 1
+    assert rp.hom_dim_layered(p2, p1) == 0
     assert brute_force_hom_dim(p1, p2) == 1
     assert brute_force_hom_dim(p2, p1) == 0
     s1, s2 = qr.simple(q, 3, "1"), qr.simple(q, 3, "2")
-    assert qr.hom_dim(p2, s1) == brute_force_hom_dim(p2, s1) == 0
-    assert qr.hom_dim(p2, s2) == brute_force_hom_dim(p2, s2) == 1
+    assert rp.hom_dim_layered(p2, s1) == brute_force_hom_dim(p2, s1) == 0
+    assert rp.hom_dim_layered(p2, s2) == brute_force_hom_dim(p2, s2) == 1
 
 
 def test_hom_projective_injective_identities():
     for q in (a2(), a3(), kronecker()):
-        m = qr.Representation(q, P, [2] * q.n_vertices,
-                              [ef.fmat(np.arange(4).reshape(2, 2) + a, P)
-                               for a in range(len(q.arrows))])
+        m = rep(q, P, [2] * q.n_vertices,
+                [ef.fmat(np.arange(4).reshape(2, 2) + a, P) for a in range(len(q.arrows))])
         for i, v in enumerate(q.vertices):
-            assert qr.hom_dim(qr.projective(q, P, v), m) == m.dims[i]
-            assert qr.hom_dim(m, qr.injective(q, P, v)) == m.dims[i]
+            assert rp.hom_dim_layered(qr.projective(q, P, v), m) == m.component_dims()[i]
+            assert rp.hom_dim_layered(m, qr.injective(q, P, v)) == m.component_dims()[i]
 
 
 def test_hom_contains_identity():
@@ -120,7 +128,7 @@ def test_hom_contains_identity():
     basis = qr.hom_basis(m, m)
     assert len(basis) >= 1
     flat = np.array([h.flatten() for h in basis], dtype=np.int64).T
-    ident = qr.RepMorphism(m, m, [ef.eye(d) for d in m.dims]).flatten()
+    ident = rp.LayeredMorphism.identity(m).flatten()
     assert ef.solve(flat, ident.reshape(-1, 1), P) is not None
 
 
@@ -132,10 +140,9 @@ def test_euler_form_exhaustive_small():
         for d2 in range(3):
             mats = itertools.product(range(p), repeat=d1 * d2)
             for flat in mats:
-                m = qr.Representation(q, p, [d1, d2],
-                                      [np.array(flat, dtype=np.int64).reshape(d1, d2)])
-                got = qr.hom_dim(m, m) - qr.ext1_dim(m, m)
-                assert got == qr.euler_form(q, m.dims, m.dims)
+                m = rep(q, p, [d1, d2], [np.array(flat, dtype=np.int64).reshape(d1, d2)])
+                got = rp.hom_dim_layered(m, m) - qr.ext1_dim(m, m)
+                assert got == qr.euler_form(q, m.component_dims(), m.component_dims())
 
 
 def test_ext_vanishes_on_projectives():
@@ -148,11 +155,11 @@ def test_ext_vanishes_on_projectives():
 
 def test_kronecker_regular_self_extension():
     q = kronecker()
-    n = qr.Representation(q, P, [1, 1], [ef.fmat([[1]], P), ef.fmat([[0]], P)])
-    assert qr.hom_dim(n, n) == 1
+    n = rep(q, P, [1, 1], [ef.fmat([[1]], P), ef.fmat([[0]], P)])
+    assert rp.hom_dim_layered(n, n) == 1
     assert qr.ext1_dim(n, n) == 1
     e, incl, proj = qr.realize_extension(n, n, 0)
-    assert e.dims == (2, 2)
+    assert e.component_dims() == [2, 2]
     assert incl.is_morphism() and proj.is_morphism()
     assert not qr.sequence_splits(incl)
 
@@ -162,7 +169,7 @@ def test_split_extension_detected():
     s1, s2 = qr.simple(q, P, "1"), qr.simple(q, P, "2")
     # Ext^1(S1, S2) = 0 for a: 2 -> 1, so any "extension" splits
     assert qr.ext1_dim(s1, s2) == 0
-    total, incls, _ = qr.Representation.direct_sum([s2, s1])
+    total, incls, _ = rp.LayeredModule.direct_sum([s2, s1])
     assert qr.sequence_splits(incls[0])
 
 
@@ -170,8 +177,8 @@ def test_is_iso_basic():
     q = a2()
     p2 = qr.projective(q, P, "2")
     assert qr.is_iso(p2, p2)
-    s12 = qr.Representation.direct_sum([qr.simple(q, P, "1"), qr.simple(q, P, "2")])[0]
-    assert s12.dims == p2.dims
+    s12 = rp.LayeredModule.direct_sum([qr.simple(q, P, "1"), qr.simple(q, P, "2")])[0]
+    assert s12.component_dims() == p2.component_dims()
     assert not qr.is_iso(p2, s12)
     assert not qr.is_iso(p2, qr.simple(q, P, "1"))
 
@@ -179,32 +186,35 @@ def test_is_iso_basic():
 def test_decompose_simple_and_multiplicity():
     q = a2()
     s1 = qr.simple(q, P, "1")
-    assert [(m.dims, k) for m, k in qr.decompose(s1)] == [((1, 0), 1)]
+    assert [(m.component_dims(), k) for m, k in qr.decompose(s1)] == [([1, 0], 1)]
     p1 = qr.projective(q, P, "1")
-    double, _, _ = qr.Representation.direct_sum([p1, p1])
+    double, _, _ = rp.LayeredModule.direct_sum([p1, p1])
     out = qr.decompose(double)
-    assert len(out) == 1 and out[0][1] == 2 and out[0][0].dims == (1, 0)
+    assert len(out) == 1 and out[0][1] == 2 and out[0][0].component_dims() == [1, 0]
 
 
 def test_decompose_rank_one_generic():
     # dim (2,1), arrow of rank 1: P(2) + S(1)
     q = a2()
-    m = qr.Representation(q, P, [2, 1], [ef.fmat([[1], [0]], P)])
+    m = rep(q, P, [2, 1], [ef.fmat([[1], [0]], P)])
     out = qr.decompose(m)
-    dims = sorted(piece.dims for piece, _ in out)
-    assert dims == [(1, 0), (1, 1)]
+    dims = sorted(piece.component_dims() for piece, _ in out)
+    assert dims == [[1, 0], [1, 1]]
     for piece, _ in out:
-        assert qr.end_is_local(piece)
+        # End is local with residue field F_p: every endomorphism is
+        # scalar + nilpotent, and rad End has codimension 1
+        ends = qr.hom_basis(piece, piece)
+        assert len(rp.rad_end_basis(ends)) == len(ends) - 1
 
 
 def test_decompose_kronecker_regulars():
     q = kronecker()
     # two non-isomorphic regulars glued as a direct sum
-    r0 = qr.Representation(q, P, [1, 1], [ef.fmat([[1]], P), ef.fmat([[0]], P)])
-    r1 = qr.Representation(q, P, [1, 1], [ef.fmat([[1]], P), ef.fmat([[1]], P)])
-    both, _, _ = qr.Representation.direct_sum([r0, r1])
+    r0 = rep(q, P, [1, 1], [ef.fmat([[1]], P), ef.fmat([[0]], P)])
+    r1 = rep(q, P, [1, 1], [ef.fmat([[1]], P), ef.fmat([[1]], P)])
+    both, _, _ = rp.LayeredModule.direct_sum([r0, r1])
     out = qr.decompose(both)
-    assert sorted((piece.dims, k) for piece, k in out) == [((1, 1), 1), ((1, 1), 1)]
+    assert sorted((piece.component_dims(), k) for piece, k in out) == [([1, 1], 1), ([1, 1], 1)]
 
 
 def test_decompose_field_extension_endos_small_p():
@@ -212,18 +222,19 @@ def test_decompose_field_extension_endos_small_p():
     # eigenvalue: End is F_9, the module is indecomposable
     q = kronecker()
     comp = ef.fmat([[0, 1], [1, 1]], 3)  # companion of x^2 - x - 1, irreducible over F_3
-    m = qr.Representation(q, 3, [2, 2], [ef.eye(2), comp])
+    m = rep(q, 3, [2, 2], [ef.eye(2), comp])
     out = qr.decompose(m)
     assert len(out) == 1 and out[0][1] == 1
-    assert not qr.end_is_local(m)  # residue field is F_9, not F_3
+    with pytest.raises(AnomalyError):  # residue field is F_9, not F_3
+        rp.rad_end_basis(qr.hom_basis(m, m))
 
 
 def test_projective_cover_and_top():
     q = a3()
     s3 = qr.simple(q, P, "3")
-    cover, mor, verts = qr.projective_cover(s3)
-    assert verts == [q.vindex["3"]]
-    assert cover.dims == qr.projective(q, P, "3").dims
+    cover, mor, summands = rp.proj_cover(s3)
+    assert summands == [(q.vindex["3"], 0)]
+    assert cover.component_dims() == qr.projective(q, P, "3").component_dims()
     assert mor.is_surjective() and mor.is_morphism()
     ker, incl = mor.kernel()
     assert incl.is_morphism()
@@ -235,7 +246,7 @@ def test_tau_a2():
     s2 = qr.simple(q, P, "2")
     t = qr.tau(s2)
     # AR sequence 0 -> P(1) -> P(2) -> S(2) -> 0
-    assert t.dims == (1, 0)
+    assert t.component_dims() == [1, 0]
     assert qr.tau(qr.projective(q, P, "1")).total_dim == 0
     assert qr.tau(qr.projective(q, P, "2")).total_dim == 0
     assert qr.tau_inverse(qr.injective(q, P, "1")).total_dim == 0
@@ -247,15 +258,15 @@ def test_tau_kronecker_preprojectives():
     q = kronecker()
     p1 = qr.projective(q, P, "1")
     z = qr.tau_inverse(p1)
-    assert z.dims == (3, 2)
+    assert z.component_dims() == [3, 2]
     assert qr.is_iso(qr.tau(z), p1)
     z2 = qr.tau_inverse(z)
-    assert z2.dims == (5, 4)
+    assert z2.component_dims() == [5, 4]
 
 
 def test_tau_regular_is_stable():
     q = kronecker()
-    n = qr.Representation(q, P, [1, 1], [ef.fmat([[1]], P), ef.fmat([[0]], P)])
+    n = rep(q, P, [1, 1], [ef.fmat([[1]], P), ef.fmat([[0]], P)])
     assert qr.is_iso(qr.tau(n), n)
 
 
@@ -263,18 +274,113 @@ def test_representation_json_roundtrip():
     q = a3()
     m = qr.projective(q, P, "3")
     data = m.to_json()
-    back = qr.Representation.from_json(q, P, data)
-    assert back.dims == m.dims
-    assert all(np.array_equal(back.maps[a], m.maps[a]) for a in range(len(q.arrows)))
+    # the layer keeps the per-vertex / per-arrow format of module JSON
+    assert data == {"m": 0, "p": P, "connecting": [],
+                    "layers": [{"dims": {"1": 1, "2": 1, "3": 1},
+                                "maps": {"a": [[1]], "b": [[1]]}}]}
+    back = rp.LayeredModule.from_json(m.algebra, data)
+    assert back.component_dims() == m.component_dims()
+    assert all(np.array_equal(back.layers[0].maps[a], m.layers[0].maps[a])
+               for a in range(len(q.arrows)))
 
 
 def test_decompose_iso_invariance():
     q = a2()
-    m = qr.Representation(q, P, [2, 1], [ef.fmat([[1], [0]], P)])
+    m = rep(q, P, [2, 1], [ef.fmat([[1], [0]], P)])
     n = qr.projective(q, P, "2")
-    both, _, _ = qr.Representation.direct_sum([m, n])
+    both, _, _ = rp.LayeredModule.direct_sum([m, n])
     merged = qr.decompose(both)
     separate = qr.decompose(m) + qr.decompose(n)
-    flat_merged = sorted(d for piece, k in merged for d in [piece.dims] * k)
-    flat_sep = sorted(d for piece, k in separate for d in [piece.dims] * k)
+    flat_merged = sorted(d for piece, k in merged for d in [piece.component_dims()] * k)
+    flat_sep = sorted(d for piece, k in separate for d in [piece.component_dims()] * k)
     assert flat_merged == flat_sep
+
+
+def test_module_checks_dims_shapes_and_prime():
+    q = a2()
+    with pytest.raises(InputError):
+        rep(q, P, [1])  # one entry per vertex
+    with pytest.raises(InputError):
+        rep(q, P, [1, -1])
+    with pytest.raises(InputError):
+        rep(q, P, [1, 1], [ef.zeros(2, 1)])  # the map of a: 2 -> 1 is 1 x 1
+    with pytest.raises(InputError):
+        rep(q, P, [1, 1], [])  # one map per arrow
+    m = rep(q, 5, [1, 2], [[[7, -1]]])
+    assert m.layers[0].maps[0].tolist() == [[2, 4]]
+
+
+def d4():
+    return qr.Quiver(["0", "1", "2", "3"],
+                     [("a", "1", "0"), ("b", "2", "0"), ("c", "3", "0")])
+
+
+def a2r():
+    return qr.Quiver(["1", "2"], [("a", "1", "2")])
+
+
+def coxeter(quiver):
+    """Phi with <x, y> = -<y, Phi x> for the Euler form <x, y> = x^T E y,
+    E = I - (arrow counts): Phi = -E^{-1} E^T (Gabriel; ARS ch. VIII)."""
+    n = quiver.n_vertices
+    e = np.eye(n)
+    for s, t in zip(quiver.arrow_source, quiver.arrow_target):
+        e[s, t] -= 1
+    return np.rint(-np.linalg.inv(e) @ e.T).astype(np.int64)
+
+
+_CENSUS = {}
+
+
+def base_census(quiver, p):
+    """Indecomposable A-modules: the whole catalog of a Dynkin quiver, the
+    dimension-3 window census of the Kronecker quiver."""
+    key = (quiver.to_text(), p)
+    if key not in _CENSUS:
+        if key[0] == kronecker().to_text():
+            _CENSUS[key] = w.base_indecomposables(quiver, p, bound=3)
+        else:
+            _CENSUS[key] = ar.indec_catalog(rp.build_replicated(quiver, 0, p)).modules
+    return _CENSUS[key]
+
+
+def is_projective(quiver, p, x):
+    return any(qr.is_iso(x, qr.projective(quiver, p, v)) for v in quiver.vertices)
+
+
+@pytest.mark.parametrize("quiver, p, size", [
+    (a3(), P, 6), (d4(), P, 12), (a2r(), P, 3), (kronecker(), 3, None)],
+    ids=["a3", "d4", "a2-reversed", "kronecker-p3"])
+def test_coxeter_dim_tau(quiver, p, size):
+    # dim tau M = Phi dim M for every indecomposable non-projective M
+    # over a hereditary algebra; tau M = 0 exactly on projectives.  Dynkin
+    # catalogs have one module per positive root (Gabriel).
+    phi = coxeter(quiver)
+    mods = base_census(quiver, p)
+    if size is not None:
+        assert len(mods) == size
+    non_projective = 0
+    for x in mods:
+        t = qr.tau(x)
+        if is_projective(quiver, p, x):
+            assert t.is_zero()
+            continue
+        non_projective += 1
+        assert t.component_dims() == (phi @ np.array(x.component_dims())).tolist()
+    assert non_projective == len(mods) - quiver.n_vertices
+
+
+@pytest.mark.parametrize("quiver, p", [(d4(), P), (kronecker(), 3)],
+                         ids=["d4", "kronecker-p3"])
+def test_euler_form_identity_on_census_pairs(quiver, p):
+    # dim Hom(M, N) - dim Ext^1(M, N) = <dim M, dim N>, with Ext^1 read
+    # from the Auslander-Reiten formula Ext^1(M, N) = D Hom(N, tau M) and
+    # compared with the Hom-complex value
+    mods = base_census(quiver, p)
+    taus = [qr.tau(x) for x in mods]
+    for x, tx in zip(mods, taus):
+        for y in mods:
+            ext = 0 if tx.is_zero() else len(qr.hom_basis(y, tx))
+            assert qr.ext1_dim(x, y) == ext
+            assert len(qr.hom_basis(x, y)) - ext == \
+                qr.euler_form(quiver, x.component_dims(), y.component_dims())

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from pathlib import Path
+
+from replalg import cli
 from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg.errors import InputError
 
 P = 32003
+QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
 
 def a2():
@@ -35,8 +39,12 @@ def test_dimension_formula():
 
 
 def test_m_must_be_positive():
+    # the library allows m = 0 (A itself) and rejects negative m; the CLI
+    # keeps m >= 1 and reports m = 0 as an input error (exit code 2)
     with pytest.raises(InputError):
-        rp.ReplicatedAlgebra(a2(), 0, P)
+        rp.ReplicatedAlgebra(a2(), -1, P)
+    assert rp.build_replicated(a2(), 0, P).dim == 3
+    assert cli.main(["info", "--quiver", str(QUIVERS / "a2.q"), "--m", "0"]) == 2
 
 
 def test_associativity_checked():
@@ -114,10 +122,7 @@ def mixed_module(alg):
     layer-0 S(2) by the dual action of the arrow."""
     quiver, p = alg.quiver, alg.p
     pb = quiver.paths
-    layers = [
-        qr.Representation(quiver, p, [0, 1]),
-        qr.Representation(quiver, p, [1, 0]),
-    ]
+    layers = [([0, 1], None), ([1, 0], None)]
     a = pb.by_name("a")
     return rp.LayeredModule(alg, layers, maximal_conn={(1, a): ef.fmat([[1]], p)})
 
@@ -134,21 +139,25 @@ def test_derived_connecting_requires_consistency():
     alg = alg_a2(1)
     quiver, p = alg.quiver, alg.p
     # wrong shape for the maximal connecting matrix
-    layers = [qr.Representation(quiver, p, [0, 1]), qr.Representation(quiver, p, [1, 0])]
+    layers = [([0, 1], None), ([1, 0], None)]
     with pytest.raises(InputError):
         rp.LayeredModule(alg, layers,
                          maximal_conn={(1, quiver.paths.by_name("e_1")): ef.fmat([[1]], p)})
 
 
 def test_embedding_fidelity_layer0():
+    # Hom over A^(1) between layer-0 embeddings is Hom over A, and
+    # dim Hom_A(P(v), I(w)) = dim I(w) at v = the number of paths v ~> w
     alg = alg_a2(1)
-    quiver = alg.quiver
+    quiver, pb = alg.quiver, alg.quiver.paths
     for v in quiver.vertices:
         for w in quiver.vertices:
             x = qr.projective(quiver, P, v)
             y = qr.injective(quiver, P, w)
+            paths = sum(1 for q in range(pb.n)
+                        if pb.source[q] == quiver.vindex[v] and pb.target[q] == quiver.vindex[w])
             assert rp.hom_dim_layered(rp.rep_at_layer(alg, x, 0), rp.rep_at_layer(alg, y, 0)) \
-                == qr.hom_dim(x, y)
+                == rp.hom_dim_layered(x, y) == paths
 
 
 def test_syzygy_of_projective_is_zero():
@@ -211,7 +220,7 @@ def test_sigma_stratum_zero():
     alg = alg_a2(1)
     s0 = rp.sigma_stratum(alg, 0)
     for i, x in enumerate(s0.members):
-        assert x.dim_table()[0] == qr.projective(alg.quiver, P, alg.quiver.vertices[i]).dims
+        assert x.dim_table()[0] == qr.projective(alg.quiver, P, alg.quiver.vertices[i]).dim_table()[0]
 
 
 def test_u_stratum_a2():

@@ -26,9 +26,14 @@ def kronecker():
     return qr.Quiver(["1", "2"], [("b", "2", "1"), ("c", "2", "1")])
 
 
+def base_module(quiver, p, dims, maps):
+    """The A-module with this dimension vector and these arrow maps."""
+    return rp.LayeredModule(rp.build_replicated(quiver, 0, p), [(dims, maps)])
+
+
 def _record_verdicts(monkeypatch):
     """Counter of the verdict kinds of every Fitting split made by the
-    module stacks and the catalog while monkeypatch is active."""
+    module machinery and the catalog while monkeypatch is active."""
     seen = collections.Counter()
 
     def recording_split(m, hom_fn, seed=ef.DEFAULT_SEED):
@@ -36,7 +41,7 @@ def _record_verdicts(monkeypatch):
         seen.update(kind for _, kind in labelled)
         return [piece for piece, _ in labelled]
 
-    for module in (qr, rp, ar):
+    for module in (rp, ar):
         monkeypatch.setattr(module, "fitting_split", recording_split)
     return seen
 
@@ -155,14 +160,15 @@ def test_verdict_counts_a3_m1_catalog(verdicts):
 def test_certified_through_residue_field_branch():
     # Kronecker (2,2) regular at a degree-2 point of P^1(F_3): End = F_9
     comp = ef.fmat([[0, 1], [1, 1]], 3)  # companion of x^2 - x - 1, irreducible over F_3
-    m = qr.Representation(kronecker(), 3, [2, 2], [ef.eye(2), comp])
-    assert len(qr.hom_basis(m, m)) == 2
+    m = base_module(kronecker(), 3, [2, 2], [ef.eye(2), comp])
+    ends = qr.hom_basis(m, m)
+    assert len(ends) == 2
     # some endomorphism is not scalar + nilpotent, so End/rad is not F_3
     # and the certificate cannot have taken its e = 1 branch
-    assert not qr.end_is_local(m)
+    assert any(sp.single_eigenvalue(f.blocks, 3) is None for f in ends)
     [(piece, kind)] = sp.fitting_split_labelled(m, qr.hom_basis)
     assert kind == sp.CERTIFIED_LOCAL
-    assert piece.dims == (2, 2)
+    assert piece.component_dims() == [2, 2]
 
 
 def test_certificate_refuses_non_local_end_and_search_splits():
@@ -171,16 +177,16 @@ def test_certificate_refuses_non_local_end_and_search_splits():
     # certificate must fail (the ideal generated by E12 is all of M_2)
     p = 5
     q = kronecker()
-    s2 = qr.Representation(q, p, [2, 0], [ef.zeros(2, 0), ef.zeros(2, 0)])
+    s2 = base_module(q, p, [2, 0], [ef.zeros(2, 0), ef.zeros(2, 0)])
     basis = [ef.eye(2), ef.fmat([[0, 1], [0, 0]], p), ef.fmat([[0, 0], [1, 0]], p),
              ef.fmat([[1, 1], [-1, -1]], p)]
 
     def hom_fn(x, y):
         if x is s2 and y is s2:
-            return [qr.RepMorphism(s2, s2, [b, ef.zeros(0, 0)]) for b in basis]
+            return [rp.LayeredMorphism(s2, s2, [b, ef.zeros(0, 0)]) for b in basis]
         return qr.hom_basis(x, y)
 
     for b in basis:
         assert sp.single_eigenvalue([b], p) is not None
     labelled = sp.fitting_split_labelled(s2, hom_fn)
-    assert [(x.dims, kind) for x, kind in labelled] == [((1, 0), sp.BRICK)] * 2
+    assert [(x.component_dims(), kind) for x, kind in labelled] == [([1, 0], sp.BRICK)] * 2
