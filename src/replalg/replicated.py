@@ -11,8 +11,9 @@ of a representation of the base quiver, together with connecting
 matrices g[k, p] from the component of M_k at target(p) to the component
 of M_{k-1} at source(p), one per dual basis element.  Only the duals of
 maximal paths are free data; the rest are derived through the
-prefix/suffix relations and all relations are re-checked on every
-construction, so convention errors fail fast.
+prefix/suffix relations.  Every construction re-checks all relations
+against a table compiled once per algebra (ReplicatedAlgebra.relations),
+so convention errors fail fast.
 
 For m = 0 the algebra is the path algebra A itself, so the modules over
 build_replicated(quiver, 0, p) are the A-modules: there is one module
@@ -36,6 +37,21 @@ DUAL = "d"
 Layer = namedtuple("Layer", "dims maps")
 Layer.__doc__ = """One layer of a module: per-vertex dimensions and one
 matrix per arrow, of shape (dims[target], dims[source])."""
+
+Relation = namedtuple("Relation", "kind lhs rhs out row col k q r")
+Relation.__doc__ = """One bimodule relation: out = lhs @ rhs, or lhs @ rhs = 0
+when out is None.  lhs, rhs and out index LayeredModule.edge_matrices();
+row and col are the components of the product block, so the relation is
+vacuous when either has dimension 0.  kind, k, q (and r for the two-step
+zero) name the relation in its error message."""
+
+_RELATION_MESSAGES = {
+    "prefix": "prefix relation fails at layer {k}, path {q}",
+    "suffix": "suffix relation fails at layer {k}, path {q}",
+    "arrow-after-dual": "zero product fails: arrow after {q}* at layer {k}",
+    "dual-after-arrow": "zero product fails: {q}* after arrow at layer {k}",
+    "two-step": "two-step zero fails: {r}* after {q}*",
+}
 
 
 def _left_extension(quiver, pb, a, q):
@@ -79,6 +95,7 @@ class ReplicatedAlgebra:
         self._inj = {}
         self._opposite = None
         self._op_map = None
+        self._relations = None
 
     def components(self):
         return [(k, i) for k in range(self.m + 1) for i in range(self.quiver.n_vertices)]
@@ -126,24 +143,83 @@ class ReplicatedAlgebra:
         t, k, q = b
         return (k, pb.target[q]) if t == PATH else (k - 1, pb.source[q])
 
+    def relations(self):
+        """Every bimodule relation a module must satisfy, compiled once:
+        for each layer k >= 1 and path q, the prefix and suffix relations
+        g[k, q] = M_a g[k, a.q] = g[k, q.a] M_a and the zero products of
+        q* with the arrows that do not extend it, then (k >= 2) the
+        two-step zeros g[k-1, r] g[k, q] = 0."""
+        if self._relations is None:
+            self._relations = tuple(self._compile_relations())
+        return self._relations
+
+    def _compile_relations(self):
+        quiver, pb, comp = self.quiver, self.quiver.paths, self.comp_index
+        na = len(quiver.arrows)
+
+        def arrow(k, a):
+            return k * na + a
+
+        def dual(k, q):
+            return (self.m + 1) * na + (k - 1) * pb.n + q
+
+        for k in range(1, self.m + 1):
+            for q in range(pb.n):
+                arrs = pb.arrows_of[q]
+                row, col = comp(k - 1, pb.source[q]), comp(k, pb.target[q])
+                for a in range(na):
+                    left = _left_extension(quiver, pb, a, q)
+                    if left is not None:
+                        yield Relation("prefix", arrow(k - 1, a), dual(k, left), dual(k, q),
+                                       row, col, k, q, None)
+                    right = _right_extension(quiver, pb, q, a)
+                    if right is not None:
+                        yield Relation("suffix", dual(k, right), arrow(k, a), dual(k, q),
+                                       row, col, k, q, None)
+                    # zero products: q* . a = 0 unless a is the first arrow
+                    # of q, and a . q* = 0 unless a is the last arrow of q
+                    if quiver.arrow_source[a] == pb.source[q] and arrs[:1] != (a,):
+                        yield Relation("arrow-after-dual", arrow(k - 1, a), dual(k, q), None,
+                                       comp(k - 1, quiver.arrow_target[a]), col, k, q, None)
+                    if quiver.arrow_target[a] == pb.target[q] and arrs[-1:] != (a,):
+                        yield Relation("dual-after-arrow", dual(k, q), arrow(k, a), None,
+                                       row, comp(k, quiver.arrow_source[a]), k, q, None)
+                if k >= 2:
+                    for r in range(pb.n):
+                        if pb.target[r] == pb.source[q]:
+                            yield Relation("two-step", dual(k - 1, r), dual(k, q), None,
+                                           comp(k - 2, pb.source[r]), col, k, q, r)
+
+    def relation_message(self, rel):
+        """The InputError message for a failed relation."""
+        name = self.quiver.paths.name
+        return _RELATION_MESSAGES[rel.kind].format(
+            k=rel.k, q=name(rel.q), r=None if rel.r is None else name(rel.r))
+
     def check_associativity(self):
         """(xy)z = x(yz) on all basis triples; products are basis elements
-        or zero, so this is a finite table check."""
+        or zero, so this is a finite table check.  Both sides vanish unless
+        xy or yz is nonzero, so only those triples are compared."""
         table = {}
         for x in self.basis:
             for y in self.basis:
                 r = self.mult(x, y)
                 if r is not None:
                     table[(x, y)] = r
-        for x in self.basis:
-            for y in self.basis:
-                xy = table.get((x, y))
-                for z in self.basis:
-                    yz = table.get((y, z))
-                    lhs = table.get((xy, z)) if xy is not None else None
-                    rhs = table.get((x, yz)) if yz is not None else None
-                    if lhs != rhs:
-                        raise AnomalyError(f"associativity fails on {x}, {y}, {z}")
+
+        def check(x, y, z):
+            xy, yz = table.get((x, y)), table.get((y, z))
+            lhs = table.get((xy, z)) if xy is not None else None
+            rhs = table.get((x, yz)) if yz is not None else None
+            if lhs != rhs:
+                raise AnomalyError(f"associativity fails on {x}, {y}, {z}")
+
+        for x, y in table:
+            for z in self.basis:
+                check(x, y, z)
+        for y, z in table:
+            for x in self.basis:
+                check(x, y, z)
         return True
 
     def opposite(self):
@@ -293,7 +369,7 @@ class LayeredModule:
     as (dims, maps) pairs and stored as checked Layer records, plus
     connecting matrices for every dual basis element."""
 
-    def __init__(self, algebra, layers, conn=None, maximal_conn=None, validate=True):
+    def __init__(self, algebra, layers, conn=None, maximal_conn=None):
         self.algebra = algebra
         quiver, p, pb = algebra.quiver, algebra.p, algebra.quiver.paths
         if len(layers) != algebra.m + 1:
@@ -314,8 +390,7 @@ class LayeredModule:
             self.conn[(k, pid)] = mat
         self._edge_mats = tuple(mat for layer in self.layers for mat in layer.maps) + \
             tuple(self.conn[key] for key in algebra.conn_keys)
-        if validate:
-            self._validate()
+        self._validate()
 
     @classmethod
     def _assemble(cls, algebra, dims, mats):
@@ -362,41 +437,16 @@ class LayeredModule:
         return conn
 
     def _validate(self):
-        alg, pb, quiver, p = self.algebra, self.algebra.quiver.paths, self.algebra.quiver, self.algebra.p
-        for k in range(1, alg.m + 1):
-            for q in range(pb.n):
-                g_q = self.conn[(k, q)]
-                arrs = pb.arrows_of[q]
-                for a in range(len(quiver.arrows)):
-                    left = _left_extension(quiver, pb, a, q)
-                    if left is not None:
-                        got = ef.mul(self.layers[k - 1].maps[a], self.conn[(k, left)], p)
-                        if not np.array_equal(got, g_q):
-                            raise InputError(
-                                f"prefix relation fails at layer {k}, path {pb.name(q)}")
-                    right = _right_extension(quiver, pb, q, a)
-                    if right is not None:
-                        got = ef.mul(self.conn[(k, right)], self.layers[k].maps[a], p)
-                        if not np.array_equal(got, g_q):
-                            raise InputError(
-                                f"suffix relation fails at layer {k}, path {pb.name(q)}")
-                    # zero products: q* . a = 0 unless a is the first arrow
-                    # of q, and a . q* = 0 unless a is the last arrow of q
-                    if quiver.arrow_source[a] == pb.source[q] and arrs[:1] != (a,):
-                        if ef.mul(self.layers[k - 1].maps[a], g_q, p).any():
-                            raise InputError(
-                                f"zero product fails: arrow after {pb.name(q)}* at layer {k}")
-                    if quiver.arrow_target[a] == pb.target[q] and arrs[-1:] != (a,):
-                        if ef.mul(g_q, self.layers[k].maps[a], p).any():
-                            raise InputError(
-                                f"zero product fails: {pb.name(q)}* after arrow at layer {k}")
-                if k >= 2:
-                    for r in range(pb.n):
-                        if pb.target[r] == pb.source[q]:
-                            two = ef.mul(self.conn[(k - 1, r)], self.conn[(k, q)], p)
-                            if two.any():
-                                raise InputError(
-                                    f"two-step zero fails: {pb.name(r)}* after {pb.name(q)}*")
+        """Check every bimodule relation of the algebra, in the order of
+        algebra.relations(); the first failure raises InputError."""
+        alg, dims, mats = self.algebra, self._dims, self._edge_mats
+        for rel in alg.relations():
+            if not (dims[rel.row] and dims[rel.col]):
+                continue  # empty product block: the relation holds vacuously
+            got = ef.mul(mats[rel.lhs], mats[rel.rhs], alg.p)
+            holds = not got.any() if rel.out is None else np.array_equal(got, mats[rel.out])
+            if not holds:
+                raise InputError(alg.relation_message(rel))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -666,13 +716,23 @@ def hom_complex(m, n):
         if blk == 0:
             continue
         row = ef.zeros(blk, ncols)
+        # each term is written through a 4-index view of its column block,
+        # whose entry [i, j, u, l] is the block's entry ((i, j), (u, l));
+        # splitting the axes of a slice gives a view, not a copy
         if tdims[src]:
-            # vec_rm(N_e . phi_src) = (N_e kron I) vec_rm(phi_src)
-            row[:, col_off[src]:col_off[src + 1]] = np.kron(mt, ef.eye(sdims[src]))
+            # vec_rm(N_e . phi_src) = (N_e kron I) vec_rm(phi_src): the
+            # entry at ((i, j), (u, j)) is N_e[i, u]
+            view = row[:, col_off[src]:col_off[src + 1]].reshape(
+                tdims[tgt], sdims[src], tdims[src], sdims[src])
+            diag = np.arange(sdims[src])
+            view[:, diag, :, diag] = mt
         if sdims[tgt]:
-            # vec_rm(phi_tgt . M_e) = (I kron M_e^T) vec_rm(phi_tgt)
-            row[:, col_off[tgt]:col_off[tgt + 1]] = np.mod(
-                row[:, col_off[tgt]:col_off[tgt + 1]] - np.kron(ef.eye(tdims[tgt]), ms.T), p)
+            # vec_rm(phi_tgt . M_e) = (I kron M_e^T) vec_rm(phi_tgt): the
+            # entry at ((i, j), (i, l)) is M_e[l, j], subtracted
+            view = row[:, col_off[tgt]:col_off[tgt + 1]].reshape(
+                tdims[tgt], sdims[src], tdims[tgt], sdims[tgt])
+            diag = np.arange(tdims[tgt])
+            view[diag, :, diag, :] = np.mod(view[diag, :, diag, :] - ms.T, p)
         rows.append(row)
     return np.vstack(rows) if rows else ef.zeros(0, ncols)
 

@@ -118,3 +118,90 @@ def reference_fitting_split(m, hom_fn, seed=ef.DEFAULT_SEED):
         else:
             stack.extend(pieces)
     return out
+
+
+# ---------------------------------------------------------------------------
+# LayeredModule._validate as it was before the relations were compiled
+# once per algebra, kept verbatim as a reference for the compiled table
+# ---------------------------------------------------------------------------
+
+
+def _left_extension(quiver, pb, a, q):
+    """Path id of (a then q), or None when the composite does not exist."""
+    if quiver.arrow_target[a] != pb.source[q]:
+        return None
+    return pb.index.get((quiver.arrow_source[a], (a,) + pb.arrows_of[q]))
+
+
+def _right_extension(quiver, pb, q, a):
+    """Path id of (q then a), or None when the composite does not exist."""
+    if quiver.arrow_source[a] != pb.target[q]:
+        return None
+    return pb.index.get((pb.source[q], pb.arrows_of[q] + (a,)))
+
+
+def reference_validate(self):
+    """The bimodule-relation check of a LayeredModule as it was before the
+    relations were compiled per algebra: every relation re-derived and
+    evaluated on every call, vacuous ones included.  Raises InputError."""
+    alg, pb, quiver, p = self.algebra, self.algebra.quiver.paths, self.algebra.quiver, self.algebra.p
+    for k in range(1, alg.m + 1):
+        for q in range(pb.n):
+            g_q = self.conn[(k, q)]
+            arrs = pb.arrows_of[q]
+            for a in range(len(quiver.arrows)):
+                left = _left_extension(quiver, pb, a, q)
+                if left is not None:
+                    got = ef.mul(self.layers[k - 1].maps[a], self.conn[(k, left)], p)
+                    if not np.array_equal(got, g_q):
+                        raise InputError(
+                            f"prefix relation fails at layer {k}, path {pb.name(q)}")
+                right = _right_extension(quiver, pb, q, a)
+                if right is not None:
+                    got = ef.mul(self.conn[(k, right)], self.layers[k].maps[a], p)
+                    if not np.array_equal(got, g_q):
+                        raise InputError(
+                            f"suffix relation fails at layer {k}, path {pb.name(q)}")
+                # zero products: q* . a = 0 unless a is the first arrow
+                # of q, and a . q* = 0 unless a is the last arrow of q
+                if quiver.arrow_source[a] == pb.source[q] and arrs[:1] != (a,):
+                    if ef.mul(self.layers[k - 1].maps[a], g_q, p).any():
+                        raise InputError(
+                            f"zero product fails: arrow after {pb.name(q)}* at layer {k}")
+                if quiver.arrow_target[a] == pb.target[q] and arrs[-1:] != (a,):
+                    if ef.mul(g_q, self.layers[k].maps[a], p).any():
+                        raise InputError(
+                            f"zero product fails: {pb.name(q)}* after arrow at layer {k}")
+            if k >= 2:
+                for r in range(pb.n):
+                    if pb.target[r] == pb.source[q]:
+                        two = ef.mul(self.conn[(k - 1, r)], self.conn[(k, q)], p)
+                        if two.any():
+                            raise InputError(
+                                f"two-step zero fails: {pb.name(r)}* after {pb.name(q)}*")
+
+
+def reference_hom_complex(m, n):
+    """replicated.hom_complex as it was before its index-scatter build:
+    every block is an np.kron with a fresh identity."""
+    sdims, tdims = m._dims, n._dims
+    col_off = [0]
+    for s, t in zip(sdims, tdims):
+        col_off.append(col_off[-1] + s * t)
+    ncols = col_off[-1]
+    p = m.algebra.p
+    rows = []
+    for src, tgt, ms, mt in rp._action_edges(m, n):
+        blk = tdims[tgt] * sdims[src]
+        if blk == 0:
+            continue
+        row = ef.zeros(blk, ncols)
+        if tdims[src]:
+            # vec_rm(N_e . phi_src) = (N_e kron I) vec_rm(phi_src)
+            row[:, col_off[src]:col_off[src + 1]] = np.kron(mt, ef.eye(sdims[src]))
+        if sdims[tgt]:
+            # vec_rm(phi_tgt . M_e) = (I kron M_e^T) vec_rm(phi_tgt)
+            row[:, col_off[tgt]:col_off[tgt + 1]] = np.mod(
+                row[:, col_off[tgt]:col_off[tgt + 1]] - np.kron(ef.eye(tdims[tgt]), ms.T), p)
+        rows.append(row)
+    return np.vstack(rows) if rows else ef.zeros(0, ncols)

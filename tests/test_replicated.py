@@ -3,11 +3,14 @@ import pytest
 
 from pathlib import Path
 
+from oracles import reference_hom_complex, reference_validate
+from replalg import artrans as ar
 from replalg import cli
 from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
-from replalg.errors import InputError
+from replalg import windows as w
+from replalg.errors import AnomalyError, InputError
 
 P = 32003
 QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
@@ -50,6 +53,19 @@ def test_m_must_be_positive():
 def test_associativity_checked():
     # build_replicated runs the full triple check; re-run it explicitly
     assert alg_a2(1).check_associativity()
+
+
+def test_associativity_check_catches_one_broken_product():
+    # e_2 e_2 = e_2 at layer 0 broken to zero: (e_2 e_2) x = 0 while
+    # e_2 (e_2 x) = x for every x with e_2 x != 0.  The pair (e_2, e_2)
+    # leaves the product table; the sparse check still meets the broken
+    # product through the pairs (e_2, x) and (x, e_2) that remain in it.
+    alg = rp.ReplicatedAlgebra(a3(), 1, P)
+    e2 = (rp.PATH, 0, alg.quiver.paths.by_name("e_2"))
+    right = alg.mult
+    alg.mult = lambda x, y: None if x == y == e2 else right(x, y)
+    with pytest.raises(AnomalyError, match="associativity fails"):
+        alg.check_associativity()
 
 
 def test_proj_shapes_a2():
@@ -294,3 +310,144 @@ def test_convert_window():
     assert up.dim_table() == ((0, 1), (1, 0), (0, 0))
     down = rp.convert_window(up, alg)
     assert down.dim_table() == m.dim_table()
+
+
+# ---------------------------------------------------------------------------
+# the compiled relation table against the reference check it replaced
+# ---------------------------------------------------------------------------
+
+
+def a1():
+    return qr.Quiver(["1"], [])
+
+
+def vee():
+    return qr.Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "3")])
+
+
+def wedge():
+    return qr.Quiver(["1", "2", "3"], [("a", "2", "1"), ("b", "3", "1")])
+
+
+# One valid module per relation kind, given by per-layer dims and the
+# entries set to 1 (all blocks involved are 1 x 1), and one more entry
+# whose change 0 -> 1 makes that kind the first relation to fail.  An
+# entry is ("conn", k, path) or ("arrow", layer, arrow).
+RELATION_CASES = {
+    "prefix": (a2, 1, [[1, 0], [1, 0]], [], ("conn", 1, "e_1"),
+               "prefix relation fails at layer 1, path e_1"),
+    "suffix": (a2, 1, [[0, 1], [0, 1]], [], ("conn", 1, "e_2"),
+               "suffix relation fails at layer 1, path e_2"),
+    "arrow-after-dual": (vee, 1, [[1, 0, 1], [0, 1, 0]], [("conn", 1, "a")],
+                         ("arrow", 0, "b"), "zero product fails: arrow after a* at layer 1"),
+    "dual-after-arrow": (wedge, 1, [[0, 0, 1], [1, 1, 0]], [("conn", 1, "b")],
+                         ("arrow", 1, "a"), "zero product fails: b* after arrow at layer 1"),
+    "two-step": (a1, 2, [[1], [1], [1]], [("conn", 2, "e_1")], ("conn", 1, "e_1"),
+                 "two-step zero fails: e_1* after e_1*"),
+}
+
+
+def _case_data(alg, dims, ones):
+    """(layers, conn) with zero matrices except the listed 1 x 1 entries."""
+    quiver, pb = alg.quiver, alg.quiver.paths
+    arrow_id = {name: a for a, (name, _, _) in enumerate(quiver.arrows)}
+    maps = [[ef.zeros(d[t], d[s]) for s, t in zip(quiver.arrow_source, quiver.arrow_target)]
+            for d in dims]
+    conn = {}
+    for where, k, name in ones:
+        if where == "conn":
+            conn[(k, pb.by_name(name))] = ef.fmat([[1]], alg.p)
+        else:
+            maps[k][arrow_id[name]][0, 0] = 1
+    return list(zip(dims, maps)), conn
+
+
+def _entry(module, where, k, name):
+    """The matrix of a module that holds the given entry."""
+    quiver = module.algebra.quiver
+    if where == "conn":
+        return module.conn[(k, quiver.paths.by_name(name))]
+    return module.layers[k].maps[[n for n, _, _ in quiver.arrows].index(name)]
+
+
+@pytest.mark.parametrize("kind", sorted(RELATION_CASES))
+def test_compiled_relations_fail_like_reference(kind):
+    quiver_fn, m, dims, ones, flip, message = RELATION_CASES[kind]
+    alg = rp.build_replicated(quiver_fn(), m, P)
+    valid = rp.LayeredModule(alg, *_case_data(alg, dims, ones))
+    reference_validate(valid)
+    assert kind in {rel.kind for rel in alg.relations()}
+    with pytest.raises(InputError) as compiled:
+        rp.LayeredModule(alg, *_case_data(alg, dims, ones + [flip]))
+    # the same change made in place, so the reference sees the same data
+    _entry(valid, *flip)[0, 0] = 1
+    with pytest.raises(InputError) as reference:
+        reference_validate(valid)
+    with pytest.raises(InputError) as in_place:
+        valid._validate()
+    assert str(compiled.value) == str(reference.value) == str(in_place.value) == message
+
+
+def test_relation_with_empty_inner_dimension_still_checked():
+    # A_2, m = 1, S(1) at layers 0 and 1: the prefix relation
+    # g[1, e_1] = M_a^(0) g[1, a] has inner dimension dim M_0(2) = 0, so
+    # it forces g[1, e_1] = 0 and gluing the two simples breaks it
+    alg = alg_a2(1)
+    e1 = alg.quiver.paths.by_name("e_1")
+    layers = [([1, 0], None), ([1, 0], None)]
+    split = rp.LayeredModule(alg, layers, conn={})
+    rel = next(r for r in alg.relations() if r.kind == "prefix" and r.q == e1)
+    mats = split.edge_matrices()
+    assert mats[rel.lhs].shape[1] == 0 and mats[rel.out].shape == (1, 1)
+    with pytest.raises(InputError, match="prefix relation fails at layer 1, path e_1"):
+        rp.LayeredModule(alg, layers, conn={(1, e1): ef.fmat([[1]], P)})
+    split.conn[(1, e1)][0, 0] = 1
+    with pytest.raises(InputError, match="prefix relation fails at layer 1, path e_1"):
+        reference_validate(split)
+
+
+def _relation_census(name):
+    if name == "kronecker-p3":
+        return w.census_modules(rp.build_replicated(kronecker(), 1, 3), 2)
+    quiver = a3() if name == "a3-m2" else qr.Quiver.load(QUIVERS / "d4.q")
+    return ar.indec_catalog(rp.build_replicated(quiver, 2, P)).modules
+
+
+@pytest.mark.parametrize("name, size", [("a3-m2", 30), ("d4-m2", 60), ("kronecker-p3", 44)])
+def test_catalog_modules_pass_compiled_and_reference_checks(name, size):
+    mods = _relation_census(name)
+    assert len(mods) == size
+    checked = 0
+    for x in mods:
+        x._validate()
+        reference_validate(x)
+        checked += sum(1 for rel in x.algebra.relations()
+                       if x.component_dims()[rel.row] and x.component_dims()[rel.col])
+    assert checked > 0  # some relation is not vacuous
+
+
+def _random_base_module(alg, rng):
+    """A module over the m = 0 algebra with dims in 0..3 and random arrow
+    matrices (every choice is a module: A is hereditary, with no relations)."""
+    quiver = alg.quiver
+    dims = [int(d) for d in rng.integers(0, 4, size=quiver.n_vertices)]
+    maps = [rng.integers(0, alg.p, size=(dims[t], dims[s]))
+            for s, t in zip(quiver.arrow_source, quiver.arrow_target)]
+    return rp.LayeredModule(alg, [(dims, maps)], conn={})
+
+
+@pytest.mark.parametrize("name", ["kronecker-p3", "d4", "a3-m1-catalog"])
+def test_hom_complex_matches_kron_formula(name):
+    rng = np.random.default_rng(7)
+    if name == "a3-m1-catalog":
+        mods = ar.indec_catalog(rp.build_replicated(a3(), 1, P)).modules
+    else:
+        quiver, p = (kronecker(), 3) if name == "kronecker-p3" else (qr.Quiver.load(QUIVERS / "d4.q"), P)
+        alg = rp.build_replicated(quiver, 0, p)
+        mods = [_random_base_module(alg, rng) for _ in range(12)] + [alg.zero_module()]
+        assert any(0 in x.component_dims() for x in mods)
+    for x in mods:
+        for y in mods:
+            got, want = rp.hom_complex(x, y), reference_hom_complex(x, y)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
