@@ -421,12 +421,6 @@ class OrbitTable:
     def max_cardinality(self):
         return max(len(o) for o in self.orbits)
 
-    def orbit_of(self, idx):
-        for o in self.orbits:
-            if idx in o:
-                return o
-        raise InputError(f"index {idx} not in any orbit")
-
     def to_json(self):
         cat = self.catalog
         return {

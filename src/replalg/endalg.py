@@ -78,6 +78,11 @@ class EndAlgebra:
         return self.coords(s, s, ident)
 
     def scalar_part(self, s, r):
+        """lam with basis morphism r of End(M_s) equal to lam*id + nilpotent.
+        Assumes End(M_s) has residue field F_p: a summand whose residue
+        field is larger (a Kronecker regular at a point of degree >= 2)
+        still raises AnomalyError here, although rp.rad_end_basis handles
+        it."""
         lam = single_eigenvalue(self.bases[s][s][r].blocks, self.p, self.seed)
         if lam is None:
             raise AnomalyError("diagonal basis morphism is not scalar + nilpotent")

@@ -165,6 +165,31 @@ def is_invertible(a, p):
     return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
 
 
+def det(a, p):
+    """Determinant of a square matrix mod p (1 for the empty matrix), by
+    Gaussian elimination with Python ints, so it is exact for any p."""
+    n = a.shape[0]
+    if a.shape[0] != a.shape[1]:
+        raise InputError("det of non-square matrix")
+    m = [[int(x) % p for x in row] for row in a]
+    out = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            out = -out
+        lead = m[col][col]
+        out = out * lead % p
+        inv = pow(lead, p - 2, p)
+        for i in range(col + 1, n):
+            f = m[i][col] * inv % p
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[col])]
+    return out % p
+
+
 def coordinates_in_span(basis, vecs, p):
     """Express columns of vecs in the column span of basis.
 

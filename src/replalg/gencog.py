@@ -212,7 +212,7 @@ class MDimEngine:
         self.catalog = catalog
         self._required = None
         self._omega = {}
-        self._hom_nonzero = {}
+        self._homs = {}
 
     @classmethod
     def for_catalog(cls, catalog, seed=ef.DEFAULT_SEED):
@@ -243,32 +243,31 @@ class MDimEngine:
             ids.add(self.registry.canon(m))
         return GenCog(self, ids)
 
-    def hom_nonzero(self, i, j):
+    def hom_basis(self, i, j):
+        """Basis of Hom(M_i, M_j) for registry ids i, j, computed once: the
+        catalog's in exact mode, a fresh one in windowed mode."""
         key = (i, j)
-        if key not in self._hom_nonzero:
-            if self.catalog is not None:
-                val = self.catalog.hom_dim(i, j) > 0
-            else:
-                val = rp.hom_dim_layered(self.registry.modules[i],
-                                         self.registry.modules[j]) > 0
-            self._hom_nonzero[key] = val
-        return self._hom_nonzero[key]
+        if key not in self._homs:
+            self._homs[key] = (self.catalog.hom_basis(i, j) if self.catalog is not None
+                               else rp.hom_layered(self.registry.modules[i],
+                                                   self.registry.modules[j]))
+        return self._homs[key]
 
     def hom_fn(self):
-        if self.catalog is not None:
-            def fn(a, b):
-                ia = self.registry.identity_index(a)
-                ib = self.registry.identity_index(b)
-                if ia is not None and ib is not None:
-                    return self.catalog.hom_basis(ia, ib)
-                return rp.hom_layered(a, b)
-            return fn
-        return rp.hom_layered
+        """hom_fn(M, N) for min_right_approx: hom_basis on registered
+        objects, a fresh Hom space otherwise."""
+        def fn(a, b):
+            ia = self.registry.identity_index(a)
+            ib = self.registry.identity_index(b)
+            if ia is not None and ib is not None:
+                return self.hom_basis(ia, ib)
+            return rp.hom_layered(a, b)
+        return fn
 
     def omega_ids(self, x_id, summand_ids):
         """Registry ids (with multiplicity) of the indecomposable summands
         of Omega_M(X); cached on (X, predecessors of X inside M)."""
-        relevant = frozenset(i for i in summand_ids if self.hom_nonzero(i, x_id))
+        relevant = frozenset(i for i in summand_ids if self.hom_basis(i, x_id))
         key = (x_id, relevant)
         if key in self._omega:
             return self._omega[key]

@@ -23,13 +23,15 @@ Components are ordered (layer, vertex), flattened as k * n_vertices + i;
 dimension vectors print as (layer0 | layer1 | ...).
 """
 
+import itertools
 from collections import namedtuple
 
 import numpy as np
 
 from . import exactfield as ef
 from .errors import AnomalyError, InputError, WindowOverflow
-from .splitting import find_invertible_combo, fitting_split, single_eigenvalue
+from .splitting import (certified_radical, find_invertible_combo, fitting_split,
+                        primary_poly, single_eigenvalue)
 
 PATH = "p"
 DUAL = "d"
@@ -96,6 +98,7 @@ class ReplicatedAlgebra:
         self._opposite = None
         self._op_map = None
         self._relations = None
+        self._parallel = None
 
     def components(self):
         return [(k, i) for k in range(self.m + 1) for i in range(self.quiver.n_vertices)]
@@ -133,15 +136,18 @@ class ReplicatedAlgebra:
             return None
         return None  # dual . dual = 0
 
-    def left_component(self, b):
-        pb = self.quiver.paths
-        t, k, q = b
-        return (k, pb.source[q]) if t == PATH else (k, pb.target[q])
-
-    def right_component(self, b):
-        pb = self.quiver.paths
-        t, k, q = b
-        return (k, pb.target[q]) if t == PATH else (k - 1, pb.source[q])
+    def parallel_edge_pairs(self):
+        """Pairs (e, e') of indices into self.edges, e < e', of action edges
+        with the same source and the same target component, computed once:
+        on the Kronecker quiver, the two arrows of each layer and the duals
+        a*, b* of the two arrows at each connecting level."""
+        if self._parallel is None:
+            groups = {}
+            for idx, ends in enumerate(self.edges):
+                groups.setdefault(ends, []).append(idx)
+            self._parallel = tuple(pair for group in groups.values()
+                                   for pair in itertools.combinations(group, 2))
+        return self._parallel
 
     def relations(self):
         """Every bimodule relation a module must satisfy, compiled once:
@@ -391,6 +397,7 @@ class LayeredModule:
         self._edge_mats = tuple(mat for layer in self.layers for mat in layer.maps) + \
             tuple(self.conn[key] for key in algebra.conn_keys)
         self._validate()
+        self._iso_key = None
 
     @classmethod
     def _assemble(cls, algebra, dims, mats):
@@ -485,17 +492,16 @@ class LayeredModule:
             out = ef.mul(self.layers[k].maps[a], out, self.p)
         return out
 
-    def action_matrix(self, b):
-        """Matrix of the right action of a basis element, from its left
-        component to its right component."""
-        t, k, q = b
-        if t == PATH:
-            return self.act_path(k, q)
-        return self.conn[(k, q)]
-
     def edge_matrices(self):
         """Arrow and connecting matrices in the order of algebra.edges."""
         return self._edge_mats
+
+    def iso_key(self):
+        """(component dims, semi_invariants(self)), computed on first use:
+        equal for isomorphic modules."""
+        if self._iso_key is None:
+            self._iso_key = (self._dims, semi_invariants(self))
+        return self._iso_key
 
     # -- constructions --------------------------------------------------------
 
@@ -764,12 +770,48 @@ def is_iso_layered(m, n, seed=ef.DEFAULT_SEED):
     return find_invertible_combo([h.blocks for h in basis], m.p, seed) is not None
 
 
+SEMI_INVARIANT_POINTS = (0, 1, 2, 5, 7, 11)
+
+
+def semi_invariants(m):
+    """Determinantal semi-invariants of M, one tuple per parallel pair.
+
+    For each pair (e, e') of algebra.parallel_edge_pairs() whose common
+    source c and target c' have dim c = dim c' = n > 0, the tuple holds
+    det(M_e + t M_e') for t in SEMI_INVARIANT_POINTS (mod p) and then
+    det M_e' (the point t = infinity), divided by its first nonzero entry
+    (left as is when every entry is zero).
+
+    Proof of invariance.  An isomorphism phi: M -> N has invertible
+    components with N_e phi_c = phi_c' M_e for every action edge, so
+    N_e = phi_c' M_e phi_c^-1 and N_e + t N_e' = phi_c' (M_e + t M_e')
+    phi_c^-1.  Every entry of N's tuple is therefore the same entry of M's
+    times det phi_c' / det phi_c, a nonzero constant of the pair, and the
+    normalized tuples agree.  (Schofield, "Semi-invariants of quivers",
+    J. LMS 43 (1991); Derksen-Weyman, JAMS 13 (2000).)
+    """
+    dims, mats, p = m._dims, m._edge_mats, m.p
+    edges = m.algebra.edges
+    out = []
+    for e, f in m.algebra.parallel_edge_pairs():
+        src, tgt = edges[e]
+        if not dims[src] or dims[src] != dims[tgt]:
+            continue
+        vals = [ef.det(mats[e] + t * mats[f], p) for t in SEMI_INVARIANT_POINTS]
+        vals.append(ef.det(mats[f], p))
+        lead = next((v for v in vals if v), 1)
+        inv = pow(lead, p - 2, p)
+        out.append(tuple(v * inv % p for v in vals))
+    return tuple(out)
+
+
 class IsoRegistry:
     """One representative per isomorphism class, with ids in first-seen
-    order.  Candidates are bucketed by component dimensions and tried in
-    id order, so a lookup makes the iso tests of a linear scan that skips
-    other dimensions.  iso(candidate, module, seed) is the test used
-    (is_iso_layered by default)."""
+    order.  Candidates are bucketed by iso_key() (component dimensions and
+    semi-invariants, equal for isomorphic modules) and tried in id order,
+    so a lookup finds the id a linear scan would, skipping only modules
+    that cannot be isomorphic.  iso(candidate, module, seed) is the test
+    used (is_iso_layered by default)."""
 
     def __init__(self, modules=(), seed=ef.DEFAULT_SEED, iso=None):
         self.modules = []
@@ -783,7 +825,7 @@ class IsoRegistry:
     def find(self, m):
         """Id of a registered module isomorphic to m, or None."""
         iso = self.iso or is_iso_layered
-        for idx in self._buckets.get(m._dims, ()):
+        for idx in self._buckets.get(m.iso_key(), ()):
             if iso(self.modules[idx], m, self.seed):
                 return idx
         return None
@@ -792,7 +834,7 @@ class IsoRegistry:
         """Register m as a new class (no iso test) and return its id."""
         idx = len(self.modules)
         self.modules.append(m)
-        self._buckets.setdefault(m._dims, []).append(idx)
+        self._buckets.setdefault(m.iso_key(), []).append(idx)
         self._by_identity.setdefault(id(m), idx)
         return idx
 
@@ -824,16 +866,24 @@ def decompose_layered(m, seed=ef.DEFAULT_SEED):
 
 def rad_end_basis(ends, seed=ef.DEFAULT_SEED):
     """Basis of rad End(M), rref-reduced, from a basis `ends` of End(M),
-    for M with local End and residue field F_p: the nonzero f - lam*id.
-    Raises AnomalyError when some f is not scalar + nilpotent."""
+    for M with local End.  When every f is scalar + nilpotent (residue
+    field F_p) it is spanned by the nonzero f - lam*id.  Otherwise it is
+    the ideal J of splitting.certified_radical, which is rad End when the
+    certificate holds (residue field F_p^e, e > 1); AnomalyError when it
+    does not."""
     if not ends:
         return []
     x, p = ends[0].source, ends[0].p
+    lams = [single_eigenvalue(f.blocks, p, seed) for f in ends]
+    if None in lams:
+        basis = [f.blocks for f in ends]
+        mins = [primary_poly(blocks, p, seed)[0] for blocks in basis]
+        ideal = None if None in mins else certified_radical(basis, mins, p)
+        if ideal is None:
+            raise AnomalyError(f"End({x!r}) is not certified local")
+        return [LayeredMorphism(x, x, blocks) for blocks in ideal]
     flats = []
-    for f in ends:
-        lam = single_eigenvalue(f.blocks, p, seed)
-        if lam is None:
-            raise AnomalyError(f"endomorphism of {x!r} is not scalar + nilpotent")
+    for f, lam in zip(ends, lams):
         g = np.concatenate([np.mod(b - lam * ef.eye(b.shape[0]), p).reshape(-1)
                             for b in f.blocks])
         if g.any():

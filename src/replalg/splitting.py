@@ -7,8 +7,8 @@ with the kind of its indecomposability verdict:
 
   * ``brick``: End(M) is one-dimensional;
   * ``certified-local``: End(M) is proved local from one basis of it (see
-    `_is_local`): a nilpotent two-sided ideal J whose quotient End/J is a
-    field.  No search runs;
+    `certified_radical`): a nilpotent two-sided ideal J whose quotient
+    End/J is a field.  No search runs;
   * ``exhaustive``: the certificate did not apply, and a sweep over every
     endomorphism up to scalars found no split;
   * ``probabilistic``: the certificate did not apply, End is too large to
@@ -149,13 +149,14 @@ def _span(elems, shapes, p):
     return out
 
 
-def _is_local(basis, mins, p):
-    """Whether End(M) is certified local.
+def certified_radical(basis, mins, p):
+    """rad End(M) as a basis of block lists (rref-reduced) when End(M) is
+    certified local, else None.
 
     basis spans End(M) as block lists; mins[i] is an irreducible polynomial
     g_i with g_i(f_i) nilpotent (f_i is primary).  Let J be the two-sided
     ideal generated by the g_i(f_i) and e = dim End - dim J.  Certify when
-    J is nilpotent and some g_i has degree e.
+    J is nilpotent and some g_i has degree e; J is then returned.
 
     Proof.  1 is not in the nilpotent ideal J, so End/J is nonzero, and the
     image of f_i there has a minimal polynomial dividing g_i, hence equal
@@ -164,7 +165,7 @@ def _is_local(basis, mins, p):
     not in J, there is y with xy = 1 - j for some j in J; j is nilpotent,
     so xy is a unit and x has a right inverse, hence is a unit (End is
     finite-dimensional).  So the non-units of End form the ideal J: End is
-    local, and M is indecomposable (ARS, ch. I-II).
+    local with J = rad End, and M is indecomposable (ARS, ch. I-II).
 
     When End is local with residue field F_p, the f_i - lam_i span rad End,
     so J = rad End and e = 1: the common case.  When End is local with a
@@ -179,15 +180,30 @@ def _is_local(basis, mins, p):
     ideal = _span([_mul(x, f, p) for x in left for f in basis], shapes, p)
     e = len(basis) - len(ideal)
     if all(ef.poly_deg(g) != e for g in mins):
-        return False
+        return None
     power = ideal
     while power:
         # J^(k+1) lies in J^k, so an equal dimension means J^k = J^(k+1) != 0
         nxt = _span([_mul(x, y, p) for x in power for y in ideal], shapes, p)
         if len(nxt) == len(power):
-            return False
+            return None
         power = nxt
-    return True
+    return ideal
+
+
+def primary_poly(blocks, p, seed=ef.DEFAULT_SEED):
+    """(g, facs) for an endomorphism f given by its blocks.  When f is
+    primary, g is the irreducible polynomial with g(f) nilpotent: x - lam
+    read off without factoring when f is lam*id + nilpotent (facs is then
+    None), else the one factor of the characteristic polynomial.  When f
+    is not primary, g is None and facs, the factorization of the
+    characteristic polynomial, has two or more factors."""
+    cp = endo_char_poly(blocks, p)
+    lam = _scalar_root(cp, p)
+    if lam is not None:
+        return [(-lam) % p, 1], None
+    facs = ef.factor_poly(cp, p, seed)
+    return (facs[0][0] if len(facs) == 1 else None), facs
 
 
 def _split_once(m, hom_fn, seed):
@@ -211,16 +227,11 @@ def _split_once(m, hom_fn, seed):
     basis = [f.blocks for f in ends]
     mins = []
     for blocks in basis:
-        cp = endo_char_poly(blocks, p)
-        lam = _scalar_root(cp, p)
-        if lam is not None:
-            mins.append([(-lam) % p, 1])
-            continue
-        facs = ef.factor_poly(cp, p, seed)
-        if len(facs) > 1:
+        g, facs = primary_poly(blocks, p, seed)
+        if g is None:
             return _primary_split(m, blocks, p, seed, facs), None
-        mins.append(facs[0][0])
-    if _is_local(basis, mins, p):
+        mins.append(g)
+    if certified_radical(basis, mins, p) is not None:
         return None, CERTIFIED_LOCAL
     rng = np.random.default_rng(seed)
     nblocks = len(basis[0])

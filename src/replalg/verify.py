@@ -351,10 +351,6 @@ def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
                              "mode": mode}, checks, bad, t0)
 
 
-def _omega_state_modules(engine, state):
-    return [engine.registry.modules[i] for i in state]
-
-
 def _states_match(engine, state, module):
     """Whether the multiset of registry ids equals the decomposition of a
     module (up to iso)."""
@@ -445,8 +441,10 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
     summands = [engine.registry.modules[i] for i in sorted(gencog.summands)]
     res = gc.min_right_approx(summands, n0, seed=seed)
     pieces = rp.decompose_layered(res.kernel, seed)
-    non_proj = [piece for piece, _ in pieces
-                if not _is_projective_module(algebra, piece, seed)]
+    projectives = rp.IsoRegistry(
+        [algebra.proj(i, k) for k in range(m + 1) for i in range(quiver.n_vertices)],
+        seed=seed)
+    non_proj = [piece for piece, _ in pieces if projectives.find(piece) is None]
     ok_kernel = len(non_proj) == 1 and rp.is_iso_layered(non_proj[0], n0, seed)
     checks.append({"check": "Omega_M(N) = N + projective",
                    "kernel": res.kernel.dim_label(), "ok": ok_kernel})
@@ -461,16 +459,6 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
     return _report("lem48", {"quiver": quiver.to_text(), "m": m, "p": p,
                              "N": n0.dim_label(), "Nprime": nprime.component_dims()},
                    checks, bad, t0)
-
-
-def _is_projective_module(algebra, module, seed):
-    dims = module.component_dims()
-    for k in range(algebra.m + 1):
-        for i in range(algebra.quiver.n_vertices):
-            cand = algebra.proj(i, k)
-            if cand.component_dims() == dims and rp.is_iso_layered(cand, module, seed):
-                return True
-    return False
 
 
 def verify(suite, quiver, **params):

@@ -205,3 +205,41 @@ def reference_hom_complex(m, n):
                 row[:, col_off[tgt]:col_off[tgt + 1]] - np.kron(ef.eye(tdims[tgt]), ms.T), p)
         rows.append(row)
     return np.vstack(rows) if rows else ef.zeros(0, ncols)
+
+
+# ---------------------------------------------------------------------------
+# determinants by the Leibniz formula, and the iso-class index as a linear
+# scan, references for exactfield.det and replicated.IsoRegistry
+# ---------------------------------------------------------------------------
+
+
+def permutation_det(a, p):
+    """det a mod p as the sum over permutations s of sign(s) times the
+    product of a[i, s(i)] (small matrices only)."""
+    n = a.shape[0]
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= int(a[i, perm[i]])
+        total += term
+    return total % p
+
+
+class LinearScanRegistry:
+    """One representative per isomorphism class, ids in first-seen order:
+    every lookup tests each registered module of equal component dims, in
+    id order, with is_iso_layered."""
+
+    def __init__(self, seed=ef.DEFAULT_SEED):
+        self.modules = []
+        self.seed = seed
+
+    def canon(self, m):
+        for idx, cand in enumerate(self.modules):
+            if cand.component_dims() == m.component_dims() \
+                    and rp.is_iso_layered(cand, m, self.seed):
+                return idx
+        self.modules.append(m)
+        return len(self.modules) - 1

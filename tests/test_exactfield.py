@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import permutation_det
 from replalg import exactfield as ef
 
 
@@ -165,3 +166,21 @@ def test_poly_eval_matrix_cayley_hamilton():
         a = ef.fmat(rng.integers(0, p, size=(4, 4)), p)
         cp = ef.char_poly(a, p)
         assert not np.any(ef.poly_eval_matrix(cp, a, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_det_matches_permutation_expansion(p):
+    rng = np.random.default_rng(11)
+    for n in range(6):
+        for _ in range(8):
+            a = rng.integers(0, p, size=(n, n))
+            assert ef.det(a, p) == permutation_det(a, p)
+        # a repeated row, and a pivot found only after a row swap
+        if n >= 2:
+            a = rng.integers(0, p, size=(n, n))
+            a[1] = a[0]
+            assert ef.det(a, p) == permutation_det(a, p) == 0
+            b = np.mod(ef.eye(n)[::-1] * (n + 1), p)
+            assert ef.det(b, p) == permutation_det(b, p)
+    with pytest.raises(ef.InputError):
+        ef.det(ef.zeros(2, 3), p)

@@ -225,8 +225,27 @@ def test_decompose_field_extension_endos_small_p():
     m = rep(q, 3, [2, 2], [ef.eye(2), comp])
     out = qr.decompose(m)
     assert len(out) == 1 and out[0][1] == 1
-    with pytest.raises(AnomalyError):  # residue field is F_9, not F_3
-        rp.rad_end_basis(qr.hom_basis(m, m))
+    # End is the field F_9, not scalar + nilpotent over F_3: the certified
+    # radical is zero
+    ends = qr.hom_basis(m, m)
+    assert len(ends) == 2
+    assert rp.rad_end_basis(ends) == []
+    # the length-2 module of the same tube: End = F_9[t]/(t^2), rad of
+    # dimension 2 with square zero
+    c2 = np.block([[comp, ef.eye(2)], [ef.zeros(2, 2), comp]])
+    m2 = rep(q, 3, [4, 4], [ef.eye(4), c2])
+    ends = qr.hom_basis(m2, m2)
+    rad = rp.rad_end_basis(ends)
+    assert len(ends) == 4 and len(rad) == 2
+    assert all(f.compose(g).is_zero() for f in rad for g in rad)
+
+
+def test_rad_end_basis_rejects_non_local_end():
+    # End(S(1) + S(2)) = F_3 x F_3 is not local: no radical is certified
+    q = kronecker()
+    both, _, _ = rp.LayeredModule.direct_sum([qr.simple(q, 3, "1"), qr.simple(q, 3, "2")])
+    with pytest.raises(AnomalyError):
+        rp.rad_end_basis(qr.hom_basis(both, both))
 
 
 def test_projective_cover_and_top():

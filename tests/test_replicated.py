@@ -3,7 +3,7 @@ import pytest
 
 from pathlib import Path
 
-from oracles import reference_hom_complex, reference_validate
+from oracles import LinearScanRegistry, reference_hom_complex, reference_validate
 from replalg import artrans as ar
 from replalg import cli
 from replalg import exactfield as ef
@@ -451,3 +451,105 @@ def test_hom_complex_matches_kron_formula(name):
             got, want = rp.hom_complex(x, y), reference_hom_complex(x, y)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+def _base_change(x, rng):
+    """x transported along a random isomorphism phi, one invertible
+    phi_c per component: N_e = phi_c' M_e phi_c^-1 on each edge c -> c'."""
+    alg, p = x.algebra, x.p
+    phis, invs = [], []
+    for d in x.component_dims():
+        inv = None
+        while inv is None:
+            phi = rng.integers(0, p, size=(d, d))
+            inv = ef.inverse(phi, p)
+        phis.append(phi)
+        invs.append(inv)
+    mats = [ef.mul(phis[t], ef.mul(mat, invs[s], p), p)
+            for (s, t), mat in zip(alg.edges, x.edge_matrices())]
+    return rp.LayeredModule._assemble(alg, x.component_dims(), mats)
+
+
+def _key_modules(p, m, rng):
+    """Kronecker modules over A^(m) at prime p: the bound-2 window census
+    at p = 3; random modules at layer 0 or 1, and the injective envelopes
+    and cosyzygies of those at layer 0, at p = 32003."""
+    quiver = kronecker()
+    if p == 3:
+        if m == 0:
+            return w.base_indecomposables(quiver, 3, 2)
+        return w.census_modules(rp.build_replicated(quiver, 1, 3), 2)
+    base = rp.build_replicated(quiver, 0, p)
+    mods = [_random_base_module(base, rng) for _ in range(10)]
+    if m == 0:
+        return mods
+    alg = rp.build_replicated(quiver, 1, p)
+    out = []
+    for x in mods:
+        x1 = rp.rep_at_layer(alg, x, 0)
+        out += [x1, rp.rep_at_layer(alg, x, 1), rp.inj_envelope(x1)[0], rp.cosyzygy(x1)]
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(3, 0), (3, 1), (32003, 0), (32003, 1)])
+def test_iso_key_invariant_under_base_change(p, m):
+    rng = np.random.default_rng(5)
+    mods = _key_modules(p, m, rng)
+    alg = mods[0].algebra
+    used = set()
+    for x in mods:
+        key = x.iso_key()
+        assert key == (tuple(x.component_dims()), rp.semi_invariants(x))
+        for _ in range(3):
+            y = _base_change(x, rng)
+            assert y.iso_key() == key
+        used.update(pair for pair in alg.parallel_edge_pairs()
+                    if x.component_dims()[alg.edges[pair[0]][0]]
+                    == x.component_dims()[alg.edges[pair[0]][1]] > 0)
+    # every parallel pair (both layers' arrows, and a*, b*) is exercised
+    assert used == set(alg.parallel_edge_pairs()) and len(used) == 2 * m + 1
+
+
+def test_semi_invariants_separate_points_of_the_projective_line():
+    # (1, 1) regulars at the points (1 : t) and (0 : 1) of P^1(F_3) have
+    # equal dims and ranks, but four different keys
+    base = rp.build_replicated(kronecker(), 0, 3)
+    mods = [rp.LayeredModule(base, [([1, 1], [ef.fmat([[a]], 3), ef.fmat([[b]], 3)])], conn={})
+            for a, b in [(1, 0), (1, 1), (1, 2), (0, 1)]]
+    assert len({x.iso_key() for x in mods}) == 4
+    # a (2, 2) regular at a degree-2 point: det(A + tB) has no root in F_3
+    comp = ef.fmat([[0, 1], [1, 1]], 3)
+    x = rp.LayeredModule(base, [([2, 2], [ef.eye(2), comp])], conn={})
+    [vals] = rp.semi_invariants(x)
+    assert all(vals) and len(vals) == len(rp.SEMI_INVARIANT_POINTS) + 1
+
+
+def _registry_stream(rng):
+    """The Kronecker p = 3 census at bound 2, each member followed later by
+    a base-changed copy, in a fixed shuffled order."""
+    census = list(w.census_modules(rp.build_replicated(kronecker(), 1, 3), 2))
+    stream = census + [_base_change(x, rng) for x in census]
+    order = rng.permutation(len(stream))
+    return census, [stream[i] for i in order]
+
+
+def test_iso_registry_ids_match_linear_scan():
+    census, stream = _registry_stream(np.random.default_rng(3))
+    reg, ref = rp.IsoRegistry(), LinearScanRegistry()
+    ids = [reg.canon(x) for x in stream]
+    assert ids == [ref.canon(x) for x in stream]
+    assert len(reg) == len(ref.modules) == len(census) == 44
+
+
+def test_iso_registry_makes_no_negative_iso_test_on_kronecker_census():
+    _, stream = _registry_stream(np.random.default_rng(3))
+    outcomes = []
+
+    def iso(a, b, seed):
+        outcomes.append(rp.is_iso_layered(a, b, seed))
+        return outcomes[-1]
+
+    reg = rp.IsoRegistry(iso=iso)
+    for x in stream:
+        reg.canon(x)
+    assert len(reg) == 44 and outcomes == [True] * 44
