@@ -78,12 +78,6 @@ def _load_quiver(path):
     return qr.Quiver.load(path)
 
 
-def _fingerprint(quiver, m, p):
-    import hashlib
-    return hashlib.sha256(
-        (quiver.to_text() + f"|m={m}|p={p}").encode()).hexdigest()[:16]
-
-
 def _catalog_cached(algebra, args):
     """Catalog with optional on-disk caching keyed by the algebra
     fingerprint; corrupt or stale caches are ignored with a warning."""
@@ -143,7 +137,7 @@ def _base_report(command, quiver, args):
     return {
         "command": command,
         "version": __version__,
-        "fingerprint": _fingerprint(quiver, args.m, args.prime),
+        "fingerprint": rp.fingerprint(quiver, args.m, args.prime),
         "inputs": {"m": args.m, "prime": args.prime, "seed": args.seed},
     }
 
@@ -244,51 +238,42 @@ def cmd_gldim_end(args):
     algebra = rp.build_replicated(quiver, args.m, args.prime)
     report = _base_report("gldim-end", quiver, args)
     try:
-        catalog = _catalog_cached(algebra, args)
+        engine = gc.MDimEngine.for_catalog(_catalog_cached(algebra, args), seed=args.seed)
     except BudgetExceeded:
-        catalog = None
-    if catalog is not None:
-        engine = gc.MDimEngine.for_catalog(catalog, seed=args.seed)
-        extra = set()
-        if args.summands:
-            extra = {int(t) for t in args.summands.split(",") if t.strip()}
-        if args.gencog:
-            data = json.load(open(args.gencog))
-            if data.get("fingerprint") != algebra.fingerprint():
-                raise InputError("GenCog file fingerprint does not match the algebra")
-            extra.update(int(i) for i in data.get("summand_ids", []))
-            for mod_json in data.get("summands", []):
-                extra.add(engine.registry.canon(
-                    rp.LayeredModule.from_json(algebra, mod_json)))
-        gencog = gc.GenCog(engine, engine.required_ids() | extra)
-        res = gc.gldim_end(gencog)
-        report["results"] = {"mode": "exact" if res.exact else "upper-bound",
-                             "value": "inf" if res.value == math.inf else res.value,
-                             "summands": len(gencog.summands)}
-        _emit(report, args)
-        return 0
-    engine = gc.MDimEngine.windowed(algebra, seed=args.seed)
-    extra_ids = set()
+        engine = gc.MDimEngine.windowed(algebra, seed=args.seed)
+    exact = engine.catalog is not None
+    extra = set()
+    if exact and args.summands:
+        extra = {int(t) for t in args.summands.split(",") if t.strip()}
     if args.gencog:
         data = json.load(open(args.gencog))
         if data.get("fingerprint") != algebra.fingerprint():
             raise InputError("GenCog file fingerprint does not match the algebra")
-        if data.get("summand_ids"):
+        if data.get("summand_ids") and not exact:
             raise InputError("catalog ids need a representation-finite instance")
+        extra.update(int(i) for i in data.get("summand_ids", []))
         for mod_json in data.get("summands", []):
-            extra_ids.add(engine.registry.canon(
-                rp.LayeredModule.from_json(algebra, mod_json)))
-    gencog = gc.GenCog(engine, engine.required_ids() | extra_ids)
-    census = w.census_modules(algebra, args.window, args.seed)
-    res = gc.gldim_end_windowed(gencog, census)
-    report["results"] = {
-        "mode": "windowed",
-        "lower": "inf" if res.value == math.inf else res.lower,
-        "window_checked": res.window_checked,
-        "window_bound": args.window,
-        "window_size": res.window_size,
-        "indeterminate": res.indeterminates,
-    }
+            # a listed module may be a direct sum: register its pieces
+            module = rp.LayeredModule.from_json(algebra, mod_json)
+            extra.update(engine.registry.canon(piece)
+                         for piece, _ in rp.decompose_layered(module, args.seed))
+    gencog = gc.GenCog(engine, engine.required_ids() | extra)
+    if exact:
+        res = gc.gldim_end(gencog)
+        report["results"] = {"mode": "exact" if res.exact else "upper-bound",
+                             "value": "inf" if res.value == math.inf else res.value,
+                             "summands": len(gencog.summands)}
+    else:
+        census = w.census_modules(algebra, args.window, args.seed)
+        res = gc.gldim_end_windowed(gencog, census)
+        report["results"] = {
+            "mode": "windowed",
+            "lower": "inf" if res.value == math.inf else res.lower,
+            "window_checked": res.window_checked,
+            "window_bound": args.window,
+            "window_size": res.window_size,
+            "indeterminate": res.indeterminates,
+        }
     _emit(report, args)
     return 0
 

@@ -28,11 +28,9 @@ class EndAlgebra:
     s-component to the t-component.
     """
 
-    def __init__(self, summands, hom_fn=rp.hom_layered, p=None, cap=ORACLE_CAP,
-                 seed=ef.DEFAULT_SEED):
+    def __init__(self, summands, hom_fn=rp.hom_layered, p=None, cap=ORACLE_CAP):
         self.summands = summands
         self.p = p if p is not None else summands[0].algebra.p
-        self.seed = seed
         n = len(summands)
         self.n = n
         self.bases = [[hom_fn(summands[t], summands[s]) for t in range(n)]
@@ -83,7 +81,7 @@ class EndAlgebra:
         field is larger (a Kronecker regular at a point of degree >= 2)
         still raises AnomalyError here, although rp.rad_end_basis handles
         it."""
-        lam = single_eigenvalue(self.bases[s][s][r].blocks, self.p, self.seed)
+        lam = single_eigenvalue(self.bases[s][s][r].blocks, self.p)
         if lam is None:
             raise AnomalyError("diagonal basis morphism is not scalar + nilpotent")
         return lam
@@ -247,8 +245,7 @@ def emodule_pd(module, step_cap=PD_STEP_CAP):
     return max(steps - 1, 0)
 
 
-def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP,
-                      seed=ef.DEFAULT_SEED):
+def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP):
     """gl.dim End(M) by explicit projective resolutions of the simple
     End(M)-modules.  Accepts a GenCog or a plain list of summand modules
     (the oracle does not require a generator-cogenerator)."""
@@ -256,7 +253,7 @@ def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP,
         summands = gencog_or_summands.modules()
     else:
         summands = list(gencog_or_summands)
-    algebra = EndAlgebra(summands, hom_fn=hom_fn, cap=cap, seed=seed)
+    algebra = EndAlgebra(summands, hom_fn=hom_fn, cap=cap)
     worst = 0
     for s in range(algebra.n):
         worst = max(worst, emodule_pd(simple_emodule(algebra, s)))

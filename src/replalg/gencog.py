@@ -41,15 +41,14 @@ class GenCog:
     """A generator-cogenerator given by registry ids of its pairwise
     non-isomorphic indecomposable summands (multiplicity one each)."""
 
-    def __init__(self, engine, summand_ids, require_gencog=True):
+    def __init__(self, engine, summand_ids):
         self.engine = engine
         self.summands = frozenset(summand_ids)
-        if require_gencog:
-            missing = engine.required_ids() - self.summands
-            if missing:
-                raise ContractError(
-                    "not a generator-cogenerator: missing "
-                    + ", ".join(str(i) for i in sorted(missing)))
+        missing = engine.required_ids() - self.summands
+        if missing:
+            raise ContractError(
+                "not a generator-cogenerator: missing "
+                + ", ".join(str(i) for i in sorted(missing)))
 
     @property
     def algebra(self):
@@ -174,7 +173,7 @@ def verify_approximation(summands, x, result, hom_fn=rp.hom_layered):
                         mprime, mprime,
                         [np.mod(coeff * b, p) for b in ends[t].blocks])
                     h = scaled if h is None else h.add(scaled)
-            if h is not None and single_eigenvalue(h.blocks, p, 0) != 0:
+            if h is not None and single_eigenvalue(h.blocks, p) != 0:
                 return False
     return True
 
@@ -288,7 +287,7 @@ class MDimEngine:
         self._omega[key] = out
         return out
 
-    def mdim_id(self, x_id, summand_ids, max_steps=MDIM_MAX_STEPS):
+    def mdim_id(self, x_id, summand_ids):
         """(value, chain, cycle, reason) for a single indecomposable."""
         memo = {}
         onstack = []
@@ -300,7 +299,7 @@ class MDimEngine:
                 return memo[idx]
             if idx in onstack:
                 return math.inf
-            if depth > max_steps:
+            if depth > MDIM_MAX_STEPS:
                 return None
             onstack.append(idx)
             succ = self.omega_ids(idx, summand_ids)
@@ -327,11 +326,11 @@ class MDimEngine:
             return val
 
         value = rec(x_id, 0)
-        chain, cycle = self._witness_chain(x_id, summand_ids, value, max_steps)
+        chain, cycle = self._witness_chain(x_id, summand_ids, value)
         reason = "window exit or step cap" if value is None else None
         return value, chain, cycle, reason
 
-    def _witness_chain(self, x_id, summand_ids, value, max_steps):
+    def _witness_chain(self, x_id, summand_ids, value):
         """Reconstruct the multiset chain Omega^0, Omega^1, ... of non-add-M
         summand ids; for an infinite verdict, stop at the first revisited
         state and report it as the cycle certificate."""
@@ -340,7 +339,7 @@ class MDimEngine:
         seen = {state: 0}
         cycle = None
         steps = 0
-        while state and steps < max_steps:
+        while state and steps < MDIM_MAX_STEPS:
             nxt = []
             ok = True
             for idx in state:
@@ -363,7 +362,7 @@ class MDimEngine:
         return chain, cycle
 
 
-def m_dimension(gencog, x, max_steps=MDIM_MAX_STEPS):
+def m_dimension(gencog, x):
     """M-dimension of a module x: least i with Omega_M^i(x) in add M;
     math.inf with a cycle certificate, or indeterminate on window exit."""
     engine = gencog.engine
@@ -380,7 +379,7 @@ def m_dimension(gencog, x, max_steps=MDIM_MAX_STEPS):
         if pid in gencog.summands:
             values.append(0)
             continue
-        val, chain, cyc, reason = engine.mdim_id(pid, gencog.summands, max_steps)
+        val, chain, cyc, reason = engine.mdim_id(pid, gencog.summands)
         if val is None:
             return MDimResult(None, chain, reason=reason or INDETERMINATE)
         values.append(val)
@@ -417,7 +416,7 @@ class GldimEndResult:
                 f"window={self.window_size})")
 
 
-def gldim_end(gencog, max_steps=MDIM_MAX_STEPS, oracle_cap=400):
+def gldim_end(gencog):
     """Exact gl.dim End(M) over a complete catalog: 2 + max M-dim over the
     catalog (values at 2 cross-resolved by the end-algebra oracle)."""
     engine = gencog.engine
@@ -428,7 +427,7 @@ def gldim_end(gencog, max_steps=MDIM_MAX_STEPS, oracle_cap=400):
     for idx in range(len(engine.catalog)):
         if idx in gencog.summands:
             continue
-        val, chain, cyc, reason = engine.mdim_id(idx, gencog.summands, max_steps)
+        val, chain, cyc, reason = engine.mdim_id(idx, gencog.summands)
         if val is None:
             raise AnomalyError(f"indeterminate M-dimension in exact mode: {reason}")
         if val == math.inf:
@@ -443,13 +442,13 @@ def gldim_end(gencog, max_steps=MDIM_MAX_STEPS, oracle_cap=400):
     # and report the bound 2 as not exact when the oracle declines to run
     from .endalg import end_algebra_gldim
     try:
-        value = end_algebra_gldim(gencog, cap=oracle_cap)
+        value = end_algebra_gldim(gencog)
     except OracleUnavailable:
         return GldimEndResult(value=2, exact=False, witnesses=witnesses)
     return GldimEndResult(value=value, exact=True, witnesses=witnesses)
 
 
-def gldim_end_windowed(gencog, census_modules, max_steps=MDIM_MAX_STEPS):
+def gldim_end_windowed(gencog, census_modules):
     """Windowed mode: exact lower bound from witnesses plus an upper bound
     checked over all supplied census indecomposables."""
     engine = gencog.engine
@@ -460,7 +459,7 @@ def gldim_end_windowed(gencog, census_modules, max_steps=MDIM_MAX_STEPS):
         pid = engine.registry.canon(m)
         if pid in gencog.summands:
             continue
-        val, chain, cyc, reason = engine.mdim_id(pid, gencog.summands, max_steps)
+        val, chain, cyc, reason = engine.mdim_id(pid, gencog.summands)
         if val is None:
             indeterminates += 1
             continue
@@ -503,13 +502,13 @@ def construct_thm32(catalog, d, engine=None):
     return GenCog(engine, ids), z
 
 
-def construct_E(algebra, i, engine=None, registry_seed=ef.DEFAULT_SEED):
+def construct_E(algebra, i, engine=None):
     """E_i = A + DA_m + P + (U_i + ... + U_{t-1}), t = gl.dim A^(m)."""
     t = rp.global_dimension(algebra)
     if not 1 <= i <= t - 1:
         raise InputError(f"construct_E: i = {i} outside [1, {t - 1}]")
     if engine is None:
-        engine = MDimEngine.windowed(algebra, seed=registry_seed)
+        engine = MDimEngine.windowed(algebra)
     ids = engine.required_ids()
     for k in range(i, t):
         for u in rp.u_stratum(algebra, k):
@@ -584,7 +583,7 @@ def ar_sequence_middle(quiver, p, z, pool, seed=ef.DEFAULT_SEED):
     return tz, middle
 
 
-def construct_lem47(algebra, d, engine=None, search_depth=8):
+def construct_lem47(algebra, d, engine=None):
     """M = A + DA_m + (tau^i Y_j for 0 <= i <= d-(2m+3)) + P, with the Y_j
     the middle of the almost split sequence ending in Z, where tau^(d-(2m+2)) Z
     is simple projective.  Returns (GenCog, witness N = cosyzygy^{2m} Z, Z)."""
@@ -630,11 +629,11 @@ def construct_lem47(algebra, d, engine=None, search_depth=8):
     return gencog, n, z
 
 
-def construct_lem48(algebra, engine=None, search_bound=3):
+def construct_lem48(algebra, engine=None):
     """M = A + DA_m + P + N' for a non-split self-extension N' of a brick N
     with Ext^1(N, N) != 0.  Returns (GenCog, N at layer 0, N')."""
     quiver, p = algebra.quiver, algebra.p
-    n = _find_self_extending_brick(quiver, p, search_bound)
+    n = _find_self_extending_brick(quiver, p, 3)
     if n is None:
         raise ContractError(
             "no brick with a self-extension found within the search bound "

@@ -23,6 +23,7 @@ Components are ordered (layer, vertex), flattened as k * n_vertices + i;
 dimension vectors print as (layer0 | layer1 | ...).
 """
 
+import hashlib
 import itertools
 from collections import namedtuple
 
@@ -247,9 +248,7 @@ class ReplicatedAlgebra:
         return (t, self.m - k, q_op) if t == PATH else (t, self.m - k + 1, q_op)
 
     def fingerprint(self):
-        import hashlib
-        text = self.quiver.to_text() + f"|m={self.m}|p={self.p}"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return fingerprint(self.quiver, self.m, self.p)
 
     # -- distinguished modules ---------------------------------------------
 
@@ -325,6 +324,12 @@ class ReplicatedAlgebra:
 
 
 _ALGEBRAS = {}
+
+
+def fingerprint(quiver, m, p):
+    """A short hash naming the algebra A^(m) of quiver over F_p."""
+    text = quiver.to_text() + f"|m={m}|p={p}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def build_replicated(quiver, m, p=ef.DEFAULT_PRIME, check=True):
@@ -758,8 +763,23 @@ def hom_dim_layered(m, n):
 
 
 def is_iso_layered(m, n, seed=ef.DEFAULT_SEED):
-    """Whether M and N are isomorphic: a search for an invertible morphism
-    (basis elements, seeded combinations, exhaustive on tiny Hom spaces)."""
+    """Whether M and N are isomorphic, decided exactly.
+
+    Some basis element of Hom(M, N) is an isomorphism when M and N are
+    isomorphic and one of them is indecomposable.  Proof: let phi: M -> N
+    be an isomorphism and End(M) local (ARS, ch. I-II).  For h in
+    Hom(M, N), phi^-1 h is a unit or lies in rad End(M), so the
+    non-isomorphisms in Hom(M, N) are exactly phi rad End(M), a proper
+    subspace; a basis of Hom(M, N) spans it and cannot lie in that
+    subspace.  The same argument runs through End(N), with rad End(N) phi,
+    when N is the indecomposable one.
+
+    So when no basis element is invertible, M and N are not isomorphic if M
+    is indecomposable, and otherwise they are compared through their
+    Krull-Schmidt decompositions, whose pieces the scan decides exactly.
+    seed only drives the factoring inside Fitting splits; the verdict does
+    not depend on it.
+    """
     if m._dims != n._dims:
         return False
     if m.total_dim == 0:
@@ -767,7 +787,14 @@ def is_iso_layered(m, n, seed=ef.DEFAULT_SEED):
     basis = hom_layered(m, n)
     if not basis:
         return False
-    return find_invertible_combo([h.blocks for h in basis], m.p, seed) is not None
+    if find_invertible_combo([h.blocks for h in basis], m.p) is not None:
+        return True
+    pieces = fitting_split(m, hom_layered, seed)
+    if len(pieces) == 1:
+        return False
+    classes = IsoRegistry(seed=seed)
+    ids = sorted(classes.canon(x) for x in pieces)
+    return ids == sorted(classes.canon(y) for y in fitting_split(n, hom_layered, seed))
 
 
 SEMI_INVARIANT_POINTS = (0, 1, 2, 5, 7, 11)
@@ -807,11 +834,12 @@ def semi_invariants(m):
 
 class IsoRegistry:
     """One representative per isomorphism class, with ids in first-seen
-    order.  Candidates are bucketed by iso_key() (component dimensions and
-    semi-invariants, equal for isomorphic modules) and tried in id order,
-    so a lookup finds the id a linear scan would, skipping only modules
-    that cannot be isomorphic.  iso(candidate, module, seed) is the test
-    used (is_iso_layered by default)."""
+    order.  Candidates are bucketed by component dimensions, filtered by
+    iso_key() (which adds the semi-invariants, equal for isomorphic
+    modules) and tried in id order, so a lookup finds the id a linear scan
+    would, skipping only modules that cannot be isomorphic.  A module alone
+    in its dimensions never computes its key.  iso(candidate, module, seed)
+    is the test used (is_iso_layered by default)."""
 
     def __init__(self, modules=(), seed=ef.DEFAULT_SEED, iso=None):
         self.modules = []
@@ -825,8 +853,9 @@ class IsoRegistry:
     def find(self, m):
         """Id of a registered module isomorphic to m, or None."""
         iso = self.iso or is_iso_layered
-        for idx in self._buckets.get(m.iso_key(), ()):
-            if iso(self.modules[idx], m, self.seed):
+        for idx in self._buckets.get(m._dims, ()):
+            cand = self.modules[idx]
+            if cand.iso_key() == m.iso_key() and iso(cand, m, self.seed):
                 return idx
         return None
 
@@ -834,7 +863,7 @@ class IsoRegistry:
         """Register m as a new class (no iso test) and return its id."""
         idx = len(self.modules)
         self.modules.append(m)
-        self._buckets.setdefault(m.iso_key(), []).append(idx)
+        self._buckets.setdefault(m._dims, []).append(idx)
         self._by_identity.setdefault(id(m), idx)
         return idx
 
@@ -874,7 +903,7 @@ def rad_end_basis(ends, seed=ef.DEFAULT_SEED):
     if not ends:
         return []
     x, p = ends[0].source, ends[0].p
-    lams = [single_eigenvalue(f.blocks, p, seed) for f in ends]
+    lams = [single_eigenvalue(f.blocks, p) for f in ends]
     if None in lams:
         basis = [f.blocks for f in ends]
         mins = [primary_poly(blocks, p, seed)[0] for blocks in basis]
@@ -1052,7 +1081,7 @@ class SigmaStratum:
         self.window_algebra = window_algebra
 
 
-def sigma_stratum(algebra, k, check_indecomposable=True):
+def sigma_stratum(algebra, k):
     """Sigma_k inside the enlarged window A^(K), K = k+1 (capped at 2m+2);
     one cosyzygy step raises the layer support by at most one, so members
     occupy layers <= k.  k may run up to 2m+1 (the projective-dimension
@@ -1071,7 +1100,7 @@ def sigma_stratum(algebra, k, check_indecomposable=True):
             if sup and max(sup) > step + 1:
                 raise WindowOverflow(
                     f"Sigma_{k}: support layer {max(sup)} after {step + 1} cosyzygies")
-        if check_indecomposable and not x.is_zero():
+        if not x.is_zero():
             pieces = fitting_split(x, hom_layered)
             if len(pieces) != 1:
                 raise AnomalyError(

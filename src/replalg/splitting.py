@@ -3,21 +3,22 @@
 An endomorphism whose characteristic polynomial has at least two distinct
 irreducible factors splits the module into the corresponding primary
 components (Fitting's lemma).  Each piece that does not split is returned
-with the kind of its indecomposability verdict:
+with the kind of its indecomposability verdict; both kinds are proofs:
 
   * ``brick``: End(M) is one-dimensional;
   * ``certified-local``: End(M) is proved local from one basis of it (see
     `certified_radical`): a nilpotent two-sided ideal J whose quotient
-    End/J is a field.  No search runs;
-  * ``exhaustive``: the certificate did not apply, and a sweep over every
-    endomorphism up to scalars found no split;
-  * ``probabilistic``: the certificate did not apply, End is too large to
-    sweep, and the basis elements plus seeded random combinations all
-    failed to split.  This is the only heuristic verdict.
+    End/J is a field.
 
-A module with local End(M) is indecomposable, and the certificate holds
-only for such modules, so it never hides a split: the pieces and their
-order are those the search alone would give.
+The certificate is complete: once every basis endomorphism is primary, it
+fails only when End(M) is not local, and then a seeded Las Vegas search
+finds a split (see `_split_once`).  The seed can change which split is
+found, never whether one exists.  A module with local End(M) is
+indecomposable, so the certificate never hides a split.
+
+`find_invertible_combo` scans a basis of Hom(M, N) for an isomorphism,
+which decides whether M and N are isomorphic when one of them is
+indecomposable (proof at replicated.is_iso_layered).
 """
 
 import math
@@ -25,48 +26,22 @@ import math
 import numpy as np
 
 from . import exactfield as ef
-from .errors import BudgetExceeded
+from .errors import AnomalyError, BudgetExceeded
 
-RANDOM_TRIES = 20
-EXHAUSTIVE_CAP = 4096
 DIM_CAP = 2000
-ISO_EXHAUSTIVE_DIM = 4
-ISO_EXHAUSTIVE_PRIME = 5
 
 BRICK = "brick"
 CERTIFIED_LOCAL = "certified-local"
-EXHAUSTIVE = "exhaustive"
-PROBABILISTIC = "probabilistic"
-VERDICT_KINDS = (BRICK, CERTIFIED_LOCAL, EXHAUSTIVE, PROBABILISTIC)
+VERDICT_KINDS = (BRICK, CERTIFIED_LOCAL)
 
 
-def find_invertible_combo(bases, p, seed=ef.DEFAULT_SEED):
-    """An invertible combination of a basis of Hom(M, N) (as block lists),
-    or None: basis elements first, then seeded random combinations, then
-    exhaustive enumeration when the space is tiny."""
-    def invertible(blocks):
-        return all(b.shape[0] == b.shape[1] and ef.rank(b, p) == b.shape[0]
-                   for b in blocks)
-
+def find_invertible_combo(bases, p):
+    """A basis element of Hom(M, N) (as block lists) that is invertible,
+    or None."""
     for blocks in bases:
-        if invertible(blocks):
+        if all(b.shape[0] == b.shape[1] and ef.rank(b, p) == b.shape[0]
+               for b in blocks):
             return blocks
-    rng = np.random.default_rng(seed)
-    r = len(bases)
-    nblocks = len(bases[0])
-    for _ in range(RANDOM_TRIES):
-        coeffs = rng.integers(0, p, size=r)
-        blocks = [np.mod(sum(int(c) * h[i] for c, h in zip(coeffs, bases)), p)
-                  for i in range(nblocks)]
-        if invertible(blocks):
-            return blocks
-    if r <= ISO_EXHAUSTIVE_DIM and p <= ISO_EXHAUSTIVE_PRIME:
-        for code in range(1, p ** r):
-            coeffs = [(code // p ** k) % p for k in range(r)]
-            blocks = [np.mod(sum(c * h[i] for c, h in zip(coeffs, bases)), p)
-                      for i in range(nblocks)]
-            if invertible(blocks):
-                return blocks
     return None
 
 
@@ -101,9 +76,9 @@ def _scalar_root(cp, p):
     return lam if want == cp else None
 
 
-def single_eigenvalue(blocks, p, seed=ef.DEFAULT_SEED):
+def single_eigenvalue(blocks, p):
     """lam if the endomorphism is lam*id + nilpotent, else None (0 on a
-    zero-dimensional module).  seed is unused: no factoring is needed."""
+    zero-dimensional module); no factoring is needed."""
     return _scalar_root(endo_char_poly(blocks, p), p)
 
 
@@ -151,31 +126,42 @@ def _span(elems, shapes, p):
 
 def certified_radical(basis, mins, p):
     """rad End(M) as a basis of block lists (rref-reduced) when End(M) is
-    certified local, else None.
+    local, else None: the certificate is sound and complete.
 
     basis spans End(M) as block lists; mins[i] is an irreducible polynomial
     g_i with g_i(f_i) nilpotent (f_i is primary).  Let J be the two-sided
-    ideal generated by the g_i(f_i) and e = dim End - dim J.  Certify when
-    J is nilpotent and some g_i has degree e; J is then returned.
+    ideal generated by S = {g_i(f_i)} and the commutators f_i f_j - f_j f_i,
+    and e = dim End - dim J.  Certify when J is nilpotent and some g_i has
+    degree e; J is then returned.
 
-    Proof.  1 is not in the nilpotent ideal J, so End/J is nonzero, and the
-    image of f_i there has a minimal polynomial dividing g_i, hence equal
-    to g_i.  So F_p[f_i] mod J is a copy of the field F_p[x]/(g_i), of
-    dimension e = dim End/J: End/J is that field (F_p when e = 1).  If x is
-    not in J, there is y with xy = 1 - j for some j in J; j is nilpotent,
-    so xy is a unit and x has a right inverse, hence is a unit (End is
-    finite-dimensional).  So the non-units of End form the ideal J: End is
-    local with J = rad End, and M is indecomposable (ARS, ch. I-II).
+    Soundness.  1 is not in the nilpotent ideal J, so End/J is nonzero, and
+    the image of f_i there has a minimal polynomial dividing g_i, hence
+    equal to g_i.  So F_p[f_i] mod J is a copy of the field F_p[x]/(g_i),
+    of dimension e = dim End/J: End/J is that field (F_p when e = 1).  If x
+    is not in J, there is y with xy = 1 - j for some j in J; j is
+    nilpotent, so xy is a unit and x has a right inverse, hence is a unit
+    (End is finite-dimensional).  So the non-units of End form the ideal J:
+    End is local with J = rad End, and M is indecomposable (ARS, ch. I-II).
 
-    When End is local with residue field F_p, the f_i - lam_i span rad End,
-    so J = rad End and e = 1: the common case.  When End is local with a
-    larger residue field K (Kronecker regulars at points of degree >= 2),
-    J lies in rad End and any f_i whose image generates K has deg g_i = e
-    once J = rad End.
+    Completeness.  Let End be local with residue field K = F_{p^e}.
+    (1) Every element of S lies in rad End: g_i(f_i) is nilpotent, hence a
+    non-unit, and a commutator vanishes in the commutative K.  So J lies in
+    rad End and is nilpotent.  (2) End/J is commutative and spanned by the
+    images of the f_i, each a root of the separable g_i (F_p is perfect),
+    so End/J is reduced: J = rad End.  (3) The proper subfields of K span a
+    proper subspace (by the normal basis theorem it is the ideal of
+    F_p[x]/(x^e - 1) generated by the gcd of the (x^e - 1)/(x^(e/l) - 1)
+    over the primes l | e, a gcd of positive degree), so some f_i maps to a
+    generator of K, and then deg g_i = e.  Where J without the commutators
+    already certifies, End/J is a field and the commutators lie in J, so
+    the returned basis is the same.
     """
     shapes = [b.shape for b in basis[0]]
     gens = [[ef.poly_eval_matrix(g, b, p) for b in f] for f, g in zip(basis, mins)]
-    # End.S.End for S = {g_i(f_i)}: left multiples first, then right ones
+    gens += [[np.mod(x - y, p) for x, y in zip(_mul(f, h, p), _mul(h, f, p))]
+             for i, f in enumerate(basis) for h in basis[i + 1:]]
+    gens = _span(gens, shapes, p)
+    # End.S.End: left multiples first, then right ones
     left = _span([_mul(f, s, p) for f in basis for s in gens], shapes, p)
     ideal = _span([_mul(x, f, p) for x in left for f in basis], shapes, p)
     e = len(basis) - len(ideal)
@@ -214,10 +200,20 @@ def _split_once(m, hom_fn, seed):
     polynomial is (x - lam)^n (read off without factoring), or it is
     factored once.  The first f_i with two distinct irreducible factors
     splits m.  Otherwise every f_i is primary, which is what the locality
-    certificate needs; only when the certificate fails do seeded random
-    combinations and, when End is small, an exhaustive sweep look for a
-    split.  The sweep is projectivized (first nonzero coefficient = 1),
-    which loses no splits since primary components are scale-invariant.
+    certificate needs.  When it fails, End is not local, and seeded random
+    combinations are tried until one splits m (a Las Vegas search).
+
+    Why the search ends.  The projection End -> End/rad is linear and onto,
+    so a uniform f maps to a uniform element a of the semisimple algebra
+    End/rad, which is not a field.  As rad is nilpotent, h(f) is nilpotent
+    exactly when h(a) = 0, so f splits m exactly when the minimal
+    polynomial of a has two distinct irreducible factors.  With two or more
+    simple factors, a is primary only if its first two components are
+    primary for one and the same irreducible polynomial; with one factor
+    M_n(F_q), n >= 2, only if a has a single eigenvalue class.  Both have
+    probability bounded away from 1 (for End/rad = F_p x F_p a try splits
+    with probability 1 - 1/p, for M_2(F_2) with 3/8), so the bound of 1000
+    tries is reached only if this argument is wrong.
     """
     ends = hom_fn(m, m)
     r = len(ends)
@@ -235,26 +231,15 @@ def _split_once(m, hom_fn, seed):
         return None, CERTIFIED_LOCAL
     rng = np.random.default_rng(seed)
     nblocks = len(basis[0])
-    for _ in range(RANDOM_TRIES):
+    for _ in range(1000):
         coeffs = rng.integers(0, p, size=r)
         blocks = [np.mod(sum(int(c) * f[i] for c, f in zip(coeffs, basis)), p)
                   for i in range(nblocks)]
         pieces = _primary_split(m, blocks, p, seed)
         if pieces:
             return pieces, None
-    if p ** r > EXHAUSTIVE_CAP * (p - 1):
-        return None, PROBABILISTIC
-    for code in range(1, p ** r):
-        coeffs = [(code // p ** k) % p for k in range(r)]
-        lead = next((c for c in coeffs if c), 0)
-        if lead != 1:
-            continue
-        blocks = [np.mod(sum(c * f[i] for c, f in zip(coeffs, basis)), p)
-                  for i in range(nblocks)]
-        pieces = _primary_split(m, blocks, p, seed)
-        if pieces:
-            return pieces, None
-    return None, EXHAUSTIVE
+    raise AnomalyError(f"End({m!r}) is not local, yet 1000 random endomorphisms "
+                       "failed to split it")
 
 
 def fitting_split_labelled(m, hom_fn, seed=ef.DEFAULT_SEED):

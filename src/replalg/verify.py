@@ -122,7 +122,7 @@ def suite_thm32_all_d(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
 
 
 def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
-                 mode="exact", bound=3, oracle_cap=400):
+                 mode="exact", bound=3):
     """gl.dim End(E_i) = i + 2 for i = 1..t-1; exact over a catalog,
     lower-bound-plus-window over a representation-infinite base."""
     t0 = time.monotonic()
@@ -137,7 +137,7 @@ def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
             entry = {"check": f"E_{i}", "gldim_end": got, "want": i + 2,
                      "ok": got == i + 2}
             try:
-                oracle = end_algebra_gldim(ei, cap=oracle_cap, seed=seed)
+                oracle = end_algebra_gldim(ei)
                 entry["oracle"] = oracle
                 entry["ok"] = entry["ok"] and oracle == i + 2
             except OracleUnavailable:
@@ -172,7 +172,9 @@ def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
     t0 = time.monotonic()
     window = 2 * m + 1
     walg = rp.build_replicated(quiver, window, p, check=False)
-    base = w.base_indecomposables(quiver, p, bound=_dynkin_bound(quiver), seed=seed)
+    # dims of indecomposables over a representation-finite hereditary
+    # algebra are bounded by 6 (the largest root coefficient, E_8)
+    base = w.base_indecomposables(quiver, p, bound=6, seed=seed)
     proj_chains = {}
     for v in range(quiver.n_vertices):
         chain = [rp.rep_at_layer(walg, qr.projective(quiver, p, quiver.vertices[v]), 0)]
@@ -195,13 +197,6 @@ def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
                    "ok": not bad})
     return _report("lem22", {"quiver": quiver.to_text(), "m": m, "p": p,
                              "window": window}, checks, bad, t0)
-
-
-def _dynkin_bound(quiver):
-    # dims of indecomposables over a representation-finite hereditary
-    # algebra are bounded by 6 (the largest root coefficient, E_8); desk
-    # instances here are type A/D where 2-3 suffices
-    return 6
 
 
 def suite_lem23_2(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):

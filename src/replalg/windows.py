@@ -27,8 +27,7 @@ EXT_ENUM_CAP = 81
 CLOSURE_ROUNDS = 4
 
 
-def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED,
-                         rounds=CLOSURE_ROUNDS, ext_cap=EXT_ENUM_CAP):
+def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
     """Window census of indecomposable modules over the base hereditary
     algebra with every vertex dimension <= bound (partial by design)."""
     found = rp.IsoRegistry(seed=seed, iso=qr.is_iso)
@@ -58,7 +57,7 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED,
                 break
             add(cur)
     rng = np.random.default_rng(seed)
-    for _ in range(rounds):
+    for _ in range(CLOSURE_ROUNDS):
         grew = False
         snapshot = list(found.modules)
         for m in snapshot:
@@ -68,7 +67,7 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED,
                 e = qr.ext1_dim(m, n)
                 if e == 0:
                     continue
-                if p ** e <= ext_cap:
+                if p ** e <= EXT_ENUM_CAP:
                     coeff_list = [_digits(code, p, e) for code in range(1, p ** e)]
                 else:
                     coeff_list = [[1 if t == j else 0 for t in range(e)] for j in range(e)]

@@ -81,14 +81,14 @@ def _reference_split_once(m, hom_fn, seed):
             return pieces
     rng = np.random.default_rng(seed)
     nblocks = len(ends[0].blocks)
-    for _ in range(sp.RANDOM_TRIES):
+    for _ in range(20):
         coeffs = rng.integers(0, p, size=r)
         blocks = [np.mod(sum(int(c) * f.blocks[i] for c, f in zip(coeffs, ends)), p)
                   for i in range(nblocks)]
         pieces = sp._primary_split(m, blocks, p, seed)
         if pieces:
             return pieces
-    if p ** r <= sp.EXHAUSTIVE_CAP * (p - 1):
+    if p ** r <= 4096 * (p - 1):
         for code in range(1, p ** r):
             coeffs = [(code // p ** k) % p for k in range(r)]
             lead = next((c for c in coeffs if c), 0)

@@ -180,3 +180,28 @@ def test_exit_code_1_when_suite_reports_counterexample(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "X0" in out
+
+
+def test_gldim_end_gencog_file_with_a_direct_sum(tmp_path):
+    # a GenCog file listing X + Y as one module gives the report of the
+    # file listing X and Y separately
+    from replalg import artrans as ar
+    from replalg import exactfield as ef
+    from replalg import quiverrep as qr
+    from replalg import replicated as rp
+
+    alg = rp.build_replicated(qr.Quiver.load(quiver("a3.q")), 1, ef.DEFAULT_PRIME)
+    cat = ar.indec_catalog(alg)
+    x, y = [cat.modules[i] for i in range(len(cat))
+            if i not in cat.projective and i not in cat.injective][:2]
+    listings = {"apart": [x, y], "sum": [rp.LayeredModule.direct_sum([x, y])[0]]}
+    results = {}
+    for name, mods in listings.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"fingerprint": alg.fingerprint(),
+                                    "summands": [m.to_json() for m in mods]}))
+        code, out, err = run_cli("gldim-end", "--quiver", quiver("a3.q"), "--m", "1",
+                                 "--gencog", str(path), "--json")
+        assert code == 0, err
+        results[name] = json.loads(out)["results"]
+    assert results["sum"] == results["apart"] == {"mode": "exact", "value": 4, "summands": 11}

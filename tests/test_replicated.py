@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from replalg import cli
 from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
+from replalg import splitting as sp
 from replalg import windows as w
 from replalg.errors import AnomalyError, InputError
 
@@ -553,3 +557,75 @@ def test_iso_registry_makes_no_negative_iso_test_on_kronecker_census():
     for x in stream:
         reg.canon(x)
     assert len(reg) == 44 and outcomes == [True] * 44
+
+
+def _some_invertible(bases, p):
+    """Whether any element of the span of bases (block lists) is
+    invertible, by enumerating every coefficient vector."""
+    for coeffs in itertools.product(range(p), repeat=len(bases)):
+        blocks = [np.mod(sum(c * h[i] for c, h in zip(coeffs, bases)), p)
+                  for i in range(len(bases[0]))]
+        if all(b.shape[0] == b.shape[1] and ef.rank(b, p) == b.shape[0] for b in blocks):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p, pairs", [(2, 128), (3, 176)])
+def test_basis_scan_matches_exhaustive_iso_search(p, pairs):
+    # every pair of equal dims with Hom != 0 among the Kronecker bound-2
+    # census and base-changed copies: the basis scan finds an isomorphism
+    # exactly when some element of Hom is one.  Every such pair here is
+    # isomorphic, so these are the cases where a scan could miss one.
+    rng = np.random.default_rng(11)
+    census = list(w.census_modules(rp.build_replicated(kronecker(), 1, p), 2))
+    mods = census + [_base_change(x, rng) for x in census]
+    verdicts = []
+    for x in mods:
+        for y in mods:
+            if x.component_dims() != y.component_dims():
+                continue
+            bases = [h.blocks for h in rp.hom_layered(x, y)]
+            if bases:
+                verdicts.append(sp.find_invertible_combo(bases, p) is not None)
+                assert verdicts[-1] == _some_invertible(bases, p)
+    assert len(verdicts) == pairs and all(verdicts)
+
+
+def test_iso_of_decomposables_goes_through_krull_schmidt():
+    base = rp.build_replicated(kronecker(), 0, 3)
+    # S + S for a simple S: the canonical basis of Hom = M_2(F_3) holds no
+    # invertible element, yet the modules are isomorphic
+    s2 = rp.LayeredModule(base, [([2, 0], [ef.zeros(2, 0), ef.zeros(2, 0)])], conn={})
+    s2b = _base_change(s2, np.random.default_rng(2))
+    bases = [h.blocks for h in rp.hom_layered(s2, s2b)]
+    assert len(bases) == 4 and sp.find_invertible_combo(bases, 3) is None
+    assert rp.is_iso_layered(s2, s2b)
+    # X + X and X + Y for (1, 1) regulars at two points of P^1(F_3):
+    # Hom(X + X, X + Y) = F_3^2, but the modules differ
+    x, y = (rp.LayeredModule(base, [([1, 1], [ef.fmat([[1]], 3), ef.fmat([[c]], 3)])],
+                             conn={}) for c in (0, 1))
+    xx = rp.LayeredModule.direct_sum([x, x])[0]
+    xy = rp.LayeredModule.direct_sum([x, y])[0]
+    assert len(rp.hom_layered(xx, xy)) == 2
+    assert not rp.is_iso_layered(xx, xy) and not rp.is_iso_layered(xy, xx)
+    assert rp.is_iso_layered(xy, rp.LayeredModule.direct_sum([y, x])[0])
+
+
+def test_iso_registry_keys_only_modules_that_share_dims(monkeypatch):
+    census, _ = _registry_stream(np.random.default_rng(3))
+    fresh = [_base_change(x, np.random.default_rng(4)) for x in census]
+    keyed = []
+    real = rp.semi_invariants
+
+    def recording(m):
+        keyed.append(m)
+        return real(m)
+
+    monkeypatch.setattr(rp, "semi_invariants", recording)
+    reg = rp.IsoRegistry()
+    for x in fresh:
+        reg.canon(x)
+    shared = collections.Counter(tuple(x.component_dims()) for x in fresh)
+    assert len(reg) == 44 and 0 < len(keyed) < len(fresh)
+    assert {id(x) for x in keyed} == {id(x) for x in fresh
+                                      if shared[tuple(x.component_dims())] > 1}
