@@ -11,7 +11,6 @@ radical quotients, so the mesh identities are independent checks rather
 than construction assumptions.
 """
 
-import json
 import time
 
 import numpy as np
@@ -134,15 +133,14 @@ class IndecCatalog:
     closed under tau and tau^{-1}, with flags and translation tables."""
 
     def __init__(self, algebra, modules, tau_map, tau_inv_map,
-                 projective, injective, seed=ef.DEFAULT_SEED):
+                 projective, injective):
         self.algebra = algebra
         self.modules = modules
         self.tau_map = tau_map
         self.tau_inv_map = tau_inv_map
         self.projective = projective
         self.injective = injective
-        self.seed = seed
-        self._index = rp.IsoRegistry(modules, seed=seed)
+        self._index = rp.IsoRegistry(modules)
         self._hom_bases = {}
         self._leq = None
 
@@ -179,7 +177,7 @@ class IndecCatalog:
         scalar-corrected nilpotent parts of the endomorphism basis."""
         if i != j:
             return self.hom_basis(i, j)
-        return rp.rad_end_basis(self.hom_basis(i, i), self.seed)
+        return rp.rad_end_basis(self.hom_basis(i, i))
 
     def irreducible_mult(self, i, j):
         """dim rad(X_i, X_j) / rad^2, the arrow multiplicity in the AR quiver."""
@@ -246,23 +244,22 @@ class IndecCatalog:
             "tau_inv": self.tau_inv_map,
             "projective": sorted(self.projective),
             "injective": sorted(self.injective),
-            "seed": self.seed,
         }
 
     @classmethod
     def from_json(cls, algebra, data):
+        """Inverse of to_json; a "seed" key, written by older versions, is
+        ignored."""
         if data.get("fingerprint") != algebra.fingerprint():
             raise InputError("catalog fingerprint does not match the algebra")
         modules = [LayeredModule.from_json(algebra, d) for d in data["modules"]]
         return cls(algebra, modules,
                    [None if t is None else int(t) for t in data["tau"]],
                    [None if t is None else int(t) for t in data["tau_inv"]],
-                   set(data["projective"]), set(data["injective"]),
-                   seed=data.get("seed", ef.DEFAULT_SEED))
+                   set(data["projective"]), set(data["injective"]))
 
 
-def indec_catalog(algebra, budget=CATALOG_BUDGET, seed=ef.DEFAULT_SEED,
-                  time_limit=PHASE_SECONDS):
+def indec_catalog(algebra, budget=CATALOG_BUDGET, time_limit=PHASE_SECONDS):
     """Close {proj(i,k)} and {inj(i,k)} under tau^{-1} and tau.
 
     Exceeding the entry budget or the time limit raises BudgetExceeded (the
@@ -272,14 +269,14 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET, seed=ef.DEFAULT_SEED,
     seeds = [algebra.proj(i, k) for k in range(algebra.m + 1)
              for i in range(algebra.quiver.n_vertices)]
     seeds += [algebra.inj(i, algebra.m) for i in range(algebra.quiver.n_vertices)]
-    index = rp.IsoRegistry(seed=seed)
+    index = rp.IsoRegistry()
     modules = index.modules
 
     def register(m):
         idx = index.find(m)
         if idx is not None:
             return idx, False
-        if len(fitting_split(m, rp.hom_layered, seed)) != 1:
+        if len(fitting_split(m, rp.hom_layered)) != 1:
             raise AnomalyError("tau closure produced a decomposable module")
         index.add(m)
         if len(modules) > budget:
@@ -317,7 +314,7 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET, seed=ef.DEFAULT_SEED,
                        modules,
                        [tau_map.get(i) for i in range(len(modules))],
                        [tau_inv_map.get(i) for i in range(len(modules))],
-                       projective, injective, seed=seed)
+                       projective, injective)
     _check_translation_tables(cat)
     return cat
 

@@ -32,7 +32,8 @@ def build_parser():
     common.add_argument("--m", type=int, default=1, help="replication level (>= 1)")
     common.add_argument("--prime", type=int, default=ef.DEFAULT_PRIME,
                         help="prime modulus of the coefficient field")
-    common.add_argument("--seed", type=int, default=ef.DEFAULT_SEED)
+    common.add_argument("--seed", type=int, default=ef.DEFAULT_SEED,
+                        help="seed of the sampling suites and the window census")
     common.add_argument("--budget", type=int, default=ar.CATALOG_BUDGET,
                         help="catalog entry budget")
     common.add_argument("--window", type=int, default=3,
@@ -92,11 +93,47 @@ def _catalog_cached(algebra, args):
                 return ar.IndecCatalog.from_json(algebra, data)
             except (InputError, ValueError, KeyError) as exc:
                 print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-    catalog = ar.indec_catalog(algebra, budget=args.budget, seed=args.seed)
+    catalog = ar.indec_catalog(algebra, budget=args.budget)
     if path:
         with open(path, "w") as fh:
             json.dump(catalog.to_json(), fh, sort_keys=True)
     return catalog
+
+
+def _engine(algebra, args):
+    """M-dimension engine over the catalog, or a windowed one when the
+    catalog exceeds --budget (a representation-infinite instance)."""
+    try:
+        return gc.MDimEngine.for_catalog(_catalog_cached(algebra, args))
+    except BudgetExceeded:
+        return gc.MDimEngine.windowed(algebra)
+
+
+def _extra_summands(algebra, engine, args):
+    """Registry ids named by --summands and by a --gencog file.  Catalog
+    ids need the catalog, so they are an input error in windowed mode; a
+    listed module may be a direct sum, and its pieces are registered."""
+    tokens = [t for t in (args.summands or "").split(",") if t.strip()]
+    modules = []
+    if args.gencog:
+        with open(args.gencog) as fh:
+            data = json.load(fh)
+        if data.get("fingerprint") != algebra.fingerprint():
+            raise InputError("GenCog file fingerprint does not match the algebra")
+        tokens += data.get("summand_ids", [])
+        modules = [rp.LayeredModule.from_json(algebra, d) for d in data.get("summands", [])]
+    if tokens and engine.catalog is None:
+        raise InputError("catalog ids need a representation-finite instance")
+    try:
+        ids = {int(t) for t in tokens}
+    except ValueError as exc:
+        raise InputError(f"catalog ids must be integers: {exc}") from None
+    if any(not 0 <= i < len(engine.catalog) for i in ids):
+        raise InputError(f"catalog ids must lie in 0..{len(engine.catalog) - 1}")
+    for module in modules:
+        ids.update(engine.registry.canon(piece)
+                   for piece, _ in rp.decompose_layered(module))
+    return ids
 
 
 def _emit(report, args):
@@ -237,28 +274,10 @@ def cmd_gldim_end(args):
     quiver = _load_quiver(args.quiver)
     algebra = rp.build_replicated(quiver, args.m, args.prime)
     report = _base_report("gldim-end", quiver, args)
-    try:
-        engine = gc.MDimEngine.for_catalog(_catalog_cached(algebra, args), seed=args.seed)
-    except BudgetExceeded:
-        engine = gc.MDimEngine.windowed(algebra, seed=args.seed)
-    exact = engine.catalog is not None
-    extra = set()
-    if exact and args.summands:
-        extra = {int(t) for t in args.summands.split(",") if t.strip()}
-    if args.gencog:
-        data = json.load(open(args.gencog))
-        if data.get("fingerprint") != algebra.fingerprint():
-            raise InputError("GenCog file fingerprint does not match the algebra")
-        if data.get("summand_ids") and not exact:
-            raise InputError("catalog ids need a representation-finite instance")
-        extra.update(int(i) for i in data.get("summand_ids", []))
-        for mod_json in data.get("summands", []):
-            # a listed module may be a direct sum: register its pieces
-            module = rp.LayeredModule.from_json(algebra, mod_json)
-            extra.update(engine.registry.canon(piece)
-                         for piece, _ in rp.decompose_layered(module, args.seed))
+    engine = _engine(algebra, args)
+    extra = _extra_summands(algebra, engine, args)
     gencog = gc.GenCog(engine, engine.required_ids() | extra)
-    if exact:
+    if engine.catalog is not None:
         res = gc.gldim_end(gencog)
         report["results"] = {"mode": "exact" if res.exact else "upper-bound",
                              "value": "inf" if res.value == math.inf else res.value,
@@ -287,7 +306,7 @@ def cmd_construct(args):
         if args.d is None:
             raise InputError("construct thm32 needs --d")
         catalog = _catalog_cached(algebra, args)
-        engine = gc.MDimEngine.for_catalog(catalog, seed=args.seed)
+        engine = gc.MDimEngine.for_catalog(catalog)
         gencog, z = gc.construct_thm32(catalog, args.d, engine=engine)
         res = gc.gldim_end(gencog)
         results = {"d": args.d, "witness": catalog.label(z),
@@ -296,11 +315,7 @@ def cmd_construct(args):
     elif args.kind == "E":
         if args.i is None:
             raise InputError("construct E needs --i")
-        try:
-            catalog = _catalog_cached(algebra, args)
-            engine = gc.MDimEngine.for_catalog(catalog, seed=args.seed)
-        except BudgetExceeded:
-            engine = gc.MDimEngine.windowed(algebra, seed=args.seed)
+        engine = _engine(algebra, args)
         gencog = gc.construct_E(algebra, args.i, engine=engine)
         results = {"i": args.i, "summand_count": len(gencog.summands),
                    "summands": sorted(engine.registry.modules[s].dim_label()
@@ -311,14 +326,14 @@ def cmd_construct(args):
     elif args.kind == "lem47":
         if args.d is None:
             raise InputError("construct lem47 needs --d")
-        engine = gc.MDimEngine.windowed(algebra, seed=args.seed)
+        engine = gc.MDimEngine.windowed(algebra)
         gencog, n, z = gc.construct_lem47(algebra, args.d, engine=engine)
         results = {"d": args.d, "witness_Z": z.component_dims(),
                    "witness_N": n.dim_label(),
                    "summands": sorted(engine.registry.modules[s].dim_label()
                                       for s in gencog.summands)}
     else:
-        engine = gc.MDimEngine.windowed(algebra, seed=args.seed)
+        engine = gc.MDimEngine.windowed(algebra)
         gencog, n0, nprime = gc.construct_lem48(algebra, engine=engine)
         results = {"N": n0.dim_label(), "Nprime": nprime.component_dims(),
                    "summands": sorted(engine.registry.modules[s].dim_label()
@@ -334,7 +349,9 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     quiver = _load_quiver(args.quiver)
-    params = {"m": args.m, "p": args.prime, "seed": args.seed}
+    params = {"m": args.m, "p": args.prime}
+    if args.suite in vf.SEEDED_SUITES:
+        params["seed"] = args.seed
     if args.samples is not None:
         params["samples"] = args.samples
     if args.d is not None:

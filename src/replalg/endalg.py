@@ -224,7 +224,7 @@ def _cover_and_kernel(module):
                     big[offs[pi][u]:offs[pi][u] + part.dims[u],
                         offs[pi][t]:offs[pi][t] + part.dims[t]] = sub
                 moved = ef.mul(big, kbases[t], alg.p)
-                coords = ef.coordinates_in_span(kbases[u], moved, alg.p)
+                coords = ef.solve(kbases[u], moved, alg.p)
                 if coords is None:
                     raise AnomalyError("kernel not stable under the algebra action")
                 kaction[(t, u, r)] = coords

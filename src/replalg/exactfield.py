@@ -1,8 +1,9 @@
 """Deterministic exact linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  All
-routines are pure functions of their arguments (plus an explicit seed where
-randomness is involved), so results are reproducible across runs.
+routines are pure functions of their arguments, so results are
+reproducible across runs; the random draws inside `factor_poly` come from
+a fixed generator and never reach its output (a unique, sorted factorization).
 
 Entries stay below p <= ~10^6 and matrix sizes stay at desk scale, so
 int64 accumulation in matrix products is exact.
@@ -188,14 +189,6 @@ def det(a, p):
             if f:
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[col])]
     return out % p
-
-
-def coordinates_in_span(basis, vecs, p):
-    """Express columns of vecs in the column span of basis.
-
-    Returns x with basis @ x = vecs, or None if some column lies outside.
-    """
-    return solve(basis, vecs, p)
 
 
 def quotient_projection(span, n, p):
@@ -420,10 +413,11 @@ def _equal_degree_split(f, d, p, rng):
             return _equal_degree_split(g, d, p, rng) + _equal_degree_split(h, d, p, rng)
 
 
-def factor_poly(f, p, seed=DEFAULT_SEED):
+def factor_poly(f, p):
     """Irreducible factorization [(factor, multiplicity)], factors monic,
-    sorted by (degree, coefficients) for determinism."""
-    rng = np.random.default_rng(seed)
+    sorted by (degree, coefficients).  The factorization is unique, so the
+    random draws of the equal-degree split never change the result."""
+    rng = np.random.default_rng(0)
     f = poly_trim(f, p)
     if poly_deg(f) < 1:
         return []
@@ -437,11 +431,6 @@ def factor_poly(f, p, seed=DEFAULT_SEED):
         merged[tuple(fac)] = merged.get(tuple(fac), 0) + mult
     return sorted(((list(k), v) for k, v in merged.items()),
                   key=lambda t: (len(t[0]), t[0]))
-
-
-def factor_char_poly(a, p, seed=DEFAULT_SEED):
-    """Factor det(xI - a) into irreducibles over F_p."""
-    return factor_poly(char_poly(a, p), p, seed)
 
 
 def poly_eval_matrix(f, a, p):

@@ -77,7 +77,7 @@ class ApproxResult:
         self.surjective = morphism.is_surjective()
 
 
-def min_right_approx(summands, x, hom_fn=rp.hom_layered, seed=ef.DEFAULT_SEED):
+def min_right_approx(summands, x, hom_fn=rp.hom_layered):
     """Minimal right add-M approximation of X for M = (+) summands
     (pairwise non-isomorphic indecomposables).
 
@@ -96,7 +96,7 @@ def min_right_approx(summands, x, hom_fn=rp.hom_layered, seed=ef.DEFAULT_SEED):
             if not homs[j]:
                 continue
             if i == j:
-                rad_ij = rp.rad_end_basis(hom_fn(mi, mi), seed)
+                rad_ij = rp.rad_end_basis(hom_fn(mi, mi))
             else:
                 rad_ij = hom_fn(mi, mj)
             for r in rad_ij:
@@ -202,11 +202,9 @@ class MDimEngine:
     """Shared approximation/omega caches over a registry of canonical
     modules (the catalog in exact mode, a growing store in windowed mode)."""
 
-    def __init__(self, algebra, registry, seed=ef.DEFAULT_SEED,
-                 dim_cap=MDIM_DIM_CAP, catalog=None):
+    def __init__(self, algebra, registry, dim_cap=MDIM_DIM_CAP, catalog=None):
         self.algebra = algebra
         self.registry = registry
-        self.seed = seed
         self.dim_cap = dim_cap
         self.catalog = catalog
         self._required = None
@@ -214,13 +212,12 @@ class MDimEngine:
         self._homs = {}
 
     @classmethod
-    def for_catalog(cls, catalog, seed=ef.DEFAULT_SEED):
-        reg = IsoRegistry(list(catalog.modules), seed=seed)
-        return cls(catalog.algebra, reg, seed=seed, catalog=catalog)
+    def for_catalog(cls, catalog):
+        return cls(catalog.algebra, IsoRegistry(list(catalog.modules)), catalog=catalog)
 
     @classmethod
-    def windowed(cls, algebra, seed=ef.DEFAULT_SEED, dim_cap=MDIM_DIM_CAP):
-        return cls(algebra, IsoRegistry(seed=seed), seed=seed, dim_cap=dim_cap)
+    def windowed(cls, algebra, dim_cap=MDIM_DIM_CAP):
+        return cls(algebra, IsoRegistry(), dim_cap=dim_cap)
 
     def required_ids(self):
         """Registry ids of all proj(i,k) and inj(i,k): the summands every
@@ -272,7 +269,7 @@ class MDimEngine:
             return self._omega[key]
         x = self.registry.modules[x_id]
         mods = [self.registry.modules[i] for i in sorted(relevant)]
-        result = min_right_approx(mods, x, hom_fn=self.hom_fn(), seed=self.seed)
+        result = min_right_approx(mods, x, hom_fn=self.hom_fn())
         if not result.surjective:
             raise AnomalyError("approximation by a generator failed to be surjective")
         pieces = []
@@ -280,7 +277,7 @@ class MDimEngine:
             if result.kernel.total_dim > self.dim_cap:
                 self._omega[key] = None  # window exit
                 return None
-            for piece, mult in rp.decompose_layered(result.kernel, self.seed):
+            for piece, mult in rp.decompose_layered(result.kernel):
                 pid = self.registry.canon(piece)
                 pieces.extend([pid] * mult)
         out = tuple(sorted(pieces))
@@ -369,7 +366,7 @@ def m_dimension(gencog, x):
     if x.is_zero():
         return MDimResult(0, [()])
     pieces = []
-    for piece, mult in rp.decompose_layered(x, engine.seed):
+    for piece, mult in rp.decompose_layered(x):
         pid = engine.registry.canon(piece)
         pieces.extend([pid] * mult)
     values = []
@@ -538,7 +535,7 @@ def preprojective_slices(quiver, p, depth):
     return slices
 
 
-def ar_sequence_middle(quiver, p, z, pool, seed=ef.DEFAULT_SEED):
+def ar_sequence_middle(quiver, p, z, pool):
     """Middle-term summands (with multiplicity) of the almost split
     sequence ending in a non-projective module z, computed as rad/rad^2
     multiplicities over a pool of candidate indecomposables; the pool must
@@ -546,7 +543,7 @@ def ar_sequence_middle(quiver, p, z, pool, seed=ef.DEFAULT_SEED):
     preprojective module).  The mesh dimension identity is verified and
     failure raises."""
     tz = qr.tau(z)
-    pool_index = IsoRegistry(seed=seed, iso=qr.is_iso)
+    pool_index = IsoRegistry(iso=qr.is_iso)
     for m in pool:
         if m is not None and m.total_dim:
             pool_index.canon(m)
@@ -556,7 +553,7 @@ def ar_sequence_middle(quiver, p, z, pool, seed=ef.DEFAULT_SEED):
     def rad_basis(i, j):
         if i != j:
             return qr.hom_basis(mods[i], mods[j])
-        return rp.rad_end_basis(qr.hom_basis(mods[i], mods[i]), seed)
+        return rp.rad_end_basis(qr.hom_basis(mods[i], mods[i]))
 
     middle = []
     for y_idx, y in enumerate(mods):

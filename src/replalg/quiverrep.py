@@ -309,14 +309,14 @@ def hom_basis(m, n):
     return rp.hom_layered(m, n)
 
 
-def is_iso(m, n, seed=ef.DEFAULT_SEED):
+def is_iso(m, n):
     """Whether M and N are isomorphic."""
-    return rp.is_iso_layered(m, n, seed)
+    return rp.is_iso_layered(m, n)
 
 
-def decompose(m, seed=ef.DEFAULT_SEED):
+def decompose(m):
     """Indecomposable direct summands of M, as (module, multiplicity) pairs."""
-    return rp.decompose_layered(m, seed)
+    return rp.decompose_layered(m)
 
 
 def tau(m):

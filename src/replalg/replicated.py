@@ -516,7 +516,7 @@ class LayeredModule:
         alg = self.algebra
         mats = []
         for (src, tgt), mat in zip(alg.edges, self.edge_matrices()):
-            coords = ef.coordinates_in_span(bases[tgt], ef.mul(mat, bases[src], alg.p), alg.p)
+            coords = ef.solve(bases[tgt], ef.mul(mat, bases[src], alg.p), alg.p)
             if coords is None:
                 raise InputError("submodule bases not closed under the action")
             mats.append(coords)
@@ -762,7 +762,7 @@ def hom_dim_layered(m, n):
     return len(hom_layered(m, n))
 
 
-def is_iso_layered(m, n, seed=ef.DEFAULT_SEED):
+def is_iso_layered(m, n):
     """Whether M and N are isomorphic, decided exactly.
 
     Some basis element of Hom(M, N) is an isomorphism when M and N are
@@ -777,8 +777,9 @@ def is_iso_layered(m, n, seed=ef.DEFAULT_SEED):
     So when no basis element is invertible, M and N are not isomorphic if M
     is indecomposable, and otherwise they are compared through their
     Krull-Schmidt decompositions, whose pieces the scan decides exactly.
-    seed only drives the factoring inside Fitting splits; the verdict does
-    not depend on it.
+    The random generator inside a Fitting split picks which split is
+    found, never whether one exists, and the pieces are unique up to
+    isomorphism (Krull-Schmidt), so the verdict does not depend on it.
     """
     if m._dims != n._dims:
         return False
@@ -789,12 +790,12 @@ def is_iso_layered(m, n, seed=ef.DEFAULT_SEED):
         return False
     if find_invertible_combo([h.blocks for h in basis], m.p) is not None:
         return True
-    pieces = fitting_split(m, hom_layered, seed)
+    pieces = fitting_split(m, hom_layered)
     if len(pieces) == 1:
         return False
-    classes = IsoRegistry(seed=seed)
+    classes = IsoRegistry()
     ids = sorted(classes.canon(x) for x in pieces)
-    return ids == sorted(classes.canon(y) for y in fitting_split(n, hom_layered, seed))
+    return ids == sorted(classes.canon(y) for y in fitting_split(n, hom_layered))
 
 
 SEMI_INVARIANT_POINTS = (0, 1, 2, 5, 7, 11)
@@ -838,12 +839,11 @@ class IsoRegistry:
     iso_key() (which adds the semi-invariants, equal for isomorphic
     modules) and tried in id order, so a lookup finds the id a linear scan
     would, skipping only modules that cannot be isomorphic.  A module alone
-    in its dimensions never computes its key.  iso(candidate, module, seed)
-    is the test used (is_iso_layered by default)."""
+    in its dimensions never computes its key.  iso(candidate, module) is
+    the test used (is_iso_layered by default)."""
 
-    def __init__(self, modules=(), seed=ef.DEFAULT_SEED, iso=None):
+    def __init__(self, modules=(), iso=None):
         self.modules = []
-        self.seed = seed
         self.iso = iso
         self._buckets = {}
         self._by_identity = {}
@@ -855,7 +855,7 @@ class IsoRegistry:
         iso = self.iso or is_iso_layered
         for idx in self._buckets.get(m._dims, ()):
             cand = self.modules[idx]
-            if cand.iso_key() == m.iso_key() and iso(cand, m, self.seed):
+            if cand.iso_key() == m.iso_key() and iso(cand, m):
                 return idx
         return None
 
@@ -880,11 +880,11 @@ class IsoRegistry:
         return len(self.modules)
 
 
-def decompose_layered(m, seed=ef.DEFAULT_SEED):
+def decompose_layered(m):
     """Indecomposable summands of a layered module with multiplicities."""
-    classes = IsoRegistry(seed=seed)
+    classes = IsoRegistry()
     mults = []
-    for piece in fitting_split(m, hom_layered, seed):
+    for piece in fitting_split(m, hom_layered):
         idx = classes.find(piece)
         if idx is None:
             idx = classes.add(piece)
@@ -893,7 +893,7 @@ def decompose_layered(m, seed=ef.DEFAULT_SEED):
     return list(zip(classes.modules, mults))
 
 
-def rad_end_basis(ends, seed=ef.DEFAULT_SEED):
+def rad_end_basis(ends):
     """Basis of rad End(M), rref-reduced, from a basis `ends` of End(M),
     for M with local End.  When every f is scalar + nilpotent (residue
     field F_p) it is spanned by the nonzero f - lam*id.  Otherwise it is
@@ -906,7 +906,7 @@ def rad_end_basis(ends, seed=ef.DEFAULT_SEED):
     lams = [single_eigenvalue(f.blocks, p) for f in ends]
     if None in lams:
         basis = [f.blocks for f in ends]
-        mins = [primary_poly(blocks, p, seed)[0] for blocks in basis]
+        mins = [primary_poly(blocks, p)[0] for blocks in basis]
         ideal = None if None in mins else certified_radical(basis, mins, p)
         if ideal is None:
             raise AnomalyError(f"End({x!r}) is not certified local")

@@ -11,9 +11,9 @@ with the kind of its indecomposability verdict; both kinds are proofs:
     End/J is a field.
 
 The certificate is complete: once every basis endomorphism is primary, it
-fails only when End(M) is not local, and then a seeded Las Vegas search
-finds a split (see `_split_once`).  The seed can change which split is
-found, never whether one exists.  A module with local End(M) is
+fails only when End(M) is not local, and then a Las Vegas search finds a
+split (see `_split_once`).  Its fixed random generator picks which split
+is found, never whether one exists.  A module with local End(M) is
 indecomposable, so the certificate never hides a split.
 
 `find_invertible_combo` scans a basis of Hom(M, N) for an isomorphism,
@@ -39,8 +39,7 @@ def find_invertible_combo(bases, p):
     """A basis element of Hom(M, N) (as block lists) that is invertible,
     or None."""
     for blocks in bases:
-        if all(b.shape[0] == b.shape[1] and ef.rank(b, p) == b.shape[0]
-               for b in blocks):
+        if all(ef.is_invertible(b, p) for b in blocks):
             return blocks
     return None
 
@@ -82,11 +81,11 @@ def single_eigenvalue(blocks, p):
     return _scalar_root(endo_char_poly(blocks, p), p)
 
 
-def _primary_split(m, blocks, p, seed, facs=None):
+def _primary_split(m, blocks, p, facs=None):
     """Split m along the primary components of an endomorphism, or None.
     facs, when given, is the factorization of its characteristic polynomial."""
     if facs is None:
-        facs = ef.factor_poly(endo_char_poly(blocks, p), p, seed)
+        facs = ef.factor_poly(endo_char_poly(blocks, p), p)
     if len(facs) < 2:
         return None
     pieces = []
@@ -177,7 +176,7 @@ def certified_radical(basis, mins, p):
     return ideal
 
 
-def primary_poly(blocks, p, seed=ef.DEFAULT_SEED):
+def primary_poly(blocks, p):
     """(g, facs) for an endomorphism f given by its blocks.  When f is
     primary, g is the irreducible polynomial with g(f) nilpotent: x - lam
     read off without factoring when f is lam*id + nilpotent (facs is then
@@ -188,11 +187,11 @@ def primary_poly(blocks, p, seed=ef.DEFAULT_SEED):
     lam = _scalar_root(cp, p)
     if lam is not None:
         return [(-lam) % p, 1], None
-    facs = ef.factor_poly(cp, p, seed)
+    facs = ef.factor_poly(cp, p)
     return (facs[0][0] if len(facs) == 1 else None), facs
 
 
-def _split_once(m, hom_fn, seed):
+def _split_once(m, hom_fn):
     """(pieces, None) for one nontrivial split of m, or (None, kind) when m
     is indecomposable, with kind the verdict kind (see the module doc).
 
@@ -200,8 +199,10 @@ def _split_once(m, hom_fn, seed):
     polynomial is (x - lam)^n (read off without factoring), or it is
     factored once.  The first f_i with two distinct irreducible factors
     splits m.  Otherwise every f_i is primary, which is what the locality
-    certificate needs.  When it fails, End is not local, and seeded random
-    combinations are tried until one splits m (a Las Vegas search).
+    certificate needs.  When it fails, End is not local, and random
+    combinations are tried until one splits m (a Las Vegas search).  The
+    generator is fixed: it picks which split is found, never whether one
+    exists.
 
     Why the search ends.  The projection End -> End/rad is linear and onto,
     so a uniform f maps to a uniform element a of the semisimple algebra
@@ -223,26 +224,26 @@ def _split_once(m, hom_fn, seed):
     basis = [f.blocks for f in ends]
     mins = []
     for blocks in basis:
-        g, facs = primary_poly(blocks, p, seed)
+        g, facs = primary_poly(blocks, p)
         if g is None:
-            return _primary_split(m, blocks, p, seed, facs), None
+            return _primary_split(m, blocks, p, facs), None
         mins.append(g)
     if certified_radical(basis, mins, p) is not None:
         return None, CERTIFIED_LOCAL
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     nblocks = len(basis[0])
     for _ in range(1000):
         coeffs = rng.integers(0, p, size=r)
         blocks = [np.mod(sum(int(c) * f[i] for c, f in zip(coeffs, basis)), p)
                   for i in range(nblocks)]
-        pieces = _primary_split(m, blocks, p, seed)
+        pieces = _primary_split(m, blocks, p)
         if pieces:
             return pieces, None
     raise AnomalyError(f"End({m!r}) is not local, yet 1000 random endomorphisms "
                        "failed to split it")
 
 
-def fitting_split_labelled(m, hom_fn, seed=ef.DEFAULT_SEED):
+def fitting_split_labelled(m, hom_fn):
     """The pieces of `fitting_split`, in the same order, each paired with
     the kind of its indecomposability verdict (one of VERDICT_KINDS)."""
     if m.total_dim > DIM_CAP:
@@ -253,7 +254,7 @@ def fitting_split_labelled(m, hom_fn, seed=ef.DEFAULT_SEED):
         cur = stack.pop(0)
         if cur.total_dim == 0:
             continue
-        pieces, kind = _split_once(cur, hom_fn, seed)
+        pieces, kind = _split_once(cur, hom_fn)
         if pieces is None:
             out.append((cur, kind))
         else:
@@ -261,7 +262,7 @@ def fitting_split_labelled(m, hom_fn, seed=ef.DEFAULT_SEED):
     return out
 
 
-def fitting_split(m, hom_fn, seed=ef.DEFAULT_SEED):
+def fitting_split(m, hom_fn):
     """All indecomposable pieces of m, with repetition, in a deterministic
     order.  hom_fn(M, N) must return a basis of Hom(M, N)."""
-    return [piece for piece, _ in fitting_split_labelled(m, hom_fn, seed)]
+    return [piece for piece, _ in fitting_split_labelled(m, hom_fn)]

@@ -22,18 +22,21 @@ from .gencog import GenCog, MDimEngine, WitnessNotFound
 
 SUITES = ("thm1", "thm32_all_d", "prop41", "lem22", "lem23_2", "lem31_random",
           "lem45", "cor42", "lem47", "lem48")
+# the suites that sample (random generator-cogenerators, or the window
+# census's random extension classes); only these take a seed
+SEEDED_SUITES = ("thm1", "prop41", "lem22", "lem31_random", "lem45", "cor42", "lem47")
 
 _CONTEXTS = {}
 
 
-def catalog_context(quiver, m, p, seed=ef.DEFAULT_SEED, budget=ar.CATALOG_BUDGET):
+def catalog_context(quiver, m, p):
     """(algebra, catalog, engine) for a representation-finite instance,
-    memoized per (quiver, m, p, seed)."""
-    key = (quiver.to_text(), m, p, seed)
+    memoized per (quiver, m, p)."""
+    key = (quiver.to_text(), m, p)
     if key not in _CONTEXTS:
         algebra = rp.build_replicated(quiver, m, p)
-        catalog = ar.indec_catalog(algebra, budget=budget, seed=seed)
-        engine = MDimEngine.for_catalog(catalog, seed=seed)
+        catalog = ar.indec_catalog(algebra)
+        engine = MDimEngine.for_catalog(catalog)
         _CONTEXTS[key] = (algebra, catalog, engine)
     return _CONTEXTS[key]
 
@@ -71,7 +74,7 @@ def suite_thm1(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=20
     """Both directions of the orbit-cardinality theorem on a
     representation-finite catalog, plus a randomized upper-bound sweep."""
     t0 = time.monotonic()
-    _, catalog, engine = catalog_context(quiver, m, p, seed)
+    _, catalog, engine = catalog_context(quiver, m, p)
     table = ar.tau_orbits(catalog)
     cap = table.max_cardinality()
     checks, bad = [], []
@@ -106,9 +109,9 @@ def suite_thm1(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=20
     return _report("thm1", params, checks, bad, t0)
 
 
-def suite_thm32_all_d(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
+def suite_thm32_all_d(quiver, m=1, p=ef.DEFAULT_PRIME):
     t0 = time.monotonic()
-    _, catalog, engine = catalog_context(quiver, m, p, seed)
+    _, catalog, engine = catalog_context(quiver, m, p)
     cap = ar.tau_orbits(catalog).max_cardinality()
     checks, bad = [], []
     for d in range(2, cap + 1):
@@ -130,7 +133,7 @@ def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
     t = rp.global_dimension(algebra)
     checks, bad = [], []
     if mode == "exact":
-        _, catalog, engine = catalog_context(quiver, m, p, seed)
+        _, catalog, engine = catalog_context(quiver, m, p)
         for i in range(1, t):
             ei = gc.construct_E(algebra, i, engine=engine)
             got = gc.gldim_end(ei).value
@@ -148,7 +151,7 @@ def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
     else:
         census = w.census_modules(algebra, bound, seed)
         for i in range(1, t):
-            engine = MDimEngine.windowed(algebra, seed=seed)
+            engine = MDimEngine.windowed(algebra)
             ei = gc.construct_E(algebra, i, engine=engine)
             res = gc.gldim_end_windowed(ei, census)
             entry = {"check": f"E_{i} windowed", "want": i + 2,
@@ -199,14 +202,14 @@ def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
                              "window": window}, checks, bad, t0)
 
 
-def suite_lem23_2(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
+def suite_lem23_2(quiver, m=1, p=ef.DEFAULT_PRIME):
     """pd sandwich: pd M = k iff Sigma_{k-1} < M <= Sigma_k, with the
     predecessor relation computed in the K = 2m+1 window catalog."""
     t0 = time.monotonic()
-    algebra, catalog, _ = catalog_context(quiver, m, p, seed)
+    algebra, catalog, _ = catalog_context(quiver, m, p)
     window = 2 * m + 1
     walg = rp.build_replicated(quiver, window, p, check=False)
-    wcatalog = ar.indec_catalog(walg, seed=seed)
+    wcatalog = ar.indec_catalog(walg)
     strata_ids = {}
     max_k = 2 * m + 1
     for k in range(max_k + 1):
@@ -255,7 +258,7 @@ def suite_lem31_random(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
     """If every X outside add M has tau^(d-1) X = 0, then
     gl.dim End(M) <= d, sampled over random generator-cogenerators."""
     t0 = time.monotonic()
-    _, catalog, engine = catalog_context(quiver, m, p, seed)
+    _, catalog, engine = catalog_context(quiver, m, p)
     table = ar.tau_orbits(catalog)
     steps = {}
     for orbit in table.orbits:
@@ -279,7 +282,7 @@ def suite_lem45(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=1
     layer-0 modules, Omega_M^(2m)(X) is a layer-0 module for every
     non-injective indecomposable X."""
     t0 = time.monotonic()
-    _, catalog, engine = catalog_context(quiver, m, p, seed)
+    _, catalog, engine = catalog_context(quiver, m, p)
     forced = engine.required_ids()
     layer0_free = [i for i in range(len(catalog))
                    if catalog.layer0(i) and i not in forced]
@@ -319,7 +322,7 @@ def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
     algebra = rp.build_replicated(quiver, m, p)
     checks, bad = [], []
     if mode == "exact":
-        _, catalog, engine = catalog_context(quiver, m, p, seed)
+        _, catalog, engine = catalog_context(quiver, m, p)
         e1 = gc.construct_E(algebra, 1, engine=engine)
         got = gc.gldim_end(e1).value
         checks.append({"check": "gl.dim End(E_1) <= 3", "got": got, "ok": got <= 3})
@@ -332,7 +335,7 @@ def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
             bad.append({"additive": got2})
     else:
         census = w.census_modules(algebra, bound, seed)
-        engine = MDimEngine.windowed(algebra, seed=seed)
+        engine = MDimEngine.windowed(algebra)
         e1 = gc.construct_E(algebra, 1, engine=engine)
         res = gc.gldim_end_windowed(e1, census)
         ok = res.window_checked is not None and res.window_checked <= 3 \
@@ -351,7 +354,7 @@ def _states_match(engine, state, module):
     module (up to iso)."""
     pieces = []
     if not module.is_zero():
-        for piece, mult in rp.decompose_layered(module, engine.seed):
+        for piece, mult in rp.decompose_layered(module):
             pieces.extend([engine.registry.canon(piece)] * mult)
     return tuple(sorted(pieces)) == tuple(sorted(state))
 
@@ -361,12 +364,12 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
     windowed upper check."""
     t0 = time.monotonic()
     algebra = rp.build_replicated(quiver, m, p)
-    engine = MDimEngine.windowed(algebra, seed=seed)
+    engine = MDimEngine.windowed(algebra)
     gencog, n, z = gc.construct_lem47(algebra, d, engine=engine)
     checks, bad = [], []
     # chain identities Omega_M^j(N) = Omega^j(N) for j <= 2m, ending at Z
     state = tuple(sorted(engine.registry.canon(piece)
-                         for piece, mult in rp.decompose_layered(n, seed)
+                         for piece, mult in rp.decompose_layered(n)
                          for _ in range(mult)))
     syz = n
     ok_chain = True
@@ -382,7 +385,7 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
     checks.append({"check": "Omega_M^j(N) = Omega^j(N), j <= 2m", "ok": ok_chain})
     z0 = rp.rep_at_layer(algebra, z, 0)
     ok_end = len(state) == 1 and rp.is_iso_layered(
-        engine.registry.modules[state[0]], z0, seed)
+        engine.registry.modules[state[0]], z0)
     checks.append({"check": "Omega_M^{2m}(N) = Z", "ok": ok_end})
     if not ok_end:
         bad.append({"check": "Omega_M^{2m}(N) = Z",
@@ -425,22 +428,21 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
                              "witness_N": n.dim_label()}, checks, bad, t0)
 
 
-def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
+def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME):
     """The infinite case: Omega_M(N) = N + projective and M-dim N = inf
     with a cycle certificate."""
     t0 = time.monotonic()
     algebra = rp.build_replicated(quiver, m, p)
-    engine = MDimEngine.windowed(algebra, seed=seed)
+    engine = MDimEngine.windowed(algebra)
     gencog, n0, nprime = gc.construct_lem48(algebra, engine=engine)
     checks, bad = [], []
     summands = [engine.registry.modules[i] for i in sorted(gencog.summands)]
-    res = gc.min_right_approx(summands, n0, seed=seed)
-    pieces = rp.decompose_layered(res.kernel, seed)
+    res = gc.min_right_approx(summands, n0)
+    pieces = rp.decompose_layered(res.kernel)
     projectives = rp.IsoRegistry(
-        [algebra.proj(i, k) for k in range(m + 1) for i in range(quiver.n_vertices)],
-        seed=seed)
+        [algebra.proj(i, k) for k in range(m + 1) for i in range(quiver.n_vertices)])
     non_proj = [piece for piece, _ in pieces if projectives.find(piece) is None]
-    ok_kernel = len(non_proj) == 1 and rp.is_iso_layered(non_proj[0], n0, seed)
+    ok_kernel = len(non_proj) == 1 and rp.is_iso_layered(non_proj[0], n0)
     checks.append({"check": "Omega_M(N) = N + projective",
                    "kernel": res.kernel.dim_label(), "ok": ok_kernel})
     if not ok_kernel:
@@ -457,19 +459,8 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
 
 
 def verify(suite, quiver, **params):
-    """Dispatch a named suite; unknown names raise InputError."""
-    table = {
-        "thm1": suite_thm1,
-        "thm32_all_d": suite_thm32_all_d,
-        "prop41": suite_prop41,
-        "lem22": suite_lem22,
-        "lem23_2": suite_lem23_2,
-        "lem31_random": suite_lem31_random,
-        "lem45": suite_lem45,
-        "cor42": suite_cor42,
-        "lem47": suite_lem47,
-        "lem48": suite_lem48,
-    }
-    if suite not in table:
+    """Dispatch a named suite (function suite_<name>); unknown names raise
+    InputError."""
+    if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return table[suite](quiver, **params)
+    return globals()[f"suite_{suite}"](quiver, **params)

@@ -8,7 +8,7 @@ closure is explicitly partial (results quote the window); it combines
   * simples, projectives, injectives of the base algebra,
   * tau^{-1} walks from projectives and tau walks from injectives,
   * middle terms of all extension classes between census members (the
-    whole class space when p^e is small, basis classes plus seeded
+    whole class space when p^e is small, basis classes plus seeded random
     combinations otherwise), iterated to a fixpoint,
 
 and then transports the base census into the replicated algebra by
@@ -30,7 +30,7 @@ CLOSURE_ROUNDS = 4
 def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
     """Window census of indecomposable modules over the base hereditary
     algebra with every vertex dimension <= bound (partial by design)."""
-    found = rp.IsoRegistry(seed=seed, iso=qr.is_iso)
+    found = rp.IsoRegistry(iso=qr.is_iso)
 
     def add(m):
         if m.total_dim == 0 or any(d > bound for d in m.component_dims()) \
@@ -57,26 +57,33 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
                 break
             add(cur)
     rng = np.random.default_rng(seed)
+    # kept across rounds, keyed by census ids: a class realized in an
+    # earlier round has already offered every piece of its middle term
+    ext1, realized = {}, set()
     for _ in range(CLOSURE_ROUNDS):
         grew = False
         snapshot = list(found.modules)
-        for m in snapshot:
-            for n in snapshot:
+        for i, m in enumerate(snapshot):
+            for j, n in enumerate(snapshot):
                 if any(a + b > bound for a, b in zip(m.component_dims(), n.component_dims())):
                     continue
-                e = qr.ext1_dim(m, n)
+                if (i, j) not in ext1:
+                    ext1[i, j] = qr.ext1_dim(m, n)
+                e = ext1[i, j]
                 if e == 0:
                     continue
                 if p ** e <= EXT_ENUM_CAP:
                     coeff_list = [_digits(code, p, e) for code in range(1, p ** e)]
                 else:
-                    coeff_list = [[1 if t == j else 0 for t in range(e)] for j in range(e)]
+                    coeff_list = [[1 if t == k else 0 for t in range(e)] for k in range(e)]
                     coeff_list += [list(rng.integers(0, p, size=e)) for _ in range(4)]
                 for coeffs in coeff_list:
-                    if not any(coeffs):
+                    key = (i, j, tuple(int(c) for c in coeffs))
+                    if not any(coeffs) or key in realized:
                         continue
+                    realized.add(key)
                     middle, _, _ = qr.realize_extension_class(m, n, coeffs)
-                    for piece, _ in qr.decompose(middle, seed):
+                    for piece, _ in qr.decompose(middle):
                         if add(piece):
                             grew = True
         if not grew:
@@ -100,7 +107,7 @@ def census_modules(algebra, bound, seed=ef.DEFAULT_SEED):
     quiver, p, m = algebra.quiver, algebra.p, algebra.m
     base = base_indecomposables(quiver, p, bound, seed)
     walg = rp.build_replicated(quiver, 2 * m + 2, p, check=False)
-    out = rp.IsoRegistry(seed=seed)
+    out = rp.IsoRegistry()
 
     def add(mod):
         if not mod.is_zero() and all(d <= bound for d in mod.component_dims()):

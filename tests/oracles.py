@@ -58,10 +58,10 @@ def exhaustive_indecomposables_a2_m1(p):
 # ---------------------------------------------------------------------------
 
 
-def reference_single_eigenvalue(blocks, p, seed=ef.DEFAULT_SEED):
+def reference_single_eigenvalue(blocks, p):
     """lam if the endomorphism is lam*id + nilpotent, else None, by
     factoring the characteristic polynomial."""
-    facs = ef.factor_poly(sp.endo_char_poly(blocks, p), p, seed)
+    facs = ef.factor_poly(sp.endo_char_poly(blocks, p), p)
     if len(facs) == 1 and ef.poly_deg(facs[0][0]) == 1:
         return (-facs[0][0][0]) % p
     if not facs:  # zero-dimensional module
@@ -76,7 +76,7 @@ def _reference_split_once(m, hom_fn, seed):
         return None
     p = m.p
     for f in ends:
-        pieces = sp._primary_split(m, f.blocks, p, seed)
+        pieces = sp._primary_split(m, f.blocks, p)
         if pieces:
             return pieces
     rng = np.random.default_rng(seed)
@@ -85,7 +85,7 @@ def _reference_split_once(m, hom_fn, seed):
         coeffs = rng.integers(0, p, size=r)
         blocks = [np.mod(sum(int(c) * f.blocks[i] for c, f in zip(coeffs, ends)), p)
                   for i in range(nblocks)]
-        pieces = sp._primary_split(m, blocks, p, seed)
+        pieces = sp._primary_split(m, blocks, p)
         if pieces:
             return pieces
     if p ** r <= 4096 * (p - 1):
@@ -96,7 +96,7 @@ def _reference_split_once(m, hom_fn, seed):
                 continue
             blocks = [np.mod(sum(c * f.blocks[i] for c, f in zip(coeffs, ends)), p)
                       for i in range(nblocks)]
-            pieces = sp._primary_split(m, blocks, p, seed)
+            pieces = sp._primary_split(m, blocks, p)
             if pieces:
                 return pieces
     return None
@@ -232,14 +232,13 @@ class LinearScanRegistry:
     every lookup tests each registered module of equal component dims, in
     id order, with is_iso_layered."""
 
-    def __init__(self, seed=ef.DEFAULT_SEED):
+    def __init__(self):
         self.modules = []
-        self.seed = seed
 
     def canon(self, m):
         for idx, cand in enumerate(self.modules):
             if cand.component_dims() == m.component_dims() \
-                    and rp.is_iso_layered(cand, m, self.seed):
+                    and rp.is_iso_layered(cand, m):
                 return idx
         self.modules.append(m)
         return len(self.modules) - 1

@@ -205,3 +205,54 @@ def test_gldim_end_gencog_file_with_a_direct_sum(tmp_path):
         assert code == 0, err
         results[name] = json.loads(out)["results"]
     assert results["sum"] == results["apart"] == {"mode": "exact", "value": 4, "summands": 11}
+
+
+def test_gldim_end_summands_rejected_in_windowed_mode():
+    # catalog ids need a catalog: when the catalog exceeds --budget the
+    # windowed fallback refuses them instead of dropping them
+    argv = ("gldim-end", "--quiver", quiver("a2.q"), "--m", "1", "--budget", "3",
+            "--window", "1", "--json")
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and json.loads(out)["results"]["mode"] == "windowed"
+    code, out, err = run_cli(*argv, "--summands", "0,1,2")
+    assert code == 2 and out == ""
+    assert "representation-finite" in err
+
+
+def test_gldim_end_rejects_bad_summand_ids():
+    for ids in ("0,1,99", "0,x"):
+        code, out, err = run_cli("gldim-end", "--quiver", quiver("a2.q"), "--m", "1",
+                                 "--summands", ids, "--json")
+        assert code == 2 and out == "" and "error:" in err, ids
+
+
+def test_exact_reports_do_not_depend_on_the_seed():
+    # the seed drives sampling only; these commands sample nothing
+    for argv in (("ar-quiver", "--quiver", quiver("a3.q"), "--m", "2"),
+                 ("verify", "lem48", "--quiver", quiver("kron.q"), "--prime", "3")):
+        reports = []
+        for seed in (0, 5):
+            code, out, err = run_cli(*argv, "--json", "--seed", str(seed))
+            assert code == 0, err
+            report = json.loads(out)
+            assert report["inputs"].pop("seed") == seed
+            reports.append(report)
+        assert reports[0] == reports[1], argv
+
+
+def test_cache_file_with_a_seed_key_still_loads(tmp_path):
+    # catalog caches written by older versions carry a "seed" key
+    cache = tmp_path / "cache"
+    argv = ("indecs", "--quiver", quiver("a2.q"), "--m", "1", "--cache", str(cache),
+            "--json")
+    code, out1, _ = run_cli(*argv)
+    assert code == 0
+    [path] = cache.glob("catalog_*.json")
+    data = json.loads(path.read_text())
+    assert "seed" not in data
+    data["seed"] = 3
+    path.write_text(json.dumps(data, sort_keys=True))
+    code, out2, err = run_cli(*argv)
+    assert code == 0 and "warning" not in err
+    assert out2 == out1
+    assert json.loads(path.read_text())["seed"] == 3  # loaded, not rebuilt

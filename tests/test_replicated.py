@@ -549,8 +549,8 @@ def test_iso_registry_makes_no_negative_iso_test_on_kronecker_census():
     _, stream = _registry_stream(np.random.default_rng(3))
     outcomes = []
 
-    def iso(a, b, seed):
-        outcomes.append(rp.is_iso_layered(a, b, seed))
+    def iso(a, b):
+        outcomes.append(rp.is_iso_layered(a, b))
         return outcomes[-1]
 
     reg = rp.IsoRegistry(iso=iso)

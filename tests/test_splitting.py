@@ -36,8 +36,8 @@ def _record_verdicts(monkeypatch):
     module machinery and the catalog while monkeypatch is active."""
     seen = collections.Counter()
 
-    def recording_split(m, hom_fn, seed=ef.DEFAULT_SEED):
-        labelled = sp.fitting_split_labelled(m, hom_fn, seed)
+    def recording_split(m, hom_fn):
+        labelled = sp.fitting_split_labelled(m, hom_fn)
         seen.update(kind for _, kind in labelled)
         return [piece for piece, _ in labelled]
 

@@ -1,5 +1,9 @@
+import inspect
+
 import pytest
 
+from replalg import (artrans, cli, endalg, exactfield, gencog, quiverrep, replicated,
+                     splitting, verify, windows)
 from replalg import quiverrep as qr
 from replalg import verify as vf
 from replalg.errors import InputError
@@ -62,3 +66,23 @@ def test_lem48_report_payload():
     assert report["verdict"] == "pass"
     assert report["params"]["N"] == "1,1|0,0"
     assert report["params"]["Nprime"] == [2, 2]
+
+
+def test_only_sampling_routines_take_a_seed():
+    taking = set()
+    for mod in (exactfield, splitting, replicated, quiverrep, artrans, gencog, endalg,
+                windows, verify, cli):
+        short = mod.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            funcs = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                funcs = [(f"{name}.{attr}", getattr(obj, attr)) for attr, f in vars(obj).items()
+                         if isinstance(f, (classmethod, staticmethod)) or inspect.isfunction(f)]
+            taking.update(f"{short}.{label}" for label, f in funcs
+                          if "seed" in inspect.signature(f).parameters)
+    suites = ("thm1", "prop41", "lem22", "lem31_random", "lem45", "cor42", "lem47")
+    assert taking == {"verify.random_gencogs", "windows.base_indecomposables",
+                      "windows.census_modules"} | {f"verify.suite_{s}" for s in suites}
+    assert set(vf.SEEDED_SUITES) == set(suites)
