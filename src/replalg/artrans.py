@@ -82,7 +82,11 @@ def _presentation_matrix(m):
 
 
 def transpose_layered(m):
-    """Tr M as a module over the opposite replicated algebra."""
+    """Tr M as a module over the opposite replicated algebra: the cokernel
+    of the dual presentation map P0* -> P1* = (+)_t P1_t*.  Its block
+    from summand s to summand t is the generator morphism P0_s* -> P1_t*
+    given by lam[s][t]; the blocks are disjoint, so each is written
+    straight into the per-component matrices of the map."""
     alg = m.algebra
     op = alg.opposite()
     summands0, summands1, lam = _presentation_matrix(m)
@@ -93,12 +97,9 @@ def transpose_layered(m):
         return (i, alg.m - k)
 
     parts1 = [op.proj(*sigma_comp(i, k)) for (i, k) in summands1]
-    total1, incls1, _ = LayeredModule.direct_sum(parts1)
-    if not summands0:
-        return total1
-    parts0 = [op.proj(*sigma_comp(i, k)) for (i, k) in summands0]
-    total0, _, projs0 = LayeredModule.direct_sum(parts0)
-    acc = None
+    total1, offs1 = LayeredModule.block_sum(parts1)
+    offs0, dims0 = rp.component_offsets([op.proj(*sigma_comp(i, k)) for (i, k) in summands0])
+    blocks = [ef.zeros(rows, cols) for rows, cols in zip(total1.component_dims(), dims0)]
     for s, (i0, k0) in enumerate(summands0):
         io, ko = sigma_comp(i0, k0)
         for t in range(len(summands1)):
@@ -111,11 +112,10 @@ def transpose_layered(m):
             for b, c in lam[s][t]:
                 vec[slot.index(alg.to_opposite_element(b))] = c
             _, mor = rp.generator_morphism((ko, io), np.mod(vec, alg.p), parts1[t])
-            blk = incls1[t].compose(mor).compose(projs0[s])
-            acc = blk if acc is None else acc.add(blk)
-    if acc is None:
-        return total1
-    return acc.cokernel()[0]
+            for out, blk, row, col in zip(blocks, mor.blocks, offs1[t], offs0[s]):
+                if blk.size:
+                    out[row:row + blk.shape[0], col:col + blk.shape[1]] = blk
+    return total1.quotient(blocks)[0]
 
 
 def tau(m):

@@ -89,7 +89,8 @@ def _catalog_cached(algebra, args):
         path = os.path.join(args.cache, f"catalog_{fp}.json")
         if os.path.exists(path):
             try:
-                data = json.load(open(path))
+                with open(path) as fh:
+                    data = json.load(fh)
                 return ar.IndecCatalog.from_json(algebra, data)
             except (InputError, ValueError, KeyError) as exc:
                 print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)

@@ -126,7 +126,7 @@ def min_right_approx(summands, x, hom_fn=rp.hom_layered):
     parts = []
     for i, chosen in reps:
         parts.extend([summands[i]] * len(chosen))
-    total, _, _ = LayeredModule.direct_sum(parts)
+    total, _ = LayeredModule.block_sum(parts)
     blocks = []
     ncomp = x.algebra.n_components
     for c in range(ncomp):

@@ -143,7 +143,8 @@ class Quiver:
 
     @classmethod
     def load(cls, path):
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
         if text.lstrip().startswith("{"):
             return cls.from_json(json.loads(text))
         return cls.from_text(text)

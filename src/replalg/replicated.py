@@ -41,6 +41,13 @@ Layer = namedtuple("Layer", "dims maps")
 Layer.__doc__ = """One layer of a module: per-vertex dimensions and one
 matrix per arrow, of shape (dims[target], dims[source])."""
 
+_Assembled = namedtuple("_Assembled", "dims mats")
+_Assembled.__doc__ = """Component dims and action matrices in the order of
+algebra.edges, int64 and already reduced mod p: the form in which internal
+constructions (LayeredModule._assemble) hand a module to
+LayeredModule.__init__, which checks every shape and relation of it but
+neither copies nor reduces the matrices."""
+
 Relation = namedtuple("Relation", "kind lhs rhs out row col k q r")
 Relation.__doc__ = """One bimodule relation: out = lhs @ rhs, or lhs @ rhs = 0
 when out is None.  lhs, rhs and out index LayeredModule.edge_matrices();
@@ -365,14 +372,14 @@ def _layer(quiver, p, dims, maps=None):
     return Layer(shape_dims, out)
 
 
-def _block_diag(blocks):
-    out = ef.zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
+def component_offsets(mods):
+    """(offsets, dims) of the direct sum of mods: offsets[i][c] is the first
+    row of summand i inside component c, dims[c] the sum's dimension there."""
+    offsets, run = [], [0] * mods[0].algebra.n_components
+    for m in mods:
+        offsets.append(run)
+        run = [r + d for r, d in zip(run, m._dims)]
+    return offsets, run
 
 
 class LayeredModule:
@@ -381,7 +388,21 @@ class LayeredModule:
     connecting matrices for every dual basis element."""
 
     def __init__(self, algebra, layers, conn=None, maximal_conn=None):
+        """layers: one (dims, maps) pair per level, with conn (every
+        connecting matrix) or maximal_conn (those of maximal paths; the
+        rest are derived); or an _Assembled record from _assemble."""
         self.algebra = algebra
+        if isinstance(layers, _Assembled):
+            self._adopt(*layers)
+        else:
+            self._coerce(layers, conn, maximal_conn)
+        self._validate()
+        self._iso_key = None
+
+    def _coerce(self, layers, conn, maximal_conn):
+        """Public input: layers as (dims, maps) pairs and connecting
+        matrices, copied to int64, reduced mod p and shape-checked."""
+        algebra = self.algebra
         quiver, p, pb = algebra.quiver, algebra.p, algebra.quiver.paths
         if len(layers) != algebra.m + 1:
             raise InputError(f"expected {algebra.m + 1} layers, got {len(layers)}")
@@ -401,18 +422,32 @@ class LayeredModule:
             self.conn[(k, pid)] = mat
         self._edge_mats = tuple(mat for layer in self.layers for mat in layer.maps) + \
             tuple(self.conn[key] for key in algebra.conn_keys)
-        self._validate()
-        self._iso_key = None
+
+    def _adopt(self, dims, mats):
+        """Internal input (see _Assembled): shapes are checked, and the
+        matrices become the module's own without a copy."""
+        algebra = self.algebra
+        if len(dims) != algebra.n_components or len(mats) != len(algebra.edges):
+            raise InputError(f"expected {algebra.n_components} component dims and "
+                             f"{len(algebra.edges)} action matrices, got {len(dims)} and {len(mats)}")
+        self._dims = dims = tuple(dims)
+        for e, ((src, tgt), mat) in enumerate(zip(algebra.edges, mats)):
+            if mat.shape != (dims[tgt], dims[src]):
+                raise InputError(f"action edge {e}: matrix shape {mat.shape}, "
+                                 f"expected {(dims[tgt], dims[src])}")
+        nv, na = algebra.quiver.n_vertices, len(algebra.quiver.arrows)
+        self.layers = [Layer(dims[k * nv:(k + 1) * nv], list(mats[k * na:(k + 1) * na]))
+                       for k in range(algebra.m + 1)]
+        self.conn = dict(zip(algebra.conn_keys, mats[(algebra.m + 1) * na:]))
+        self._edge_mats = tuple(mats)
 
     @classmethod
     def _assemble(cls, algebra, dims, mats):
         """The module with component dims and action matrices in the order
-        of algebra.edges (the inverse of component_dims/edge_matrices)."""
-        nv, na = algebra.quiver.n_vertices, len(algebra.quiver.arrows)
-        layers = [(dims[k * nv:(k + 1) * nv], mats[k * na:(k + 1) * na])
-                  for k in range(algebra.m + 1)]
-        conn = dict(zip(algebra.conn_keys, mats[(algebra.m + 1) * na:]))
-        return cls(algebra, layers, conn=conn)
+        of algebra.edges (the inverse of component_dims/edge_matrices).
+        The matrices must be int64 and reduced mod p; they are adopted
+        without a copy, and __init__ checks their shapes and relations."""
+        return cls(algebra, _Assembled(dims, mats))
 
     def _derive_conn(self, maximal_conn):
         """Fill in connecting matrices for all paths from the maximal-path
@@ -514,52 +549,68 @@ class LayeredModule:
         """Submodule spanned by per-component column bases (must be closed
         under all actions).  Returns (sub, inclusion)."""
         alg = self.algebra
+        if len(bases) != alg.n_components:
+            raise InputError(f"expected {alg.n_components} submodule bases, got {len(bases)}")
+        bases = [np.mod(np.asarray(b, dtype=np.int64), alg.p) for b in bases]
         mats = []
-        for (src, tgt), mat in zip(alg.edges, self.edge_matrices()):
+        for (src, tgt), mat in zip(alg.edges, self._edge_mats):
             coords = ef.solve(bases[tgt], ef.mul(mat, bases[src], alg.p), alg.p)
             if coords is None:
                 raise InputError("submodule bases not closed under the action")
             mats.append(coords)
         sub = LayeredModule._assemble(alg, [b.shape[1] for b in bases], mats)
-        return sub, LayeredMorphism(sub, self, [b.copy() for b in bases])
+        return sub, LayeredMorphism._reduced(sub, self, bases)
 
     def quotient(self, span):
         """Quotient by the span of per-component columns (must be stable
         under all actions).  Returns (quotient, projection)."""
         alg, p = self.algebra, self.algebra.p
+        if len(span) != alg.n_components or any(
+                s.shape[0] != dim for s, dim in zip(span, self._dims)):
+            raise InputError("quotient span does not match the module's component dims")
         projs, sections = zip(*[ef.quotient_projection(span[c], dim, p)
-                                for c, dim in enumerate(self.component_dims())])
+                                for c, dim in enumerate(self._dims)])
         mats = [ef.mul(projs[tgt], ef.mul(mat, sections[src], p), p)
-                for (src, tgt), mat in zip(alg.edges, self.edge_matrices())]
+                for (src, tgt), mat in zip(alg.edges, self._edge_mats)]
         quo = LayeredModule._assemble(alg, [pr.shape[0] for pr in projs], mats)
-        proj = LayeredMorphism(self, quo, projs)
+        proj = LayeredMorphism._reduced(self, quo, list(projs))
         if not proj.is_morphism():
             raise InputError("quotient span is not stable under all actions")
         return quo, proj
 
     @staticmethod
-    def direct_sum(mods):
-        """Block direct sum; returns (sum, inclusions, projections)."""
+    def block_sum(mods):
+        """Block direct sum without its inclusions and projections; returns
+        (sum, offsets) with offsets as in component_offsets.  One matrix is
+        allocated per action edge, and only non-empty summand blocks are
+        copied into it."""
         if not mods:
             raise InputError("direct_sum of empty list")
         alg = mods[0].algebra
         if any(m.algebra is not alg for m in mods):
             raise InputError("direct_sum: modules over different algebras")
-        dims = [m.component_dims() for m in mods]
-        mats = [_block_diag(blocks) for blocks in zip(*[m.edge_matrices() for m in mods])]
-        total_dims = [sum(col) for col in zip(*dims)]
-        total = LayeredModule._assemble(alg, total_dims, mats)
+        offsets, total_dims = component_offsets(mods)
+        mats = [ef.zeros(total_dims[tgt], total_dims[src]) for src, tgt in alg.edges]
+        for m, off in zip(mods, offsets):
+            dims = m._dims
+            for out, (src, tgt), mat in zip(mats, alg.edges, m._edge_mats):
+                if mat.shape != (dims[tgt], dims[src]):
+                    raise InputError(f"direct_sum: summand matrix shape {mat.shape}, "
+                                     f"expected {(dims[tgt], dims[src])}")
+                if mat.size:
+                    out[off[tgt]:off[tgt] + dims[tgt], off[src]:off[src] + dims[src]] = mat
+        return LayeredModule._assemble(alg, total_dims, mats), offsets
+
+    @staticmethod
+    def direct_sum(mods):
+        """Block direct sum; returns (sum, inclusions, projections)."""
+        total, offsets = LayeredModule.block_sum(mods)
         incls, projs = [], []
-        offs = [0] * alg.n_components
-        for m, mdims in zip(mods, dims):
-            iblocks = []
-            for c, d in enumerate(mdims):
-                inc = ef.zeros(total_dims[c], d)
-                inc[offs[c]:offs[c] + d, :] = ef.eye(d)
-                offs[c] += d
-                iblocks.append(inc)
-            incls.append(LayeredMorphism(m, total, iblocks))
-            projs.append(LayeredMorphism(total, m, [b.T for b in iblocks]))
+        for m, off in zip(mods, offsets):
+            iblocks = [np.eye(t, d, -o, dtype=np.int64)
+                       for t, d, o in zip(total._dims, m._dims, off)]
+            incls.append(LayeredMorphism._reduced(m, total, iblocks))
+            projs.append(LayeredMorphism._reduced(total, m, [b.T for b in iblocks]))
         return total, incls, projs
 
     def dual(self):
@@ -568,10 +619,12 @@ class LayeredModule:
         alg = self.algebra
         op = alg.opposite()
         pb, pb_op = alg.quiver.paths, op.quiver.paths
-        layers = [(layer.dims, [mat.T for mat in layer.maps]) for layer in reversed(self.layers)]
-        conn = {(kk, pb.reversed_id(pb_op, pid)): self.conn[(alg.m - kk + 1, pid)].T.copy()
+        conn = {(kk, pb.reversed_id(pb_op, pid)): self.conn[(alg.m - kk + 1, pid)].T
                 for kk, pid in alg.conn_keys}
-        return LayeredModule(op, layers, conn=conn)
+        dims = [d for layer in reversed(self.layers) for d in layer.dims]
+        mats = [mat.T for layer in reversed(self.layers) for mat in layer.maps]
+        mats += [conn[key] for key in op.conn_keys]
+        return LayeredModule._assemble(op, dims, mats)
 
     def to_json(self):
         alg, quiver = self.algebra, self.algebra.quiver
@@ -619,15 +672,36 @@ class LayeredMorphism:
     with all arrow and connecting actions."""
 
     def __init__(self, source, target, blocks):
+        p = source.algebra.p
+        sdims, tdims = source._dims, target._dims
+        self._adopt(source, target,
+                    [np.mod(np.asarray(b, dtype=np.int64).reshape(tdims[c], sdims[c]), p)
+                     for c, b in enumerate(blocks)])
+
+    @classmethod
+    def _reduced(cls, source, target, blocks):
+        """The morphism with the given int64 blocks, already reduced mod p:
+        their shapes are checked, and they are adopted without a copy."""
+        mor = cls.__new__(cls)
+        mor._adopt(source, target, blocks)
+        return mor
+
+    def _adopt(self, source, target, blocks):
+        sdims, tdims = source._dims, target._dims
+        if len(blocks) != len(sdims) or any(
+                b.shape != (t, s) for b, s, t in zip(blocks, sdims, tdims)):
+            raise InputError(f"morphism blocks {[b.shape for b in blocks]} do not match "
+                             f"{source!r} -> {target!r}")
         self.source = source
         self.target = target
         self.p = source.algebra.p
-        sdims, tdims = source._dims, target._dims
-        self.blocks = [np.mod(np.asarray(b, dtype=np.int64).reshape(tdims[c], sdims[c]), self.p)
-                       for c, b in enumerate(blocks)]
+        self.blocks = blocks
 
     def is_morphism(self):
+        sdims, tdims = self.source._dims, self.target._dims
         for src, tgt, ms, mt in _action_edges(self.source, self.target):
+            if not (tdims[tgt] and sdims[src]):
+                continue  # both sides are empty matrices
             lhs = ef.mul(self.blocks[tgt], ms, self.p)
             rhs = ef.mul(mt, self.blocks[src], self.p)
             if not np.array_equal(lhs, rhs):
@@ -639,14 +713,14 @@ class LayeredMorphism:
 
     def compose(self, other):
         """self after other."""
-        return LayeredMorphism(other.source, self.target,
-                               [ef.mul(self.blocks[c], other.blocks[c], self.p)
-                                for c in range(len(self.blocks))])
+        return LayeredMorphism._reduced(other.source, self.target,
+                                        [ef.mul(a, b, self.p)
+                                         for a, b in zip(self.blocks, other.blocks)])
 
     def add(self, other):
-        return LayeredMorphism(self.source, self.target,
-                               [np.mod(self.blocks[c] + other.blocks[c], self.p)
-                                for c in range(len(self.blocks))])
+        return LayeredMorphism._reduced(self.source, self.target,
+                                        [np.mod(a + b, self.p)
+                                         for a, b in zip(self.blocks, other.blocks)])
 
     def flatten(self):
         if not self.blocks:
@@ -655,16 +729,17 @@ class LayeredMorphism:
 
     @staticmethod
     def from_flat(source, target, vec):
+        """Inverse of flatten; vec is reduced mod p once, as a whole."""
+        vec = np.mod(np.asarray(vec, dtype=np.int64), source.algebra.p)
         blocks, pos = [], 0
         for s, t in zip(source._dims, target._dims):
-            blocks.append(vec[pos:pos + s * t])
+            blocks.append(vec[pos:pos + s * t].reshape(t, s))
             pos += s * t
-        return LayeredMorphism(source, target, blocks)
+        return LayeredMorphism._reduced(source, target, blocks)
 
     @staticmethod
     def identity(module):
-        return LayeredMorphism(module, module,
-                               [ef.eye(d) for d in module.component_dims()])
+        return LayeredMorphism._reduced(module, module, [ef.eye(d) for d in module._dims])
 
     def kernel(self):
         bases = [ef.kernel_basis(b, self.p) for b in self.blocks]
@@ -687,11 +762,9 @@ class LayeredMorphism:
         alg = self.source.algebra
         src = dual_target if dual_target is not None else self.target.dual()
         tgt = dual_source if dual_source is not None else self.source.dual()
-        nv = alg.quiver.n_vertices
-        blocks = []
-        for (kk, i) in alg.components():
-            blocks.append(self.blocks[alg.comp_index(alg.m - kk, i)].T.copy())
-        return LayeredMorphism(src, tgt, blocks)
+        blocks = [self.blocks[alg.comp_index(alg.m - kk, i)].T
+                  for kk, i in alg.components()]
+        return LayeredMorphism._reduced(src, tgt, blocks)
 
     def __repr__(self):
         return f"LayeredMorphism({self.source!r} -> {self.target!r})"
@@ -985,7 +1058,7 @@ def generator_morphism(comp, vec, m):
                     cols.append(ef.mul(m.conn[(k, r)], vec.reshape(-1, 1), alg.p))
         dim_t = m.layers[l].dims[j]
         blocks.append(np.hstack(cols) if cols else ef.zeros(dim_t, 0))
-    return source, LayeredMorphism(source, m, blocks)
+    return source, LayeredMorphism._reduced(source, m, blocks)
 
 
 def proj_cover(m):
@@ -994,14 +1067,11 @@ def proj_cover(m):
     gens = top_generators(m)
     if not gens:
         zero = alg.zero_module()
-        return zero, LayeredMorphism(zero, m, [ef.zeros(d, 0) for d in m.component_dims()]), []
+        return zero, LayeredMorphism._reduced(zero, m, [ef.zeros(d, 0) for d in m._dims]), []
     parts = [generator_morphism((k, i), vec, m) for (k, i), vec in gens]
-    total, _, _ = LayeredModule.direct_sum([pr for pr, _ in parts])
-    blocks = []
-    for c in range(alg.n_components):
-        cols = [mor.blocks[c] for _, mor in parts]
-        blocks.append(np.hstack(cols))
-    cover = LayeredMorphism(total, m, blocks)
+    total, _ = LayeredModule.block_sum([pr for pr, _ in parts])
+    blocks = [np.hstack(cols) for cols in zip(*[mor.blocks for _, mor in parts])]
+    cover = LayeredMorphism._reduced(total, m, blocks)
     return total, cover, [(i, k) for (k, i), _ in gens]
 
 

@@ -8,7 +8,9 @@ from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg import splitting as sp
+from replalg.artrans import _presentation_matrix, proj_basis_elements
 from replalg.errors import InputError
+from replalg.replicated import LayeredModule
 
 
 def a2_quiver():
@@ -242,3 +244,47 @@ class LinearScanRegistry:
                 return idx
         self.modules.append(m)
         return len(self.modules) - 1
+
+
+# ---------------------------------------------------------------------------
+# artrans.transpose_layered as it was before it wrote the presentation
+# blocks in place: both direct sums are built, and every (s, t) block goes
+# through incl_t . mor . proj_s and an add.  Kept verbatim as a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_transpose_layered(m):
+    """Tr M as a module over the opposite replicated algebra."""
+    alg = m.algebra
+    op = alg.opposite()
+    summands0, summands1, lam = _presentation_matrix(m)
+    if not summands1:
+        return op.zero_module()
+
+    def sigma_comp(i, k):
+        return (i, alg.m - k)
+
+    parts1 = [op.proj(*sigma_comp(i, k)) for (i, k) in summands1]
+    total1, incls1, _ = LayeredModule.direct_sum(parts1)
+    if not summands0:
+        return total1
+    parts0 = [op.proj(*sigma_comp(i, k)) for (i, k) in summands0]
+    total0, _, projs0 = LayeredModule.direct_sum(parts0)
+    acc = None
+    for s, (i0, k0) in enumerate(summands0):
+        io, ko = sigma_comp(i0, k0)
+        for t in range(len(summands1)):
+            if not lam[s][t]:
+                continue
+            i1, k1 = summands1[t]
+            layout_t = proj_basis_elements(op, *sigma_comp(i1, k1))
+            vec = np.zeros(parts1[t].layers[ko].dims[io], dtype=np.int64)
+            slot = layout_t[(ko, io)]
+            for b, c in lam[s][t]:
+                vec[slot.index(alg.to_opposite_element(b))] = c
+            _, mor = rp.generator_morphism((ko, io), np.mod(vec, alg.p), parts1[t])
+            blk = incls1[t].compose(mor).compose(projs0[s])
+            acc = blk if acc is None else acc.add(blk)
+    if acc is None:
+        return total1
+    return acc.cokernel()[0]

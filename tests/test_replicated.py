@@ -116,15 +116,10 @@ def test_hom_proj_to_inj():
     assert rp.hom_dim_layered(alg.proj(i1, 1), alg.inj(i1, 1)) == 1
 
 
-def test_hom_proj_to_inj_brute_force():
-    # independent oracle at p = 2: enumerate every block family and count
-    # the commuting ones
-    import itertools
-    alg = rp.build_replicated(a2(), 1, 2)
-    i1 = alg.quiver.vindex["1"]
-    m, n = alg.proj(i1, 1), alg.inj(i1, 1)
-    shapes = [(n.component_dims()[c], m.component_dims()[c])
-              for c in range(alg.n_components)]
+def _commuting_block_families(m, n):
+    """Independent oracle at p = 2: enumerate every block family M -> N and
+    count the commuting ones."""
+    shapes = [(t, s) for s, t in zip(m.component_dims(), n.component_dims())]
     total = sum(r * c for r, c in shapes)
     count = 0
     for combo in itertools.product(range(2), repeat=total):
@@ -134,7 +129,22 @@ def test_hom_proj_to_inj_brute_force():
             pos += r * c
         if rp.LayeredMorphism(m, n, blocks).is_morphism():
             count += 1
-    assert count == 2 ** rp.hom_dim_layered(m, n) == 2
+    return count
+
+
+def test_hom_proj_to_inj_brute_force():
+    alg = rp.build_replicated(a2(), 1, 2)
+    i1 = alg.quiver.vindex["1"]
+    m, n = alg.proj(i1, 1), alg.inj(i1, 1)
+    assert _commuting_block_families(m, n) == 2 ** rp.hom_dim_layered(m, n) == 2
+
+
+def test_is_morphism_brute_force_on_catalog_pairs():
+    # all 81 pairs of the A_2, m = 1 catalog at p = 2 (at most 2^10 block
+    # families each), so is_morphism meets edges where either side is empty
+    cat = ar.indec_catalog(rp.build_replicated(a2(), 1, 2))
+    for m, n in itertools.product(cat.modules, repeat=2):
+        assert _commuting_block_families(m, n) == 2 ** rp.hom_dim_layered(m, n)
 
 
 def mixed_module(alg):
@@ -408,6 +418,99 @@ def test_relation_with_empty_inner_dimension_still_checked():
     split.conn[(1, e1)][0, 0] = 1
     with pytest.raises(InputError, match="prefix relation fails at layer 1, path e_1"):
         reference_validate(split)
+
+
+# ---------------------------------------------------------------------------
+# the construction contract: submodule, quotient and direct_sum adopt their
+# matrices without a copy, and every result is still shape- and
+# relation-checked
+# ---------------------------------------------------------------------------
+
+
+def _whole(x):
+    """Identity bases of every component: submodule(_whole(x)) is x."""
+    return [ef.eye(d) for d in x.component_dims()]
+
+
+def _nothing(x):
+    """Empty spans of every component: quotient(_nothing(x)) is x."""
+    return [ef.zeros(d, 0) for d in x.component_dims()]
+
+
+@pytest.mark.parametrize("kind", sorted(RELATION_CASES))
+def test_constructions_reject_a_broken_relation(kind):
+    quiver_fn, m, dims, ones, flip, message = RELATION_CASES[kind]
+    alg = rp.build_replicated(quiver_fn(), m, P)
+    x = rp.LayeredModule(alg, *_case_data(alg, dims, ones))
+    builds = (lambda: x.submodule(_whole(x)), lambda: x.quotient(_nothing(x)),
+              lambda: rp.LayeredModule.direct_sum([x, alg.zero_module(), x]))
+    for build in builds:
+        build()  # valid before the change
+    _entry(x, *flip)[0, 0] = 1
+    for build in builds:
+        with pytest.raises(InputError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_constructions_reject_a_misshaped_matrix():
+    alg = alg_a2(1)
+    x = mixed_module(alg)
+    mats = list(x.edge_matrices())
+    e = next(i for i, mat in enumerate(mats) if mat.size)
+    # a copy of x whose matrix on edge e has one row too many
+    bad = rp.LayeredModule.__new__(rp.LayeredModule)
+    bad.__dict__.update(x.__dict__)
+    bad._edge_mats = tuple(mats[:e] + [np.vstack([mats[e], ef.zeros(1, mats[e].shape[1])])]
+                           + mats[e + 1:])
+    with pytest.raises(InputError):
+        bad.submodule(_whole(x))
+    with pytest.raises(InputError):
+        bad.quotient(_nothing(x))
+    with pytest.raises(InputError):
+        rp.LayeredModule.direct_sum([x, bad])
+    with pytest.raises(InputError, match="action edge"):
+        rp.LayeredModule._assemble(alg, x.component_dims(), bad.edge_matrices())
+    # caller-supplied bases and spans of the wrong size
+    with pytest.raises(InputError):
+        x.submodule(_whole(x)[:-1])
+    with pytest.raises(InputError):
+        x.submodule([ef.eye(d + 1) for d in x.component_dims()])
+    with pytest.raises(InputError):
+        x.quotient([ef.zeros(d + 1, 0) for d in x.component_dims()])
+    with pytest.raises(InputError):
+        rp.LayeredMorphism(x, x, _whole(x)[:-1])
+
+
+def test_submodule_reduces_caller_bases():
+    alg = alg_a2(1)
+    x = mixed_module(alg)
+    sub, incl = x.submodule([np.array(b) * (1 - P) for b in _whole(x)])  # = identity mod P
+    assert sub.to_json() == x.to_json()
+    assert incl.is_morphism() and all(np.array_equal(b, ef.eye(b.shape[0])) for b in incl.blocks)
+
+
+def test_direct_sum_inclusions_and_projections():
+    alg = alg_a2(1)
+    mods = [mixed_module(alg), alg.zero_module(), alg.simple(0, 1), mixed_module(alg),
+            alg.proj(1, 1)]
+    total, incls, projs = rp.LayeredModule.direct_sum(mods)
+    assert total.component_dims() == [sum(col) for col in zip(*[x.component_dims()
+                                                               for x in mods])]
+    assert all(f.is_morphism() for f in incls + projs)
+    for i, pi in enumerate(projs):
+        for j, inc in enumerate(incls):
+            comp = pi.compose(inc)
+            assert comp.source is mods[j] and comp.target is mods[i]
+            if i == j:
+                assert all(np.array_equal(b, ef.eye(b.shape[0])) for b in comp.blocks)
+            else:
+                assert comp.is_zero()
+    # the inclusions and projections split the sum: sum_i incl_i proj_i = id
+    acc = incls[0].compose(projs[0])
+    for inc, pi in zip(incls[1:], projs[1:]):
+        acc = acc.add(inc.compose(pi))
+    assert all(np.array_equal(b, ef.eye(b.shape[0])) for b in acc.blocks)
 
 
 def _relation_census(name):
