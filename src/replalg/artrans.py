@@ -140,8 +140,7 @@ class IndecCatalog:
         self.tau_inv_map = tau_inv_map
         self.projective = projective
         self.injective = injective
-        self._index = rp.IsoRegistry(modules)
-        self._hom_bases = {}
+        self.registry = rp.IsoRegistry(modules)
         self._leq = None
 
     def __len__(self):
@@ -156,46 +155,21 @@ class IndecCatalog:
 
     def find(self, m):
         """Catalog index of a module isomorphic to m, or None."""
-        return self._index.find(m)
+        return self.registry.find(m)
 
     def label(self, idx):
         return f"X{idx}[{self.modules[idx].dim_label()}]"
 
-    # -- Hom bookkeeping -----------------------------------------------------
+    # -- Hom bookkeeping (cached in the registry) -----------------------------
 
     def hom_basis(self, i, j):
-        key = (i, j)
-        if key not in self._hom_bases:
-            self._hom_bases[key] = rp.hom_layered(self.modules[i], self.modules[j])
-        return self._hom_bases[key]
+        return self.registry.hom_basis(i, j)
 
     def hom_dim(self, i, j):
         return len(self.hom_basis(i, j))
 
     def rad_basis(self, i, j):
-        """Basis of rad(X_i, X_j): all of Hom for i != j; for i = j the
-        scalar-corrected nilpotent parts of the endomorphism basis."""
-        if i != j:
-            return self.hom_basis(i, j)
-        return rp.rad_end_basis(self.hom_basis(i, i))
-
-    def irreducible_mult(self, i, j):
-        """dim rad(X_i, X_j) / rad^2, the arrow multiplicity in the AR quiver."""
-        rad = self.rad_basis(i, j)
-        if not rad:
-            return 0
-        rad2_flat = []
-        for z in range(len(self.modules)):
-            for u in self.rad_basis(i, z):
-                for v in self.rad_basis(z, j):
-                    comp = v.compose(u)
-                    if not comp.is_zero():
-                        rad2_flat.append(comp.flatten())
-        dim_rad = len(rad)
-        if not rad2_flat:
-            return dim_rad
-        mat = np.array(rad2_flat, dtype=np.int64)
-        return dim_rad - ef.rank(mat, self.algebra.p)
+        return self.registry.rad_basis(i, j)
 
     # -- predecessor order ----------------------------------------------------
 
@@ -332,6 +306,18 @@ def _check_translation_tables(cat):
             raise AnomalyError(f"tau^-1 tau != id at {cat.label(idx)}")
 
 
+def irreducible_mult(rad_basis, n, i, j):
+    """dim rad(X_i, X_j) / rad^2(X_i, X_j), the multiplicity of the arrow
+    X_i -> X_j in the AR quiver, over modules with ids 0..n-1 whose
+    radical spaces rad_basis(a, b) gives; rad^2 is spanned by the
+    composites through every X_z."""
+    rad = rad_basis(i, j)
+    if not rad:
+        return 0
+    return len(rad) - rp.span_dim(v.compose(u) for z in range(n)
+                                   for u in rad_basis(i, z) for v in rad_basis(z, j))
+
+
 class ARQuiver:
     """Irreducible-map multiplicities and mesh data over a catalog."""
 
@@ -342,7 +328,7 @@ class ARQuiver:
         for i in range(n):
             for j in range(n):
                 if i == j or catalog.hom_dim(i, j):
-                    self.mult[i, j] = catalog.irreducible_mult(i, j)
+                    self.mult[i, j] = irreducible_mult(catalog.rad_basis, n, i, j)
         self.meshes = {}
         for z in range(n):
             if catalog.tau_map[z] is not None:
@@ -439,20 +425,11 @@ def tau_orbits(catalog):
 def stable_hom_dim(m, n):
     """dim Hom(M, N) minus the dimension of the subspace of morphisms
     factoring through add of the projective-injectives."""
-    alg = m.algebra
     basis = rp.hom_layered(m, n)
     if not basis:
         return 0
     through = []
-    for pi in alg.projective_injectives():
-        ups = rp.hom_layered(m, pi)
+    for pi in m.algebra.projective_injectives():
         downs = rp.hom_layered(pi, n)
-        for u in ups:
-            for v in downs:
-                comp = v.compose(u)
-                if not comp.is_zero():
-                    through.append(comp.flatten())
-    if not through:
-        return len(basis)
-    mat = np.array(through, dtype=np.int64)
-    return len(basis) - ef.rank(mat, alg.p)
+        through.extend(v.compose(u) for u in rp.hom_layered(m, pi) for v in downs)
+    return len(basis) - rp.span_dim(through)

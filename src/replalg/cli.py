@@ -132,8 +132,7 @@ def _extra_summands(algebra, engine, args):
     if any(not 0 <= i < len(engine.catalog) for i in ids):
         raise InputError(f"catalog ids must lie in 0..{len(engine.catalog) - 1}")
     for module in modules:
-        ids.update(engine.registry.canon(piece)
-                   for piece, _ in rp.decompose_layered(module))
+        ids.update(engine.state(module))
     return ids
 
 

@@ -28,9 +28,9 @@ class EndAlgebra:
     s-component to the t-component.
     """
 
-    def __init__(self, summands, hom_fn=rp.hom_layered, p=None, cap=ORACLE_CAP):
+    def __init__(self, summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP):
         self.summands = summands
-        self.p = p if p is not None else summands[0].algebra.p
+        self.p = summands[0].algebra.p
         n = len(summands)
         self.n = n
         self.bases = [[hom_fn(summands[t], summands[s]) for t in range(n)]
@@ -231,7 +231,7 @@ def _cover_and_kernel(module):
     return EModule(alg, kdims, kaction)
 
 
-def emodule_pd(module, step_cap=PD_STEP_CAP):
+def emodule_pd(module):
     """Projective dimension of a right End(M)-module by iterated covers."""
     cur = module
     steps = 0
@@ -240,8 +240,8 @@ def emodule_pd(module, step_cap=PD_STEP_CAP):
         if cur is not None and cur.total_dim == 0:
             cur = None
         steps += 1
-        if steps > step_cap:
-            raise OracleUnavailable(f"syzygies did not terminate within {step_cap} steps")
+        if steps > PD_STEP_CAP:
+            raise OracleUnavailable(f"syzygies did not terminate within {PD_STEP_CAP} steps")
     return max(steps - 1, 0)
 
 

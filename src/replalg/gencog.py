@@ -84,7 +84,6 @@ def min_right_approx(summands, x, hom_fn=rp.hom_layered):
     Multiplicity of M_i = dim( Hom(M_i, X) / sum_j rad(M_i, M_j) Hom(M_j, X) );
     coset representatives are chosen greedily along the canonical Hom basis.
     """
-    p = x.algebra.p
     homs = [hom_fn(mi, x) for mi in summands]
     reps, mults, used = [], [], []
     for i, mi in enumerate(summands):
@@ -93,27 +92,13 @@ def min_right_approx(summands, x, hom_fn=rp.hom_layered):
             continue
         rad_image = []
         for j, mj in enumerate(summands):
-            if not homs[j]:
-                continue
-            if i == j:
-                rad_ij = rp.rad_end_basis(hom_fn(mi, mi))
-            else:
-                rad_ij = hom_fn(mi, mj)
-            for r in rad_ij:
-                for f in homs[j]:
-                    comp = f.compose(r)
-                    if not comp.is_zero():
-                        rad_image.append(comp.flatten())
-        span = [v for v in rad_image]
-        base_rank = ef.rank(np.array(span, dtype=np.int64), p) if span else 0
-        cur_rank = base_rank
+            if homs[j]:
+                rad_ij = rp.rad_end_basis(hom_fn(mi, mi)) if i == j else hom_fn(mi, mj)
+                rad_image.extend(f.compose(r) for r in rad_ij for f in homs[j])
+        base = rp.span_dim(rad_image)
         chosen = []
         for f in homs[i]:
-            trial = span + [f.flatten()]
-            r = ef.rank(np.array(trial, dtype=np.int64), p)
-            if r > cur_rank:
-                span = trial
-                cur_rank = r
+            if rp.span_dim(rad_image + chosen + [f]) > base + len(chosen):
                 chosen.append(f)
         mults.append(len(chosen))
         if chosen:
@@ -151,13 +136,7 @@ def verify_approximation(summands, x, result, hom_fn=rp.hom_layered):
     mprime = f.source
     for s in summands:
         target = hom_fn(s, x)
-        if not target:
-            continue
-        through = [f.compose(g).flatten() for g in hom_fn(s, mprime)]
-        through = [v for v in through if v.any()]
-        mat = np.array(through, dtype=np.int64) if through else None
-        got = ef.rank(mat, p) if mat is not None else 0
-        if got != len(target):
+        if target and rp.span_dim(f.compose(g) for g in hom_fn(s, mprime)) != len(target):
             return False
     # right minimality
     ends = rp.hom_layered(mprime, mprime)
@@ -200,7 +179,8 @@ class MDimResult:
 
 class MDimEngine:
     """Shared approximation/omega caches over a registry of canonical
-    modules (the catalog in exact mode, a growing store in windowed mode)."""
+    modules, which also caches their Hom spaces (the catalog's own registry
+    in exact mode, a growing store in windowed mode)."""
 
     def __init__(self, algebra, registry, dim_cap=MDIM_DIM_CAP, catalog=None):
         self.algebra = algebra
@@ -209,11 +189,10 @@ class MDimEngine:
         self.catalog = catalog
         self._required = None
         self._omega = {}
-        self._homs = {}
 
     @classmethod
     def for_catalog(cls, catalog):
-        return cls(catalog.algebra, IsoRegistry(list(catalog.modules)), catalog=catalog)
+        return cls(catalog.algebra, catalog.registry, catalog=catalog)
 
     @classmethod
     def windowed(cls, algebra, dim_cap=MDIM_DIM_CAP):
@@ -232,57 +211,53 @@ class MDimEngine:
             self._required = req
         return set(self._required)
 
-    def gencog(self, extra_ids=(), modules=()):
-        ids = self.required_ids()
-        ids.update(extra_ids)
-        for m in modules:
-            ids.add(self.registry.canon(m))
-        return GenCog(self, ids)
-
-    def hom_basis(self, i, j):
-        """Basis of Hom(M_i, M_j) for registry ids i, j, computed once: the
-        catalog's in exact mode, a fresh one in windowed mode."""
-        key = (i, j)
-        if key not in self._homs:
-            self._homs[key] = (self.catalog.hom_basis(i, j) if self.catalog is not None
-                               else rp.hom_layered(self.registry.modules[i],
-                                                   self.registry.modules[j]))
-        return self._homs[key]
-
     def hom_fn(self):
-        """hom_fn(M, N) for min_right_approx: hom_basis on registered
-        objects, a fresh Hom space otherwise."""
+        """hom_fn(M, N) for min_right_approx: the registry's cached basis on
+        registered objects, a fresh Hom space otherwise."""
         def fn(a, b):
             ia = self.registry.identity_index(a)
             ib = self.registry.identity_index(b)
             if ia is not None and ib is not None:
-                return self.hom_basis(ia, ib)
+                return self.registry.hom_basis(ia, ib)
             return rp.hom_layered(a, b)
         return fn
 
+    def state(self, module):
+        """The Krull-Schmidt state of a module: the sorted registry ids of
+        its indecomposable summands, with multiplicity."""
+        if module.is_zero():
+            return ()
+        ids = []
+        for piece, mult in rp.decompose_layered(module):
+            ids.extend([self.registry.canon(piece)] * mult)
+        return tuple(sorted(ids))
+
     def omega_ids(self, x_id, summand_ids):
-        """Registry ids (with multiplicity) of the indecomposable summands
-        of Omega_M(X); cached on (X, predecessors of X inside M)."""
-        relevant = frozenset(i for i in summand_ids if self.hom_basis(i, x_id))
+        """State of Omega_M(X) for the registry id of X; cached on (X,
+        predecessors of X inside M), None when the kernel leaves the
+        window."""
+        relevant = frozenset(i for i in summand_ids if self.registry.hom_basis(i, x_id))
         key = (x_id, relevant)
-        if key in self._omega:
-            return self._omega[key]
-        x = self.registry.modules[x_id]
-        mods = [self.registry.modules[i] for i in sorted(relevant)]
-        result = min_right_approx(mods, x, hom_fn=self.hom_fn())
-        if not result.surjective:
-            raise AnomalyError("approximation by a generator failed to be surjective")
-        pieces = []
-        if not result.kernel.is_zero():
-            if result.kernel.total_dim > self.dim_cap:
-                self._omega[key] = None  # window exit
+        if key not in self._omega:
+            x = self.registry.modules[x_id]
+            mods = [self.registry.modules[i] for i in sorted(relevant)]
+            result = min_right_approx(mods, x, hom_fn=self.hom_fn())
+            if not result.surjective:
+                raise AnomalyError("approximation by a generator failed to be surjective")
+            kernel = result.kernel
+            self._omega[key] = None if kernel.total_dim > self.dim_cap else self.state(kernel)
+        return self._omega[key]
+
+    def omega_step(self, state, summand_ids):
+        """One Omega_M step on a state: the sorted ids of Omega_M of its
+        members, or None when one of them leaves the window."""
+        out = []
+        for idx in state:
+            succ = self.omega_ids(idx, summand_ids)
+            if succ is None:
                 return None
-            for piece, mult in rp.decompose_layered(result.kernel):
-                pid = self.registry.canon(piece)
-                pieces.extend([pid] * mult)
-        out = tuple(sorted(pieces))
-        self._omega[key] = out
-        return out
+            out.extend(succ)
+        return tuple(sorted(out))
 
     def mdim_id(self, x_id, summand_ids):
         """(value, chain, cycle, reason) for a single indecomposable."""
@@ -337,17 +312,10 @@ class MDimEngine:
         cycle = None
         steps = 0
         while state and steps < MDIM_MAX_STEPS:
-            nxt = []
-            ok = True
-            for idx in state:
-                succ = self.omega_ids(idx, summand_ids)
-                if succ is None:
-                    ok = False
-                    break
-                nxt.extend(i for i in succ if i not in summand_ids)
-            if not ok:
+            nxt = self.omega_step(state, summand_ids)
+            if nxt is None:
                 break
-            state = tuple(sorted(nxt))
+            state = tuple(i for i in nxt if i not in summand_ids)
             steps += 1
             if state in seen:
                 chain.append(state)
@@ -365,10 +333,7 @@ def m_dimension(gencog, x):
     engine = gencog.engine
     if x.is_zero():
         return MDimResult(0, [()])
-    pieces = []
-    for piece, mult in rp.decompose_layered(x):
-        pid = engine.registry.canon(piece)
-        pieces.extend([pid] * mult)
+    pieces = engine.state(x)
     values = []
     chains = []
     cycle = None
@@ -386,7 +351,7 @@ def m_dimension(gencog, x):
     value = max(values) if values else 0
     if math.inf in values:
         value = math.inf
-    chain = max(chains, key=len) if chains else [tuple(sorted(pieces))]
+    chain = max(chains, key=len) if chains else [pieces]
     return MDimResult(value, chain, cycle=cycle)
 
 
@@ -535,7 +500,7 @@ def preprojective_slices(quiver, p, depth):
     return slices
 
 
-def ar_sequence_middle(quiver, p, z, pool):
+def ar_sequence_middle(z, pool):
     """Middle-term summands (with multiplicity) of the almost split
     sequence ending in a non-projective module z, computed as rad/rad^2
     multiplicities over a pool of candidate indecomposables; the pool must
@@ -543,33 +508,15 @@ def ar_sequence_middle(quiver, p, z, pool):
     preprojective module).  The mesh dimension identity is verified and
     failure raises."""
     tz = qr.tau(z)
-    pool_index = IsoRegistry(iso=qr.is_iso)
+    registry = IsoRegistry(iso=qr.is_iso)
     for m in pool:
         if m is not None and m.total_dim:
-            pool_index.canon(m)
-    z_idx = pool_index.canon(z)
-    mods = pool_index.modules
-
-    def rad_basis(i, j):
-        if i != j:
-            return qr.hom_basis(mods[i], mods[j])
-        return rp.rad_end_basis(qr.hom_basis(mods[i], mods[i]))
-
+            registry.canon(m)
+    z_idx = registry.canon(z)
+    n = len(registry)
     middle = []
-    for y_idx, y in enumerate(mods):
-        rad = rad_basis(y_idx, z_idx)
-        if not rad:
-            continue
-        rad2 = []
-        for w_idx in range(len(mods)):
-            for u in rad_basis(y_idx, w_idx):
-                for v in rad_basis(w_idx, z_idx):
-                    comp = v.compose(u)
-                    if not comp.is_zero():
-                        rad2.append(comp.flatten())
-        mat = np.array(rad2, dtype=np.int64) if rad2 else None
-        dim_rad2 = ef.rank(mat, p) if mat is not None else 0
-        mult = len(rad) - dim_rad2
+    for y_idx, y in enumerate(registry.modules):
+        mult = ar.irreducible_mult(registry.rad_basis, n, y_idx, z_idx)
         if mult > 0:
             middle.append((y, mult))
     want = np.array(z.component_dims()) + np.array(tz.component_dims())
@@ -607,7 +554,7 @@ def construct_lem47(algebra, d, engine=None):
     depth = max(steps + 2, 3)
     slices = preprojective_slices(quiver, p, depth)
     pool = [m for sl in slices for m in sl]
-    tz, middle = ar_sequence_middle(quiver, p, z, pool)
+    tz, middle = ar_sequence_middle(z, pool)
     if engine is None:
         engine = MDimEngine.windowed(algebra)
     ids = engine.required_ids()

@@ -913,13 +913,18 @@ class IsoRegistry:
     modules) and tried in id order, so a lookup finds the id a linear scan
     would, skipping only modules that cannot be isomorphic.  A module alone
     in its dimensions never computes its key.  iso(candidate, module) is
-    the test used (is_iso_layered by default)."""
+    the test used (is_iso_layered by default).
+
+    The registry is also the Hom cache of its modules: hom_basis and
+    rad_basis compute each space once per pair of ids."""
 
     def __init__(self, modules=(), iso=None):
         self.modules = []
         self.iso = iso
         self._buckets = {}
         self._by_identity = {}
+        self._homs = {}
+        self._rads = {}
         for m in modules:
             self.add(m)
 
@@ -948,6 +953,22 @@ class IsoRegistry:
     def identity_index(self, m):
         """Id of this very object, or None (no iso test)."""
         return self._by_identity.get(id(m))
+
+    def hom_basis(self, i, j):
+        """Basis of Hom(M_i, M_j) for ids i, j, computed once."""
+        key = (i, j)
+        if key not in self._homs:
+            self._homs[key] = hom_layered(self.modules[i], self.modules[j])
+        return self._homs[key]
+
+    def rad_basis(self, i, j):
+        """Basis of rad(M_i, M_j): all of Hom for i != j, rad End(M_i)
+        (rad_end_basis, computed once) for i = j."""
+        if i != j:
+            return self.hom_basis(i, j)
+        if i not in self._rads:
+            self._rads[i] = rad_end_basis(self.hom_basis(i, i))
+        return self._rads[i]
 
     def __len__(self):
         return len(self.modules)
@@ -994,6 +1015,15 @@ def rad_end_basis(ends):
         return []
     r, pivots = ef.rref(np.array(flats, dtype=np.int64), p)
     return [LayeredMorphism.from_flat(x, x, r[t]) for t in range(len(pivots))]
+
+
+def span_dim(morphisms):
+    """Dimension of the span of morphisms with a common source and target;
+    zero morphisms are dropped before the rank."""
+    nonzero = [f for f in morphisms if not f.is_zero()]
+    if not nonzero:
+        return 0
+    return ef.rank(np.array([f.flatten() for f in nonzero], dtype=np.int64), nonzero[0].p)
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,11 @@ def catalog_context(quiver, m, p):
     return _CONTEXTS[key]
 
 
-def random_gencogs(catalog, engine, samples, seed):
+def random_gencogs(pool, engine, samples, seed):
     """Seeded random generator-cogenerators: all forced summands plus a
-    random subset of the rest; yields distinct GenCog objects."""
+    random subset of the other ids in pool; returns the distinct GenCogs."""
     forced = engine.required_ids()
-    free = sorted(set(range(len(catalog))) - forced)
+    free = sorted(set(pool) - forced)
     rng = np.random.default_rng(seed)
     out = []
     seen = set()
@@ -96,7 +96,7 @@ def suite_thm1(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=20
         checks.append({"check": f"d={cap + 1} must fail", "ok": True,
                        "max_cardinality": exc.max_cardinality})
     over = []
-    for gencog in random_gencogs(catalog, engine, samples, seed):
+    for gencog in random_gencogs(range(len(catalog)), engine, samples, seed):
         got = gc.gldim_end(gencog).value
         if got > cap:
             over.append({"summands": sorted(gencog.summands), "gldim_end": got})
@@ -265,10 +265,9 @@ def suite_lem31_random(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
         for pos, idx in enumerate(orbit):
             steps[idx] = pos  # tau^pos lands on the projective end
     checks, bad = [], []
-    for gencog in random_gencogs(catalog, engine, samples, seed + 1):
+    for gencog in random_gencogs(range(len(catalog)), engine, samples, seed + 1):
         outside = [i for i in range(len(catalog)) if i not in gencog.summands]
         d_min = max([steps[i] + 2 for i in outside], default=2)
-        d_min = max(d_min, 2)
         got = gc.gldim_end(gencog).value
         if got > d_min:
             bad.append({"summands": sorted(gencog.summands), "d": d_min, "got": got})
@@ -283,32 +282,20 @@ def suite_lem45(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=1
     non-injective indecomposable X."""
     t0 = time.monotonic()
     _, catalog, engine = catalog_context(quiver, m, p)
-    forced = engine.required_ids()
-    layer0_free = [i for i in range(len(catalog))
-                   if catalog.layer0(i) and i not in forced]
-    rng = np.random.default_rng(seed + 2)
+    layer0 = [i for i in range(len(catalog)) if catalog.layer0(i)]
+    gencogs = random_gencogs(layer0, engine, samples, seed + 2)
     checks, bad = [], []
-    tried = set()
-    for _ in range(samples):
-        take = frozenset(i for i in layer0_free if rng.integers(0, 2))
-        ids = frozenset(forced | take)
-        if ids in tried:
-            continue
-        tried.add(ids)
-        gencog = GenCog(engine, ids)
+    for gencog in gencogs:
         for x in range(len(catalog)):
             if x in catalog.injective:
                 continue
             state = (x,)
             for _ in range(2 * m):
-                nxt = []
-                for idx in state:
-                    nxt.extend(engine.omega_ids(idx, gencog.summands))
-                state = tuple(sorted(nxt))
+                state = engine.omega_step(state, gencog.summands)
             if not all(catalog.layer0(i) for i in state):
-                bad.append({"summands": sorted(ids), "x": catalog.label(x),
+                bad.append({"summands": sorted(gencog.summands), "x": catalog.label(x),
                             "state": [catalog.label(i) for i in state]})
-    checks.append({"check": f"{len(tried)} qualifying generator-cogenerators",
+    checks.append({"check": f"{len(gencogs)} qualifying generator-cogenerators",
                    "ok": not bad})
     return _report("lem45", {"quiver": quiver.to_text(), "m": m, "p": p,
                              "samples": samples}, checks, bad, t0)
@@ -349,16 +336,6 @@ def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
                              "mode": mode}, checks, bad, t0)
 
 
-def _states_match(engine, state, module):
-    """Whether the multiset of registry ids equals the decomposition of a
-    module (up to iso)."""
-    pieces = []
-    if not module.is_zero():
-        for piece, mult in rp.decompose_layered(module):
-            pieces.extend([engine.registry.canon(piece)] * mult)
-    return tuple(sorted(pieces)) == tuple(sorted(state))
-
-
 def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, bound=3):
     """Desk-scale witness chain for the d >= 2m+3 construction, plus the
     windowed upper check."""
@@ -368,18 +345,13 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
     gencog, n, z = gc.construct_lem47(algebra, d, engine=engine)
     checks, bad = [], []
     # chain identities Omega_M^j(N) = Omega^j(N) for j <= 2m, ending at Z
-    state = tuple(sorted(engine.registry.canon(piece)
-                         for piece, mult in rp.decompose_layered(n)
-                         for _ in range(mult)))
+    state = engine.state(n)
     syz = n
     ok_chain = True
     for j in range(1, 2 * m + 1):
-        nxt = []
-        for idx in state:
-            nxt.extend(engine.omega_ids(idx, gencog.summands))
-        state = tuple(sorted(nxt))
+        state = engine.omega_step(state, gencog.summands)
         syz = rp.syzygy(syz)
-        if not _states_match(engine, state, syz):
+        if engine.state(syz) != state:
             ok_chain = False
             bad.append({"check": f"Omega_M^{j}(N) = Omega^{j}(N)", "j": j})
     checks.append({"check": "Omega_M^j(N) = Omega^j(N), j <= 2m", "ok": ok_chain})
@@ -395,13 +367,9 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
     zstate = (engine.registry.canon(z0),)
     tau_pow = z
     for i in range(1, d - (2 * m + 3) + 1):
-        nxt = []
-        for idx in zstate:
-            nxt.extend(engine.omega_ids(idx, gencog.summands))
-        zstate = tuple(sorted(nxt))
+        zstate = engine.omega_step(zstate, gencog.summands)
         tau_pow = qr.tau(tau_pow)
-        if not _states_match(engine, zstate,
-                             rp.rep_at_layer(algebra, tau_pow, 0)):
+        if engine.state(rp.rep_at_layer(algebra, tau_pow, 0)) != zstate:
             ok_tau = False
             bad.append({"check": f"Omega_M^{i}(Z) = tau^{i} Z", "i": i})
     checks.append({"check": "Omega_M^i(Z) = tau^i Z", "ok": ok_tau})

@@ -149,7 +149,7 @@ def test_criterion_4_theorem_1_both_directions():
         except WitnessNotFound:
             pass
         over = 0
-        for gencog in vf.random_gencogs(cat, engine, 200, seed=0):
+        for gencog in vf.random_gencogs(range(len(cat)), engine, 200, seed=0):
             if gc.gldim_end(gencog).value > cap:
                 over += 1
         if over:
@@ -197,7 +197,7 @@ def test_criterion_6_lemma21_oracle_equivalence():
     bad = []
     for quiver in (a2(), a3()):
         _, cat, engine = vf.catalog_context(quiver, 1, P)
-        for gencog in vf.random_gencogs(cat, engine, 8, seed=11):
+        for gencog in vf.random_gencogs(range(len(cat)), engine, 8, seed=11):
             lemma = gc.gldim_end(gencog).value
             try:
                 oracle = end_algebra_gldim(gencog)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from replalg.errors import AnomalyError, ContractError, OracleUnavailable
 from replalg.gencog import GenCog, MDimEngine, WitnessNotFound
 
 P = 32003
+QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
 
 def a2():
@@ -175,7 +177,7 @@ def test_end_algebra_oracle_cap():
 def test_oracle_agrees_with_lemma_route_on_random_gencogs(a2_ctx):
     from replalg.verify import random_gencogs
     alg, cat, engine = a2_ctx
-    gencogs = random_gencogs(cat, engine, 12, seed=5)
+    gencogs = random_gencogs(range(len(cat)), engine, 12, seed=5)
     assert len(gencogs) >= 3
     for gencog in gencogs:
         lemma = gc.gldim_end(gencog).value
@@ -305,3 +307,59 @@ def test_gencog_json(a2_ctx):
     data = gencog.to_json()
     assert data["fingerprint"] == alg.fingerprint()
     assert len(data["summands"]) == len(gencog.summands)
+
+
+def test_engine_shares_the_catalog_registry_and_hom_cache(a2_ctx):
+    alg, cat, engine = a2_ctx
+    assert MDimEngine.for_catalog(cat).registry is cat.registry
+    hom = engine.hom_fn()
+    for i in range(len(cat)):
+        for j in range(len(cat)):
+            assert hom(cat.modules[i], cat.modules[j]) is cat.hom_basis(i, j)
+
+
+def test_state_is_the_sorted_krull_schmidt_ids(a2_ctx):
+    alg, cat, engine = a2_ctx
+    x, y = 4, 1
+    before = len(engine.registry)
+    total, _, _ = rp.LayeredModule.direct_sum([cat.modules[x], cat.modules[x], cat.modules[y]])
+    assert engine.state(total) == tuple(sorted((x, x, y)))
+    assert engine.state(cat.modules[x]) == (x,)
+    assert engine.state(alg.zero_module()) == ()
+    assert len(engine.registry) == before
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_ar_sequence_middle_matches_the_ar_quiver(name):
+    quiver = qr.Quiver.load(str(QUIVERS / f"{name}.q"))
+    cat = ar.indec_catalog(rp.build_replicated(quiver, 0, P))
+    arrows = ar.ar_quiver(cat).mult
+    index = {id(m): i for i, m in enumerate(cat.modules)}
+    checked = 0
+    for z in range(len(cat)):
+        if z in cat.projective:
+            continue
+        tz, middle = gc.ar_sequence_middle(cat.modules[z], cat.modules)
+        got = {index[id(y)]: mult for y, mult in middle}
+        want = {y: int(arrows[y, z]) for y in range(len(cat)) if arrows[y, z]}
+        assert got == want
+        assert cat.find(tz) == cat.tau_map[z]
+        checked += 1
+    assert checked == len(cat) - quiver.n_vertices
+
+
+@pytest.mark.parametrize("vertex", [0, 1])
+def test_ar_sequence_middle_kronecker_preprojectives(vertex):
+    # preprojectives P(1), P(2), tau^-1 P(1), tau^-1 P(2), ...: the sequence
+    # ending in tau^-j P(1) has middle term tau^-(j-1) P(2) twice, the one
+    # ending in tau^-j P(2) has tau^-j P(1) twice
+    quiver = kronecker()
+    slices = gc.preprojective_slices(quiver, 3, 4)
+    pool = [m for sl in slices for m in sl]
+    for j in range(1, 4):
+        z = slices[j][vertex]
+        tz, middle = gc.ar_sequence_middle(z, pool)
+        assert qr.is_iso(tz, slices[j - 1][vertex])
+        assert len(middle) == 1 and middle[0][1] == 2
+        want = slices[j - 1][1] if vertex == 0 else slices[j][0]
+        assert qr.is_iso(middle[0][0], want)
