@@ -1,12 +1,15 @@
 """Direct computation of gl.dim End(M) from structure constants.
 
-An independent oracle for the approximation-based route: the endomorphism
-algebra of M = (+) M_i (pairwise non-isomorphic summands, so End(M) is
-basic) is assembled from Hom bases and composition; right End(M)-modules
-are component tuples with one action matrix per basis element; projective
-covers come from tops (the radical is the span of the off-diagonal blocks
-plus the nilpotent parts of the diagonal ones); the global dimension is
-the maximum projective dimension of the simple modules.
+An independent oracle for the approximation-based route.  The endomorphism
+algebra E of M = (+) M_i (pairwise non-isomorphic summands, so E is basic)
+is assembled once from Hom bases and composition: its structure constants
+and rows spanning each rad End(M_s) (rad E is their sum with the
+off-diagonal Hom blocks).  Every right E-module the oracle meets is a
+syzygy, kept as a submodule K of a projective Q = (+) e_s E given by column
+bases of its components K e_u; E acts on Q through the structure constants.  A resolution of the simple S_s starts from Omega S_s = rad e_s E
+and repeatedly replaces K by the kernel of its projective cover, built from
+generators of the top K / K rad E.  The global dimension is the maximum
+projective dimension of the simple modules.
 """
 
 import numpy as np
@@ -23,226 +26,120 @@ PD_STEP_CAP = 64
 class EndAlgebra:
     """End((+) M_i) by structure constants.
 
-    Basis elements are (s, t, r): the r-th basis morphism of Hom(M_t, M_s),
-    i.e. an element of e_s E e_t; it acts on a right module from the
-    s-component to the t-component.
+    The basis of the block e_s E e_t is bases[s][t], a basis of
+    Hom(M_t, M_s); on a right module an element of e_s E e_t maps the
+    s-component to the t-component.  consts[(s, t, u)][c, r] holds the
+    coordinates of bases[s][t][c] . bases[t][u][r] in bases[s][u], kept only
+    where the three blocks are non-empty.  rad E is the sum of the
+    off-diagonal blocks and of the rad End(M_s); rad[s] holds rows spanning
+    rad End(M_s) in the coordinates of bases[s][s].
     """
 
     def __init__(self, summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP):
-        self.summands = summands
         self.p = summands[0].algebra.p
-        n = len(summands)
-        self.n = n
-        self.bases = [[hom_fn(summands[t], summands[s]) for t in range(n)]
-                      for s in range(n)]
-        total = sum(len(self.bases[s][t]) for s in range(n) for t in range(n))
+        self.n = n = len(summands)
+        bases = [[hom_fn(summands[t], summands[s]) for t in range(n)] for s in range(n)]
+        self.d = d = [[len(bases[s][t]) for t in range(n)] for s in range(n)]
+        total = sum(map(sum, d))
         if total > cap:
             raise OracleUnavailable(
                 f"end-algebra oracle cap exceeded: dim End = {total} > {cap}")
-        self.dim = total
-        self._flat = {}
+        self.consts = {}
         for s in range(n):
-            for t in range(n):
-                flats = [f.flatten() for f in self.bases[s][t]]
-                self._flat[(s, t)] = (np.array(flats, dtype=np.int64).T
-                                      if flats else None)
+            for u in range(n):
+                if d[s][u]:
+                    self._build_consts(bases, s, u)
+        self.rad = [self._diagonal_rad(bases[s][s]) for s in range(n)]
 
-    def coords(self, s, t, morphism):
-        """Coordinates of a morphism M_t -> M_s in the chosen basis."""
-        flat = self._flat[(s, t)]
-        if flat is None:
-            raise AnomalyError("morphism in an empty Hom block")
-        sol = ef.solve(flat, morphism.flatten().reshape(-1, 1), self.p)
-        if sol is None:
-            raise AnomalyError("morphism outside its Hom block span")
-        return sol[:, 0]
+    def _build_consts(self, bases, s, u):
+        """Coordinates in bases[s][u] of every product landing in e_s E e_u,
+        read off a left inverse of the block's basis on its pivot rows."""
+        p, d = self.p, self.d
+        flat = np.array([f.flatten() for f in bases[s][u]], dtype=np.int64).T
+        _, rows = ef.rref(flat.T, p)
+        left = ef.zeros(flat.shape[1], flat.shape[0])
+        left[:, rows] = ef.inverse(flat[rows], p)
+        for t in range(self.n):
+            if not (d[s][t] and d[t][u]):
+                continue
+            prods = np.array([phi.compose(psi).flatten() for phi in bases[s][t]
+                              for psi in bases[t][u]], dtype=np.int64).T
+            coords = ef.mul(left, prods, p)
+            if not np.array_equal(ef.mul(flat, coords, p), prods):
+                raise AnomalyError("morphism outside its Hom block span")
+            self.consts[(s, t, u)] = coords.T.reshape(d[s][t], d[t][u], d[s][u])
 
-    def compose_coords(self, b1, b2):
-        """Coordinates of b1 . b2 (matrix product in E): b1 = (s,t,r1) in
-        e_s E e_t, b2 = (t,u,r2) in e_t E e_u; the product lies in e_s E e_u."""
-        s, t, r1 = b1
-        t2, u, r2 = b2
-        assert t == t2
-        phi = self.bases[s][t][r1]    # M_t -> M_s
-        psi = self.bases[t][u][r2]    # M_u -> M_t
-        comp = phi.compose(psi)       # M_u -> M_s
-        if comp.is_zero():
-            return None
-        return self.coords(s, u, comp)
-
-    def identity_coords(self, s):
-        m = self.summands[s]
-        ident = rp.LayeredMorphism.identity(m)
-        return self.coords(s, s, ident)
-
-    def scalar_part(self, s, r):
-        """lam with basis morphism r of End(M_s) equal to lam*id + nilpotent.
-        Assumes End(M_s) has residue field F_p: a summand whose residue
+    def _diagonal_rad(self, basis):
+        """rad End(M_s): b_r - (lam_r / lam_r0) b_r0 for r != r0, where lam
+        is the scalar part and b_r0 the first basis element with lam != 0.
+        Assumes End(M_s) has residue field F_p; a summand whose residue
         field is larger (a Kronecker regular at a point of degree >= 2)
-        still raises AnomalyError here, although rp.rad_end_basis handles
-        it."""
-        lam = single_eigenvalue(self.bases[s][s][r].blocks, self.p)
-        if lam is None:
+        raises AnomalyError, although rp.rad_end_basis handles it."""
+        lams = [single_eigenvalue(f.blocks, self.p) for f in basis]
+        if None in lams:
             raise AnomalyError("diagonal basis morphism is not scalar + nilpotent")
-        return lam
+        r0 = next(r for r, lam in enumerate(lams) if lam)
+        rows = np.delete(ef.eye(len(basis)), r0, axis=0)
+        rows[:, r0] = [(-lam * ef.inv_scalar(lams[r0], self.p)) % self.p
+                       for r, lam in enumerate(lams) if r != r0]
+        return rows
 
-    def rad_elements(self):
-        """rad E as a list of (block (s,t), coefficient vector over that
-        block's basis)."""
-        out = []
-        for s in range(self.n):
-            for t in range(self.n):
-                k = len(self.bases[s][t])
-                if s != t:
-                    for r in range(k):
-                        vec = np.zeros(k, dtype=np.int64)
-                        vec[r] = 1
-                        out.append(((s, t), vec))
-                else:
-                    ident = self.identity_coords(s)
-                    rows = []
-                    for r in range(k):
-                        lam = self.scalar_part(s, r)
-                        vec = np.zeros(k, dtype=np.int64)
-                        vec[r] = 1
-                        rows.append(np.mod(vec - lam * ident, self.p))
-                    if rows:
-                        mat, pivots = ef.rref(np.array(rows, dtype=np.int64), self.p)
-                        for idx in range(len(pivots)):
-                            if mat[idx].any():
-                                out.append(((s, s), mat[idx].copy()))
-        return out
+    def _act(self, mult, offsets, x, u, v, coeffs=None):
+        """x . b in Q = (+) e_s E^mult[s] for every column of x (an element
+        of Q e_u) and every element b of e_u E e_v: the basis, or the columns
+        of coeffs in coordinates.  The columns of the result, in Q e_v, run
+        over x first, then b.  offsets[s][v] is where the e_s E block of
+        Q e_v starts."""
+        d, k = self.d, x.shape[1]
+        q = d[u][v] if coeffs is None else coeffs.shape[1]
+        out = ef.zeros(offsets[-1][v], k * q)
+        for s, c in enumerate(mult):
+            const = self.consts.get((s, u, v)) if c else None
+            if const is None:
+                continue
+            act = (const.transpose(0, 2, 1) if coeffs is None
+                   else np.mod(np.tensordot(const, coeffs, axes=(1, 0)), self.p))
+            block = x[offsets[s][u]:offsets[s + 1][u]].reshape(c, d[s][u], k)
+            prod = np.tensordot(block, act, axes=(1, 0)).transpose(0, 2, 1, 3)
+            out[offsets[s][v]:offsets[s + 1][v]] = prod.reshape(c * d[s][v], k * q)
+        return np.mod(out, self.p)
 
+    def syzygy(self, mult, basis):
+        """Omega K for K with components basis[v] inside Q = (+) e_s E^mult[s]:
+        the kernel of the projective cover of K, returned the same way
+        inside the cover."""
+        n, p = self.n, self.p
+        offsets = np.vstack([np.zeros(n, dtype=np.int64),
+                             np.cumsum(np.array(mult)[:, None] * self.d, axis=0)]).tolist()
+        gens = []
+        for v in range(n):
+            # K rad E at v: K_u . e_u E e_v for u != v, K_v . rad End(M_v)
+            span = np.hstack([self._act(mult, offsets, basis[v], v, v, self.rad[v].T)]
+                             + [self._act(mult, offsets, basis[u], u, v) for u in range(n)
+                                if u != v and basis[u].shape[1] and self.d[u][v]])
+            _, pivots = ef.rref(np.hstack([span, basis[v]]), p)
+            gens.append(basis[v][:, [c - span.shape[1] for c in pivots
+                                     if c >= span.shape[1]]])
+        cover = [g.shape[1] for g in gens]
+        kernels = []
+        for v in range(n):
+            images = [self._act(mult, offsets, gens[u], u, v) for u in range(n)
+                      if cover[u] and self.d[u][v]]
+            kernels.append(ef.kernel_basis(np.hstack([ef.zeros(offsets[-1][v], 0)] + images), p))
+        return cover, kernels
 
-class EModule:
-    """A right End(M)-module: one space per summand index plus an action
-    matrix per algebra basis element (s, t, r), mapping the s-component
-    to the t-component."""
-
-    def __init__(self, algebra, dims, action):
-        self.algebra = algebra
-        self.dims = list(dims)
-        self.action = action  # dict (s, t, r) -> matrix dims[t] x dims[s]
-
-    @property
-    def total_dim(self):
-        return sum(self.dims)
-
-    def block_action(self, s, t, coeffs):
-        """Action of an element of e_s E e_t given by coefficients."""
-        out = ef.zeros(self.dims[t], self.dims[s])
-        for r, c in enumerate(coeffs):
-            if c:
-                out = np.mod(out + int(c) * self.action[(s, t, r)], self.algebra.p)
-        return out
-
-
-def projective_emodule(algebra, s):
-    """e_s E as a right module: component at t is the basis of e_s E e_t."""
-    dims = [len(algebra.bases[s][t]) for t in range(algebra.n)]
-    action = {}
-    for t in range(algebra.n):
-        for u in range(algebra.n):
-            for r in range(len(algebra.bases[t][u])):
-                mat = ef.zeros(dims[u], dims[t])
-                for col in range(dims[t]):
-                    prod = algebra.compose_coords((s, t, col), (t, u, r))
-                    if prod is not None:
-                        mat[:, col] = prod
-                action[(t, u, r)] = mat
-    return EModule(algebra, dims, action)
-
-
-def simple_emodule(algebra, s):
-    """top(e_s E): one-dimensional at s; a diagonal basis morphism acts by
-    its scalar part, everything else by zero."""
-    dims = [1 if t == s else 0 for t in range(algebra.n)]
-    action = {}
-    for t in range(algebra.n):
-        for u in range(algebra.n):
-            for r in range(len(algebra.bases[t][u])):
-                mat = ef.zeros(dims[u], dims[t])
-                if t == u == s:
-                    mat[0, 0] = algebra.scalar_part(s, r)
-                action[(t, u, r)] = mat
-    return EModule(algebra, dims, action)
-
-
-def _top_generators(module):
-    alg = module.algebra
-    spans = [[] for _ in range(alg.n)]
-    for (s, t), coeffs in alg.rad_elements():
-        mat = module.block_action(s, t, coeffs)
-        if mat.size:
-            spans[t].append(mat)
-    gens = []
-    for t in range(alg.n):
-        span = np.hstack(spans[t]) if spans[t] else ef.zeros(module.dims[t], 0)
-        _, section = ef.quotient_projection(span, module.dims[t], alg.p)
-        for c in range(section.shape[1]):
-            gens.append((t, section[:, c].copy()))
-    return gens
-
-
-def _cover_and_kernel(module):
-    """Projective cover of an EModule and the kernel with induced action."""
-    alg = module.algebra
-    gens = _top_generators(module)
-    if not gens:
-        return None  # zero module
-    parts = [projective_emodule(alg, s) for s, _ in gens]
-    dims = [sum(part.dims[t] for part in parts) for t in range(alg.n)]
-    offs = []
-    run = [0] * alg.n
-    for part in parts:
-        offs.append(list(run))
-        run = [run[t] + part.dims[t] for t in range(alg.n)]
-    # cover morphism blocks per component
-    blocks = []
-    for t in range(alg.n):
-        cols = []
-        for gen_idx, (s, vec) in enumerate(gens):
-            # basis elements (s, t, r) map to vec . (s, t, r)
-            k = len(alg.bases[s][t])
-            mat = ef.zeros(module.dims[t], k)
-            for r in range(k):
-                mat[:, r] = ef.mul(module.action[(s, t, r)], vec.reshape(-1, 1),
-                                   alg.p)[:, 0]
-            cols.append(mat)
-        blocks.append(np.hstack(cols) if cols else ef.zeros(module.dims[t], 0))
-    # kernel bases per component
-    kbases = [ef.kernel_basis(blocks[t], alg.p) for t in range(alg.n)]
-    kdims = [b.shape[1] for b in kbases]
-    # induced action on the kernel: total action on the cover, restricted
-    kaction = {}
-    for t in range(alg.n):
-        for u in range(alg.n):
-            for r in range(len(alg.bases[t][u])):
-                big = ef.zeros(dims[u], dims[t])
-                for pi, part in enumerate(parts):
-                    sub = part.action[(t, u, r)]
-                    big[offs[pi][u]:offs[pi][u] + part.dims[u],
-                        offs[pi][t]:offs[pi][t] + part.dims[t]] = sub
-                moved = ef.mul(big, kbases[t], alg.p)
-                coords = ef.solve(kbases[u], moved, alg.p)
-                if coords is None:
-                    raise AnomalyError("kernel not stable under the algebra action")
-                kaction[(t, u, r)] = coords
-    return EModule(alg, kdims, kaction)
-
-
-def emodule_pd(module):
-    """Projective dimension of a right End(M)-module by iterated covers."""
-    cur = module
-    steps = 0
-    while cur is not None and cur.total_dim:
-        cur = _cover_and_kernel(cur)
-        if cur is not None and cur.total_dim == 0:
-            cur = None
-        steps += 1
-        if steps > PD_STEP_CAP:
-            raise OracleUnavailable(f"syzygies did not terminate within {PD_STEP_CAP} steps")
-    return max(steps - 1, 0)
+    def simple_pd(self, s):
+        """Projective dimension of the simple module at summand s."""
+        mult = [int(t == s) for t in range(self.n)]
+        basis = [self.rad[s].T if t == s else ef.eye(self.d[s][t]) for t in range(self.n)]
+        steps = 1
+        while any(b.shape[1] for b in basis):
+            mult, basis = self.syzygy(mult, basis)
+            steps += 1
+            if steps > PD_STEP_CAP:
+                raise OracleUnavailable(
+                    f"syzygies did not terminate within {PD_STEP_CAP} steps")
+        return steps - 1
 
 
 def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP):
@@ -254,7 +151,4 @@ def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP)
     else:
         summands = list(gencog_or_summands)
     algebra = EndAlgebra(summands, hom_fn=hom_fn, cap=cap)
-    worst = 0
-    for s in range(algebra.n):
-        worst = max(worst, emodule_pd(simple_emodule(algebra, s)))
-    return worst
+    return max(algebra.simple_pd(s) for s in range(algebra.n))

@@ -117,14 +117,19 @@ def kernel_basis(a, p):
         return zeros(0, 0)
     if nrows == 0:
         return eye(ncols)
+    return _null_space(a, p)[0]
+
+
+def _null_space(a, p):
+    """(basis, free) for a matrix with at least one row and one column:
+    the canonical kernel basis of kernel_basis, one column per free
+    (non-pivot) column of rref(a), and the list of those free columns."""
     r, pivots = rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = zeros(ncols, len(free))
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-int(r[i, fc])) % p
-    return basis
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = zeros(a.shape[1], len(free))
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = np.mod(-r[:len(pivots)][:, free], p)
+    return basis, free
 
 
 def solve(a, b, p):
@@ -202,18 +207,8 @@ def quotient_projection(span, n, p):
         return zeros(0, 0), zeros(0, 0)
     if span.size == 0:
         return eye(n), eye(n)
-    r, pivots = rref(span.T, p)
-    free = [c for c in range(n) if c not in pivots]
-    q = len(free)
-    proj = zeros(q, n)
-    for j, fc in enumerate(free):
-        proj[j, fc] = 1
-        for i, pc in enumerate(pivots):
-            proj[j, pc] = (-int(r[i, fc])) % p
-    section = zeros(n, q)
-    for j, fc in enumerate(free):
-        section[fc, j] = 1
-    return proj, section
+    basis, free = _null_space(span.T, p)
+    return basis.T, eye(n)[:, free]
 
 
 # ---------------------------------------------------------------------------

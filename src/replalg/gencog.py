@@ -188,6 +188,7 @@ class MDimEngine:
         self.dim_cap = dim_cap
         self.catalog = catalog
         self._required = None
+        self._relevant = {}
         self._omega = {}
 
     @classmethod
@@ -235,8 +236,12 @@ class MDimEngine:
     def omega_ids(self, x_id, summand_ids):
         """State of Omega_M(X) for the registry id of X; cached on (X,
         predecessors of X inside M), None when the kernel leaves the
-        window."""
-        relevant = frozenset(i for i in summand_ids if self.registry.hom_basis(i, x_id))
+        window.  The predecessors are memoized per (X, M)."""
+        scope = (x_id, frozenset(summand_ids))
+        if scope not in self._relevant:
+            self._relevant[scope] = frozenset(i for i in scope[1]
+                                              if self.registry.hom_basis(i, x_id))
+        relevant = self._relevant[scope]
         key = (x_id, relevant)
         if key not in self._omega:
             x = self.registry.modules[x_id]

@@ -288,3 +288,34 @@ def reference_transpose_layered(m):
     if acc is None:
         return total1
     return acc.cokernel()[0]
+
+
+# ---------------------------------------------------------------------------
+# exactfield.quotient_projection as it was before it shared its null-space
+# construction with kernel_basis, kept verbatim as a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_quotient_projection(span, n, p):
+    """Projection onto canonical coordinates for F^n modulo a subspace.
+
+    span: matrix whose columns span the subspace U (may be redundant).
+    Returns (proj, section): proj is q x n with kernel exactly U, section
+    is n x q with proj @ section = I, where q = n - dim U.
+    """
+    if n == 0:
+        return ef.zeros(0, 0), ef.zeros(0, 0)
+    if span.size == 0:
+        return ef.eye(n), ef.eye(n)
+    r, pivots = ef.rref(span.T, p)
+    free = [c for c in range(n) if c not in pivots]
+    q = len(free)
+    proj = ef.zeros(q, n)
+    for j, fc in enumerate(free):
+        proj[j, fc] = 1
+        for i, pc in enumerate(pivots):
+            proj[j, pc] = (-int(r[i, fc])) % p
+    section = ef.zeros(n, q)
+    for j, fc in enumerate(free):
+        section[fc, j] = 1
+    return proj, section

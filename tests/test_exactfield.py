@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import permutation_det
+from oracles import permutation_det, reference_quotient_projection
 from replalg import exactfield as ef
 
 
@@ -109,6 +109,26 @@ def test_quotient_projection():
     assert proj.shape == (2, 4)
     assert not np.any(ef.mul(proj, span, p))
     assert np.array_equal(ef.mul(proj, section, p), ef.eye(2))
+
+
+def test_quotient_projection_matches_reference():
+    # random spans of every rank (products of random factors), zero spans,
+    # and the empty shapes: n = 0, a span with no columns or no entries
+    rng = np.random.default_rng(6)
+    for p in (2, 3, 32003):
+        cases = [(ef.zeros(0, 0), 0), (ef.zeros(0, 3), 0), (ef.zeros(4, 0), 4),
+                 (ef.zeros(0, 0), 3), (ef.zeros(3, 2), 3)]
+        for _ in range(30):
+            n, k, r = (int(x) for x in rng.integers(1, 7, size=3))
+            span = ef.mul(ef.fmat(rng.integers(0, p, size=(n, r)), p),
+                          ef.fmat(rng.integers(0, p, size=(r, k)), p), p)
+            cases.append((span, n))
+        for span, n in cases:
+            got = ef.quotient_projection(span, n, p)
+            want = reference_quotient_projection(span, n, p)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
 
 
 def test_char_poly_identity():

@@ -167,6 +167,44 @@ def test_end_algebra_oracle_matches_gldim_of_algebra():
         assert rp.global_dimension(alg) == want
 
 
+def test_end_algebra_oracle_pd_of_each_simple():
+    # End((+) proj(i,k)) = A^(m): the simple at summand proj(i,k) has the
+    # projective dimension of S(i,k), e.g. [0,1,1,2,3,3,4,5,5,6] for A_2, m=4
+    for quiver, ms in ((a2(), (1, 2, 3, 4)), (a3(), (1, 2))):
+        for m in ms:
+            alg = rp.build_replicated(quiver, m, P)
+            keys = [(i, k) for k in range(m + 1) for i in range(quiver.n_vertices)]
+            end = endalg.EndAlgebra([alg.proj(i, k) for i, k in keys])
+            assert ([end.simple_pd(s) for s in range(len(keys))]
+                    == [rp.pd(alg.simple(i, k)) for i, k in keys])
+
+
+def _kron_p3(b, c):
+    """A module over the Kronecker quiver at p = 3 (m = 0) with arrow maps
+    b and c."""
+    alg = rp.build_replicated(qr.Quiver.load(QUIVERS / "kron.q"), 0, 3)
+    dim = len(b)
+    return rp.LayeredModule(alg, [([dim, dim], [ef.fmat(b, 3), ef.fmat(c, 3)])])
+
+
+def test_end_algebra_oracle_on_a_tube_and_a_larger_residue_field():
+    # R_1, R_2 are the regulars of regular length 1 and 2 in the tube where
+    # b is invertible and c nilpotent.  End R_2 = F_3[t]/t^2, and
+    # End(R_1 + R_2) is the Auslander algebra of F_3[t]/t^2, of global
+    # dimension 2 (Auslander, "Representation dimension of Artin algebras",
+    # 1971).  F is the regular at the point x^2 + 1 of degree 2: End F = F_9.
+    r1 = _kron_p3([[1]], [[0]])
+    r2 = _kron_p3([[1, 0], [0, 1]], [[0, 1], [0, 0]])
+    f = _kron_p3([[1, 0], [0, 1]], [[0, 1], [2, 0]])
+    assert end_algebra_gldim([r1, r2]) == 2
+    # gl.dim F_3[t]/t^2 is infinite: the simple is its own syzygy
+    with pytest.raises(OracleUnavailable):
+        end_algebra_gldim([r2])
+    # residue fields larger than F_p are outside the oracle
+    with pytest.raises(AnomalyError):
+        end_algebra_gldim([f])
+
+
 def test_end_algebra_oracle_cap():
     alg = rp.build_replicated(a2(), 1, P)
     projs = [alg.proj(i, k) for k in range(2) for i in range(2)]
