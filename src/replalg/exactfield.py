@@ -7,6 +7,13 @@ a fixed generator and never reach its output (a unique, sorted factorization).
 
 Entries stay below p <= ~10^6 and matrix sizes stay at desk scale, so
 int64 accumulation in matrix products is exact.
+
+`rref` is the elimination kernel behind ranks, kernels, solves, inverses
+and quotient projections.  It eliminates on lists of Python ints, like
+`det` and `char_poly`: almost every system here is small (Hom spaces,
+submodules, action edges), and on those per-entry numpy indexing costs
+far more than list arithmetic.  On large inputs (Kronecker windows at
+d >= 7) a vectorized update per pivot would be faster (ROADMAP item 3).
 """
 
 from dataclasses import dataclass
@@ -76,31 +83,36 @@ def rref(a, p):
     Pivots are chosen scanning columns left to right, taking the lowest
     remaining row with a nonzero entry, so the output (and every quantity
     derived from it: ranks, kernels, quotient coordinates) is unique for a
-    given input.  Returns (R, pivot_columns).
+    given input.  Returns (R, pivot_columns).  Eliminates on Python int
+    rows (module docstring); entries left of a pivot in its row are zero,
+    so each update touches only the columns from the pivot on.
     """
     r = np.mod(np.array(a, dtype=np.int64), p)
     nrows, ncols = r.shape
+    m = r.tolist()
     pivots = []
     row = 0
     for col in range(ncols):
         if row >= nrows:
             break
-        sel = None
-        for i in range(row, nrows):
-            if r[i, col] % p != 0:
-                sel = i
-                break
+        sel = next((i for i in range(row, nrows) if m[i][col]), None)
         if sel is None:
             continue
-        if sel != row:
-            r[[row, sel]] = r[[sel, row]]
-        r[row] = np.mod(r[row] * inv_scalar(r[row, col], p), p)
+        m[row], m[sel] = m[sel], m[row]
+        piv = m[row]
+        inv = pow(piv[col], p - 2, p)
+        if inv != 1:
+            piv = piv[:col] + [x * inv % p for x in piv[col:]]
+            m[row] = piv
+        tail = piv[col:]
         for i in range(nrows):
-            if i != row and r[i, col] != 0:
-                r[i] = np.mod(r[i] - r[i, col] * r[row], p)
+            f = m[i][col]
+            if f and i != row:
+                mi = m[i]
+                m[i] = mi[:col] + [(x - f * y) % p for x, y in zip(mi[col:], tail)]
         pivots.append(col)
         row += 1
-    return r, pivots
+    return np.array(m, dtype=np.int64).reshape(nrows, ncols), pivots
 
 
 def rank(a, p):
@@ -144,6 +156,8 @@ def solve(a, b, p):
     if a.shape[0] != b.shape[0]:
         raise InputError(f"solve: {a.shape} vs rhs {b.shape}")
     ncols = a.shape[1]
+    if a.shape[0] == 0 or b.shape[1] == 0:
+        return zeros(ncols, b.shape[1])
     aug = np.hstack([a, b])
     r, pivots = rref(aug, p)
     for i in range(len(pivots)):

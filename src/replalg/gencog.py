@@ -77,13 +77,18 @@ class ApproxResult:
         self.surjective = morphism.is_surjective()
 
 
-def min_right_approx(summands, x, hom_fn=rp.hom_layered):
+def min_right_approx(summands, x, hom_fn=rp.hom_layered, rad_fn=None):
     """Minimal right add-M approximation of X for M = (+) summands
     (pairwise non-isomorphic indecomposables).
 
     Multiplicity of M_i = dim( Hom(M_i, X) / sum_j rad(M_i, M_j) Hom(M_j, X) );
     coset representatives are chosen greedily along the canonical Hom basis.
+    rad_fn(M_i) gives a basis of rad End(M_i) (by default rad_end_basis of
+    hom_fn(M_i, M_i)).
     """
+    if rad_fn is None:
+        def rad_fn(mi):
+            return rp.rad_end_basis(hom_fn(mi, mi))
     homs = [hom_fn(mi, x) for mi in summands]
     reps, mults, used = [], [], []
     for i, mi in enumerate(summands):
@@ -93,7 +98,7 @@ def min_right_approx(summands, x, hom_fn=rp.hom_layered):
         rad_image = []
         for j, mj in enumerate(summands):
             if homs[j]:
-                rad_ij = rp.rad_end_basis(hom_fn(mi, mi)) if i == j else hom_fn(mi, mj)
+                rad_ij = rad_fn(mi) if i == j else hom_fn(mi, mj)
                 rad_image.extend(f.compose(r) for r in rad_ij for f in homs[j])
         base = rp.span_dim(rad_image)
         chosen = []
@@ -223,6 +228,11 @@ class MDimEngine:
             return rp.hom_layered(a, b)
         return fn
 
+    def _rad_end(self, module):
+        """The registry's cached rad End basis of a registered module."""
+        idx = self.registry.identity_index(module)
+        return self.registry.rad_basis(idx, idx)
+
     def state(self, module):
         """The Krull-Schmidt state of a module: the sorted registry ids of
         its indecomposable summands, with multiplicity."""
@@ -246,7 +256,7 @@ class MDimEngine:
         if key not in self._omega:
             x = self.registry.modules[x_id]
             mods = [self.registry.modules[i] for i in sorted(relevant)]
-            result = min_right_approx(mods, x, hom_fn=self.hom_fn())
+            result = min_right_approx(mods, x, hom_fn=self.hom_fn(), rad_fn=self._rad_end)
             if not result.surjective:
                 raise AnomalyError("approximation by a generator failed to be surjective")
             kernel = result.kernel

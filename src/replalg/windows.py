@@ -7,13 +7,23 @@ closure is explicitly partial (results quote the window); it combines
 
   * simples, projectives, injectives of the base algebra,
   * tau^{-1} walks from projectives and tau walks from injectives,
-  * middle terms of all extension classes between census members (the
-    whole class space when p^e is small, basis classes plus seeded random
+  * middle terms of extension classes between census members (one class
+    per line of Ext^1 when p^e is small, basis classes plus seeded random
     combinations otherwise), iterated to a fixpoint,
 
 and then transports the base census into the replicated algebra by
 cosyzygy shifts computed in an enlarged window, keeping the shifts that
 are supported in layers <= m.
+
+One class per line loses nothing.  For lam in F_p^*, the middle terms of
+xi and lam*xi in Ext^1(M, N) are isomorphic: with E_xi given by the block
+matrices [[N_a, xi_a], [0, M_a]] on N + M, conjugating by
+g = diag(lam*I_N, I_M) gives g [[N_a, xi_a], [0, M_a]] g^-1 =
+[[N_a, lam*xi_a], [0, M_a]], the matrices of E_{lam*xi}
+(Auslander-Reiten-Smalo, ch. I).  The enumeration keeps the coefficient
+vectors whose most significant nonzero digit is 1, which is the first
+class of each line in code order, so the census (its modules and their
+order) is the one all classes would give.
 """
 
 import numpy as np
@@ -21,7 +31,7 @@ import numpy as np
 from . import exactfield as ef
 from . import quiverrep as qr
 from . import replicated as rp
-from .errors import InputError
+from .errors import AnomalyError, InputError
 
 EXT_ENUM_CAP = 81
 CLOSURE_ROUNDS = 4
@@ -73,7 +83,11 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
                 if e == 0:
                     continue
                 if p ** e <= EXT_ENUM_CAP:
-                    coeff_list = [_digits(code, p, e) for code in range(1, p ** e)]
+                    # one class per line (see the module docstring): the
+                    # first in code order, whose most significant nonzero
+                    # digit is 1
+                    coeff_list = [c for c in (_digits(code, p, e) for code in range(1, p ** e))
+                                  if next(x for x in reversed(c) if x) == 1]
                 else:
                     coeff_list = [[1 if t == k else 0 for t in range(e)] for k in range(e)]
                     coeff_list += [list(rng.integers(0, p, size=e)) for _ in range(4)]
@@ -126,8 +140,11 @@ def census_modules(algebra, bound, seed=ef.DEFAULT_SEED):
                 break
             sup = shifted.support_layers()
             if sup and max(sup) <= m:
+                # a shift supported in layers <= m satisfies every relation
+                # of A^(m), so the conversion cannot fail
                 try:
-                    add(rp.convert_window(shifted, algebra))
-                except InputError:
-                    pass
+                    restricted = rp.convert_window(shifted, algebra)
+                except InputError as exc:
+                    raise AnomalyError(f"cosyzygy shift failed to restrict to A^({m}): {exc}") from exc
+                add(restricted)
     return out.modules

@@ -8,6 +8,7 @@ from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg import splitting as sp
+from replalg import windows as w
 from replalg.artrans import _presentation_matrix, proj_basis_elements
 from replalg.errors import InputError
 from replalg.replicated import LayeredModule
@@ -319,3 +320,113 @@ def reference_quotient_projection(span, n, p):
     for j, fc in enumerate(free):
         section[fc, j] = 1
     return proj, section
+
+
+# ---------------------------------------------------------------------------
+# exactfield.rref as it was before it eliminated on Python int rows (one
+# row cleared at a time on an int64 array), kept verbatim as a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_rref(a, p):
+    """Reduced row echelon form with canonical pivoting.
+
+    Pivots are chosen scanning columns left to right, taking the lowest
+    remaining row with a nonzero entry, so the output (and every quantity
+    derived from it: ranks, kernels, quotient coordinates) is unique for a
+    given input.  Returns (R, pivot_columns).
+    """
+    r = np.mod(np.array(a, dtype=np.int64), p)
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        sel = None
+        for i in range(row, nrows):
+            if r[i, col] % p != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        if sel != row:
+            r[[row, sel]] = r[[sel, row]]
+        r[row] = np.mod(r[row] * ef.inv_scalar(r[row, col], p), p)
+        for i in range(nrows):
+            if i != row and r[i, col] != 0:
+                r[i] = np.mod(r[i] - r[i, col] * r[row], p)
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+# ---------------------------------------------------------------------------
+# windows.base_indecomposables as it was before it realized one extension
+# class per line: every nonzero class when p^e <= EXT_ENUM_CAP, kept
+# verbatim as a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
+    """Window census of indecomposable modules over the base hereditary
+    algebra with every vertex dimension <= bound (partial by design)."""
+    found = rp.IsoRegistry(iso=qr.is_iso)
+
+    def add(m):
+        if m.total_dim == 0 or any(d > bound for d in m.component_dims()) \
+                or found.find(m) is not None:
+            return False
+        found.add(m)
+        return True
+
+    for v in quiver.vertices:
+        add(qr.simple(quiver, p, v))
+        add(qr.projective(quiver, p, v))
+        add(qr.injective(quiver, p, v))
+    for v in quiver.vertices:
+        cur = qr.projective(quiver, p, v)
+        for _ in range(4 * bound):
+            cur = qr.tau_inverse(cur)
+            if cur.total_dim == 0 or any(d > bound for d in cur.component_dims()):
+                break
+            add(cur)
+        cur = qr.injective(quiver, p, v)
+        for _ in range(4 * bound):
+            cur = qr.tau(cur)
+            if cur.total_dim == 0 or any(d > bound for d in cur.component_dims()):
+                break
+            add(cur)
+    rng = np.random.default_rng(seed)
+    # kept across rounds, keyed by census ids: a class realized in an
+    # earlier round has already offered every piece of its middle term
+    ext1, realized = {}, set()
+    for _ in range(w.CLOSURE_ROUNDS):
+        grew = False
+        snapshot = list(found.modules)
+        for i, m in enumerate(snapshot):
+            for j, n in enumerate(snapshot):
+                if any(a + b > bound for a, b in zip(m.component_dims(), n.component_dims())):
+                    continue
+                if (i, j) not in ext1:
+                    ext1[i, j] = qr.ext1_dim(m, n)
+                e = ext1[i, j]
+                if e == 0:
+                    continue
+                if p ** e <= w.EXT_ENUM_CAP:
+                    coeff_list = [w._digits(code, p, e) for code in range(1, p ** e)]
+                else:
+                    coeff_list = [[1 if t == k else 0 for t in range(e)] for k in range(e)]
+                    coeff_list += [list(rng.integers(0, p, size=e)) for _ in range(4)]
+                for coeffs in coeff_list:
+                    key = (i, j, tuple(int(c) for c in coeffs))
+                    if not any(coeffs) or key in realized:
+                        continue
+                    realized.add(key)
+                    middle, _, _ = qr.realize_extension_class(m, n, coeffs)
+                    for piece, _ in qr.decompose(middle):
+                        if add(piece):
+                            grew = True
+        if not grew:
+            break
+    return found.modules

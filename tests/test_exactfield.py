@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import permutation_det, reference_quotient_projection
+from oracles import permutation_det, reference_quotient_projection, reference_rref
 from replalg import exactfield as ef
 
 
@@ -129,6 +129,87 @@ def test_quotient_projection_matches_reference():
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert np.array_equal(g, w)
+
+
+# empty, 3x4, a rank-3 50x30 and a random 40x41: the small systems rref
+# mostly sees and the large ones of Kronecker windows
+KERNEL_PRIMES = (2, 3, 5, 32003)
+
+
+def kernel_cases(p, rng):
+    low_rank = ef.mul(ef.fmat(rng.integers(0, p, size=(50, 3)), p),
+                      ef.fmat(rng.integers(0, p, size=(3, 30)), p), p)
+    return [ef.zeros(0, 5), ef.zeros(5, 0), ef.fmat(rng.integers(0, p, size=(3, 4)), p),
+            low_rank, ef.fmat(rng.integers(0, p, size=(40, 41)), p)]
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def reference_solve(a, b, p):
+    """solve() on reference_rref, with no early exit for empty systems."""
+    r, pivots = reference_rref(np.hstack([a, b]), p)
+    if any(c >= a.shape[1] for c in pivots):
+        return None
+    x = ef.zeros(a.shape[1], b.shape[1])
+    x[pivots] = r[:len(pivots), a.shape[1]:]
+    return x
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_rref_matches_reference(p):
+    for a in kernel_cases(p, np.random.default_rng(p)):
+        r, pivots = ef.rref(a, p)
+        want_r, want_pivots = reference_rref(a, p)
+        assert_same(r, want_r)
+        assert pivots == want_pivots
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_derived_kernels_match_reference(p):
+    rng = np.random.default_rng(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ef, "rref", reference_rref)
+        cases = kernel_cases(p, rng)
+        squares = [ef.zeros(0, 0), ef.fmat(rng.integers(0, p, size=(3, 3)), p),
+                   ef.fmat(rng.integers(0, p, size=(40, 40)), p), cases[3][:30]]
+        want = ([ef.rank(a, p) for a in cases], [ef.kernel_basis(a, p) for a in cases],
+                [ef.inverse(a, p) for a in squares],
+                [ef.quotient_projection(a, a.shape[0], p) for a in cases])
+    assert [ef.rank(a, p) for a in cases] == want[0]
+    for a, k in zip(cases, want[1]):
+        assert_same(ef.kernel_basis(a, p), k)
+    for a, inv in zip(squares, want[2]):
+        got = ef.inverse(a, p)
+        assert (got is None) == (inv is None)
+        if inv is not None:
+            assert_same(got, inv)
+    assert want[2][3] is None  # the 30x30 block has rank 3
+    for a, (proj, section) in zip(cases, want[3]):
+        got = ef.quotient_projection(a, a.shape[0], p)
+        assert_same(got[0], proj)
+        assert_same(got[1], section)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_solve_matches_reference(p):
+    # consistent right-hand sides a @ x, random (for the rank-3 50x30 one
+    # inconsistent) right-hand sides, single columns and matrices of them
+    rng = np.random.default_rng(p)
+    outcomes = set()
+    for a in kernel_cases(p, rng):
+        for k in (1, 3, 0):
+            x = ef.fmat(rng.integers(0, p, size=(a.shape[1], k)), p)
+            for b in (ef.mul(a, x, p), ef.fmat(rng.integers(0, p, size=(a.shape[0], k)), p)):
+                got, want = ef.solve(a, b, p), reference_solve(a, b, p)
+                outcomes.add(want is None)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert_same(got, want)
+                    assert np.array_equal(ef.mul(a, got, p), b)
+    assert outcomes == {True, False}
 
 
 def test_char_poly_identity():

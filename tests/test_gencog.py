@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import reference_base_indecomposables
 from replalg import artrans as ar
 from replalg import endalg
 from replalg import exactfield as ef
@@ -12,7 +14,7 @@ from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg import windows as w
 from replalg.endalg import end_algebra_gldim
-from replalg.errors import AnomalyError, ContractError, OracleUnavailable
+from replalg.errors import AnomalyError, ContractError, InputError, OracleUnavailable
 from replalg.gencog import GenCog, MDimEngine, WitnessNotFound
 
 P = 32003
@@ -326,9 +328,58 @@ def test_base_census_kronecker_counts():
     # 4 + 7 + 12 regulars of dims (1,1), (2,2), (3,3)
     base = w.base_indecomposables(kronecker(), 3, 3)
     assert len(base) == 29
-    from collections import Counter
     counts = Counter(m.dim_table()[0] for m in base)
     assert counts[(1, 1)] == 4 and counts[(2, 2)] == 7 and counts[(3, 3)] == 12
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("p, bound", [(2, 3), (3, 3), (5, 2)])
+def test_base_census_matches_all_classes_reference(p, bound):
+    # lambda*xi and xi have isomorphic middle terms, so one class per line
+    # finds the same modules in the same order
+    got = w.base_indecomposables(kronecker(), p, bound)
+    want = reference_base_indecomposables(kronecker(), p, bound)
+    assert [m.to_json() for m in got] == [m.to_json() for m in want]
+
+
+def test_base_census_realizes_one_class_per_line(monkeypatch):
+    calls = counting(monkeypatch, qr, "realize_extension_class")
+    reference_base_indecomposables(kronecker(), 3, 3)
+    assert len(calls) == 468
+    calls.clear()
+    w.base_indecomposables(kronecker(), 3, 3)
+    assert len(calls) == 234
+
+
+def test_census_surfaces_a_failed_restriction(monkeypatch):
+    def fail(module, algebra):
+        raise InputError("relation violated")
+
+    monkeypatch.setattr(rp, "convert_window", fail)
+    with pytest.raises(AnomalyError, match="relation violated"):
+        w.census_modules(rp.build_replicated(kronecker(), 1, 3), 2)
+
+
+def test_engine_computes_each_rad_end_once(monkeypatch):
+    # a fresh registry over the catalog, so no rad End is cached yet
+    cat = ar.indec_catalog(rp.build_replicated(a3(), 1, P))
+    engine = MDimEngine(cat.algebra, rp.IsoRegistry(cat.modules), catalog=cat)
+    calls = counting(monkeypatch, rp, "rad_end_basis")
+    assert gc.gldim_end(GenCog(engine, engine.required_ids())).exact
+    ids = Counter(engine.registry.identity_index(ends[0].source) for (ends,) in calls)
+    assert ids and None not in ids and max(ids.values()) == 1
 
 
 def test_census_respects_bound():
