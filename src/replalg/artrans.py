@@ -250,7 +250,7 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET, time_limit=PHASE_SECONDS):
         idx = index.find(m)
         if idx is not None:
             return idx, False
-        if len(fitting_split(m, rp.hom_layered)) != 1:
+        if len(fitting_split(m)) != 1:
             raise AnomalyError("tau closure produced a decomposable module")
         index.add(m)
         if len(modules) > budget:

@@ -22,7 +22,7 @@ from . import quiverrep as qr
 from . import replicated as rp
 from .errors import AnomalyError, ContractError, InputError, OracleUnavailable
 from .replicated import IsoRegistry, LayeredModule, LayeredMorphism
-from .splitting import single_eigenvalue
+from .splitting import fitting_split, single_eigenvalue
 
 MDIM_MAX_STEPS = 64
 MDIM_DIM_CAP = 600
@@ -77,54 +77,39 @@ class ApproxResult:
         self.surjective = morphism.is_surjective()
 
 
-def min_right_approx(summands, x, hom_fn=rp.hom_layered, rad_fn=None):
+def min_right_approx(summands, x, hom_fn=rp.hom_layered):
     """Minimal right add-M approximation of X for M = (+) summands
     (pairwise non-isomorphic indecomposables).
 
-    Multiplicity of M_i = dim( Hom(M_i, X) / sum_j rad(M_i, M_j) Hom(M_j, X) );
-    coset representatives are chosen greedily along the canonical Hom basis.
-    rad_fn(M_i) gives a basis of rad End(M_i) (by default rad_end_basis of
-    hom_fn(M_i, M_i)).
+    Multiplicity of M_i = dim( Hom(M_i, X) / sum_j rad(M_i, M_j) Hom(M_j, X) ),
+    with rad(M_i, M_i) = M_i.rad_end() and rad(M_i, M_j) = hom_fn(M_i, M_j)
+    for j != i.  The coset representatives are the Hom(M_i, X) basis
+    elements at pivot columns of one rref over [radical image | Hom(M_i, X)]:
+    each lies outside the span of the radical image and of the basis
+    elements before it, the greedy choice along the canonical basis.
     """
-    if rad_fn is None:
-        def rad_fn(mi):
-            return rp.rad_end_basis(hom_fn(mi, mi))
     homs = [hom_fn(mi, x) for mi in summands]
-    reps, mults, used = [], [], []
+    reps, mults = [], []
     for i, mi in enumerate(summands):
         if not homs[i]:
             mults.append(0)
             continue
-        rad_image = []
-        for j, mj in enumerate(summands):
-            if homs[j]:
-                rad_ij = rad_fn(mi) if i == j else hom_fn(mi, mj)
-                rad_image.extend(f.compose(r) for r in rad_ij for f in homs[j])
-        base = rp.span_dim(rad_image)
-        chosen = []
-        for f in homs[i]:
-            if rp.span_dim(rad_image + chosen + [f]) > base + len(chosen):
-                chosen.append(f)
+        cols = [f.compose(r).flatten() for j, mj in enumerate(summands) if homs[j]
+                for r in (mi.rad_end() if i == j else hom_fn(mi, mj)) for f in homs[j]]
+        nrad = len(cols)
+        cols += [f.flatten() for f in homs[i]]
+        _, pivots = ef.rref(np.array(cols, dtype=np.int64).T, x.algebra.p)
+        chosen = [homs[i][c - nrad] for c in pivots if c >= nrad]
         mults.append(len(chosen))
         if chosen:
             reps.append((i, chosen))
-            used.append((summands[i], len(chosen)))
-    if not used:
+    if not reps:
         zero = x.algebra.zero_module()
         f = LayeredMorphism(zero, x, [ef.zeros(d, 0) for d in x.component_dims()])
         return ApproxResult([], [0] * len(summands), f, zero, None)
-    parts = []
-    for i, chosen in reps:
-        parts.extend([summands[i]] * len(chosen))
-    total, _ = LayeredModule.block_sum(parts)
-    blocks = []
-    ncomp = x.algebra.n_components
-    for c in range(ncomp):
-        cols = []
-        for i, chosen in reps:
-            for f in chosen:
-                cols.append(f.blocks[c])
-        blocks.append(np.hstack(cols))
+    total, _ = LayeredModule.block_sum([summands[i] for i, chosen in reps for _ in chosen])
+    blocks = [np.hstack([f.blocks[c] for _, chosen in reps for f in chosen])
+              for c in range(x.algebra.n_components)]
     f = LayeredMorphism(total, x, blocks)
     kernel, incl = f.kernel()
     return ApproxResult([i for i, _ in reps], mults, f, kernel, incl)
@@ -228,20 +213,10 @@ class MDimEngine:
             return rp.hom_layered(a, b)
         return fn
 
-    def _rad_end(self, module):
-        """The registry's cached rad End basis of a registered module."""
-        idx = self.registry.identity_index(module)
-        return self.registry.rad_basis(idx, idx)
-
     def state(self, module):
         """The Krull-Schmidt state of a module: the sorted registry ids of
         its indecomposable summands, with multiplicity."""
-        if module.is_zero():
-            return ()
-        ids = []
-        for piece, mult in rp.decompose_layered(module):
-            ids.extend([self.registry.canon(piece)] * mult)
-        return tuple(sorted(ids))
+        return tuple(sorted(self.registry.canon(piece) for piece in fitting_split(module)))
 
     def omega_ids(self, x_id, summand_ids):
         """State of Omega_M(X) for the registry id of X; cached on (X,
@@ -256,7 +231,7 @@ class MDimEngine:
         if key not in self._omega:
             x = self.registry.modules[x_id]
             mods = [self.registry.modules[i] for i in sorted(relevant)]
-            result = min_right_approx(mods, x, hom_fn=self.hom_fn(), rad_fn=self._rad_end)
+            result = min_right_approx(mods, x, hom_fn=self.hom_fn())
             if not result.surjective:
                 raise AnomalyError("approximation by a generator failed to be surjective")
             kernel = result.kernel

@@ -385,7 +385,11 @@ def component_offsets(mods):
 class LayeredModule:
     """A right module over a ReplicatedAlgebra: one layer per level, given
     as (dims, maps) pairs and stored as checked Layer records, plus
-    connecting matrices for every dual basis element."""
+    connecting matrices for every dual basis element.
+
+    End(M) and rad End(M) are computed once, on the module (end_basis and
+    rad_end); the first end_basis makes the action matrices read-only, so
+    the memo cannot go stale."""
 
     def __init__(self, algebra, layers, conn=None, maximal_conn=None):
         """layers: one (dims, maps) pair per level, with conn (every
@@ -398,6 +402,8 @@ class LayeredModule:
             self._coerce(layers, conn, maximal_conn)
         self._validate()
         self._iso_key = None
+        self._end = None
+        self._rad = None
 
     def _coerce(self, layers, conn, maximal_conn):
         """Public input: layers as (dims, maps) pairs and connecting
@@ -542,6 +548,21 @@ class LayeredModule:
         if self._iso_key is None:
             self._iso_key = (self._dims, semi_invariants(self))
         return self._iso_key
+
+    def end_basis(self):
+        """hom_layered(self, self), computed once; the action matrices
+        become read-only first."""
+        if self._end is None:
+            for mat in self._edge_mats:
+                mat.flags.writeable = False
+            self._end = hom_layered(self, self)
+        return self._end
+
+    def rad_end(self):
+        """rad_end_basis(self.end_basis()), computed once."""
+        if self._rad is None:
+            self._rad = rad_end_basis(self.end_basis())
+        return self._rad
 
     # -- constructions --------------------------------------------------------
 
@@ -836,7 +857,8 @@ def hom_dim_layered(m, n):
 
 
 def is_iso_layered(m, n):
-    """Whether M and N are isomorphic, decided exactly.
+    """Whether M and N are isomorphic, decided exactly (at once when they
+    are one object).
 
     Some basis element of Hom(M, N) is an isomorphism when M and N are
     isomorphic and one of them is indecomposable.  Proof: let phi: M -> N
@@ -854,6 +876,8 @@ def is_iso_layered(m, n):
     found, never whether one exists, and the pieces are unique up to
     isomorphism (Krull-Schmidt), so the verdict does not depend on it.
     """
+    if m is n:
+        return True
     if m._dims != n._dims:
         return False
     if m.total_dim == 0:
@@ -863,12 +887,12 @@ def is_iso_layered(m, n):
         return False
     if find_invertible_combo([h.blocks for h in basis], m.p) is not None:
         return True
-    pieces = fitting_split(m, hom_layered)
+    pieces = fitting_split(m)
     if len(pieces) == 1:
         return False
     classes = IsoRegistry()
     ids = sorted(classes.canon(x) for x in pieces)
-    return ids == sorted(classes.canon(y) for y in fitting_split(n, hom_layered))
+    return ids == sorted(classes.canon(y) for y in fitting_split(n))
 
 
 SEMI_INVARIANT_POINTS = (0, 1, 2, 5, 7, 11)
@@ -915,8 +939,9 @@ class IsoRegistry:
     in its dimensions never computes its key.  iso(candidate, module) is
     the test used (is_iso_layered by default).
 
-    The registry is also the Hom cache of its modules: hom_basis and
-    rad_basis compute each space once per pair of ids."""
+    The registry is also the Hom cache of its modules: hom_basis computes
+    each space once per pair of distinct ids, and End and rad End come from
+    the modules' own memos (LayeredModule.end_basis and rad_end)."""
 
     def __init__(self, modules=(), iso=None):
         self.modules = []
@@ -924,7 +949,6 @@ class IsoRegistry:
         self._buckets = {}
         self._by_identity = {}
         self._homs = {}
-        self._rads = {}
         for m in modules:
             self.add(m)
 
@@ -956,6 +980,8 @@ class IsoRegistry:
 
     def hom_basis(self, i, j):
         """Basis of Hom(M_i, M_j) for ids i, j, computed once."""
+        if i == j:
+            return self.modules[i].end_basis()
         key = (i, j)
         if key not in self._homs:
             self._homs[key] = hom_layered(self.modules[i], self.modules[j])
@@ -963,12 +989,8 @@ class IsoRegistry:
 
     def rad_basis(self, i, j):
         """Basis of rad(M_i, M_j): all of Hom for i != j, rad End(M_i)
-        (rad_end_basis, computed once) for i = j."""
-        if i != j:
-            return self.hom_basis(i, j)
-        if i not in self._rads:
-            self._rads[i] = rad_end_basis(self.hom_basis(i, i))
-        return self._rads[i]
+        for i = j."""
+        return self.hom_basis(i, j) if i != j else self.modules[i].rad_end()
 
     def __len__(self):
         return len(self.modules)
@@ -978,7 +1000,7 @@ def decompose_layered(m):
     """Indecomposable summands of a layered module with multiplicities."""
     classes = IsoRegistry()
     mults = []
-    for piece in fitting_split(m, hom_layered):
+    for piece in fitting_split(m):
         idx = classes.find(piece)
         if idx is None:
             idx = classes.add(piece)
@@ -1200,11 +1222,9 @@ def sigma_stratum(algebra, k):
             if sup and max(sup) > step + 1:
                 raise WindowOverflow(
                     f"Sigma_{k}: support layer {max(sup)} after {step + 1} cosyzygies")
-        if not x.is_zero():
-            pieces = fitting_split(x, hom_layered)
-            if len(pieces) != 1:
-                raise AnomalyError(
-                    f"cosyzygy of P({algebra.quiver.vertices[i]}) decomposed in Sigma_{k}")
+        if not x.is_zero() and len(fitting_split(x)) != 1:
+            raise AnomalyError(
+                f"cosyzygy of P({algebra.quiver.vertices[i]}) decomposed in Sigma_{k}")
         members.append(x)
     return SigmaStratum(k, members, walg)
 

@@ -10,7 +10,9 @@ with the kind of its indecomposability verdict; both kinds are proofs:
     `certified_radical`): a nilpotent two-sided ideal J whose quotient
     End/J is a field.
 
-The certificate is complete: once every basis endomorphism is primary, it
+Splits read End(M) from the module's own memo (`m.end_basis()`), so End
+of one module object is computed once however often it is split.  The
+certificate is complete: once every basis endomorphism is primary, it
 fails only when End(M) is not local, and then a Las Vegas search finds a
 split (see `_split_once`).  Its fixed random generator picks which split
 is found, never whether one exists.  A module with local End(M) is
@@ -191,18 +193,18 @@ def primary_poly(blocks, p):
     return (facs[0][0] if len(facs) == 1 else None), facs
 
 
-def _split_once(m, hom_fn):
+def _split_once(m):
     """(pieces, None) for one nontrivial split of m, or (None, kind) when m
     is indecomposable, with kind the verdict kind (see the module doc).
 
-    Each basis endomorphism f_i is tested first: either its characteristic
-    polynomial is (x - lam)^n (read off without factoring), or it is
-    factored once.  The first f_i with two distinct irreducible factors
-    splits m.  Otherwise every f_i is primary, which is what the locality
-    certificate needs.  When it fails, End is not local, and random
-    combinations are tried until one splits m (a Las Vegas search).  The
-    generator is fixed: it picks which split is found, never whether one
-    exists.
+    Each basis endomorphism f_i of m.end_basis() is tested first: either
+    its characteristic polynomial is (x - lam)^n (read off without
+    factoring), or it is factored once.  The first f_i with two distinct
+    irreducible factors splits m.  Otherwise every f_i is primary, which is
+    what the locality certificate needs.  When it fails, End is not local,
+    and random combinations are tried until one splits m (a Las Vegas
+    search).  The generator is fixed: it picks which split is found, never
+    whether one exists.
 
     Why the search ends.  The projection End -> End/rad is linear and onto,
     so a uniform f maps to a uniform element a of the semisimple algebra
@@ -216,7 +218,7 @@ def _split_once(m, hom_fn):
     with probability 1 - 1/p, for M_2(F_2) with 3/8), so the bound of 1000
     tries is reached only if this argument is wrong.
     """
-    ends = hom_fn(m, m)
+    ends = m.end_basis()
     r = len(ends)
     if r <= 1:
         return None, BRICK
@@ -243,7 +245,7 @@ def _split_once(m, hom_fn):
                        "failed to split it")
 
 
-def fitting_split_labelled(m, hom_fn):
+def fitting_split_labelled(m):
     """The pieces of `fitting_split`, in the same order, each paired with
     the kind of its indecomposability verdict (one of VERDICT_KINDS)."""
     if m.total_dim > DIM_CAP:
@@ -254,7 +256,7 @@ def fitting_split_labelled(m, hom_fn):
         cur = stack.pop(0)
         if cur.total_dim == 0:
             continue
-        pieces, kind = _split_once(cur, hom_fn)
+        pieces, kind = _split_once(cur)
         if pieces is None:
             out.append((cur, kind))
         else:
@@ -262,7 +264,7 @@ def fitting_split_labelled(m, hom_fn):
     return out
 
 
-def fitting_split(m, hom_fn):
+def fitting_split(m):
     """All indecomposable pieces of m, with repetition, in a deterministic
-    order.  hom_fn(M, N) must return a basis of Hom(M, N)."""
-    return [piece for piece, _ in fitting_split_labelled(m, hom_fn)]
+    order; [] for the zero module."""
+    return [piece for piece, _ in fitting_split_labelled(m)]

@@ -373,13 +373,50 @@ def test_census_surfaces_a_failed_restriction(monkeypatch):
 
 
 def test_engine_computes_each_rad_end_once(monkeypatch):
-    # a fresh registry over the catalog, so no rad End is cached yet
-    cat = ar.indec_catalog(rp.build_replicated(a3(), 1, P))
+    # an algebra outside the build_replicated memo, so that no module of the
+    # catalog has its rad End cached yet; counted per module object
+    cat = ar.indec_catalog(rp.ReplicatedAlgebra(a3(), 1, P))
     engine = MDimEngine(cat.algebra, rp.IsoRegistry(cat.modules), catalog=cat)
     calls = counting(monkeypatch, rp, "rad_end_basis")
     assert gc.gldim_end(GenCog(engine, engine.required_ids())).exact
-    ids = Counter(engine.registry.identity_index(ends[0].source) for (ends,) in calls)
-    assert ids and None not in ids and max(ids.values()) == 1
+    per_object = Counter(id(ends[0].source) for (ends,) in calls)
+    ids = {engine.registry.identity_index(ends[0].source) for (ends,) in calls}
+    assert ids and None not in ids and max(per_object.values()) == 1
+
+
+def _end_computations(monkeypatch):
+    """Counter of hom_layered(M, M) calls per module object while
+    monkeypatch is active; the modules are kept alive so ids stay unique."""
+    seen, keep = Counter(), []
+    original = rp.hom_layered
+
+    def wrapper(m, n):
+        if m is n:
+            seen[id(m)] += 1
+            keep.append(m)
+        return original(m, n)
+
+    monkeypatch.setattr(rp, "hom_layered", wrapper)
+    return seen
+
+
+def test_end_is_computed_once_per_module_over_a_catalog(monkeypatch):
+    seen = _end_computations(monkeypatch)
+    cat = ar.indec_catalog(rp.ReplicatedAlgebra(a3(), 2, P))
+    assert len(cat) == 30
+    ar.ar_quiver(cat)
+    engine = MDimEngine.for_catalog(cat)
+    assert gc.gldim_end(GenCog(engine, engine.required_ids())).exact
+    assert len(seen) >= len(cat) and max(seen.values()) == 1
+
+
+def test_end_is_computed_once_per_module_in_a_window(monkeypatch):
+    seen = _end_computations(monkeypatch)
+    alg = rp.ReplicatedAlgebra(kronecker(), 1, 3)
+    engine = MDimEngine.windowed(alg)
+    gencog, _, _ = gc.construct_lem47(alg, 5, engine=engine)
+    gc.gldim_end_windowed(gencog, w.census_modules(alg, 2))
+    assert seen and max(seen.values()) == 1
 
 
 def test_census_respects_bound():

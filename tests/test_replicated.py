@@ -402,6 +402,23 @@ def test_compiled_relations_fail_like_reference(kind):
     assert str(compiled.value) == str(reference.value) == str(in_place.value) == message
 
 
+def test_end_basis_freezes_the_action_matrices():
+    alg = alg_a2(1)
+    x = rp.LayeredModule.direct_sum([alg.proj(i, 1) for i in range(2)])[0]
+    groups = [list(x.edge_matrices()), [mat for layer in x.layers for mat in layer.maps],
+              list(x.conn.values())]
+    assert all(any(mat.size for mat in group) for group in groups)
+    # frozen at the first End, not at construction
+    assert all(mat.flags.writeable for group in groups for mat in group)
+    ends = x.end_basis()
+    assert ends and x.end_basis() is ends
+    for group in groups:
+        for mat in group:
+            if mat.size:
+                with pytest.raises(ValueError):
+                    mat[0, 0] = 1
+
+
 def test_relation_with_empty_inner_dimension_still_checked():
     # A_2, m = 1, S(1) at layers 0 and 1: the prefix relation
     # g[1, e_1] = M_a^(0) g[1, a] has inner dimension dim M_0(2) = 0, so

@@ -36,8 +36,8 @@ def _record_verdicts(monkeypatch):
     module machinery and the catalog while monkeypatch is active."""
     seen = collections.Counter()
 
-    def recording_split(m, hom_fn):
-        labelled = sp.fitting_split_labelled(m, hom_fn)
+    def recording_split(m):
+        labelled = sp.fitting_split_labelled(m)
         seen.update(kind for _, kind in labelled)
         return [piece for piece, _ in labelled]
 
@@ -100,9 +100,9 @@ def test_scalar_test_matches_factoring(p):
     assert scalar_hits >= 9 * 6
 
 
-def _same_split(m, hom_fn):
-    new = sp.fitting_split(m, hom_fn)
-    old = reference_fitting_split(m, hom_fn)
+def _same_split(m):
+    new = sp.fitting_split(m)
+    old = reference_fitting_split(m, rp.hom_layered)
     assert [x.to_json() for x in new] == [x.to_json() for x in old]
     return new
 
@@ -111,29 +111,29 @@ def test_fitting_split_matches_reference_on_a3_m2_catalog(a3_m2_catalog):
     mods = a3_m2_catalog
     assert len(mods) == 30
     for x in mods:
-        assert len(_same_split(x, rp.hom_layered)) == 1
+        assert len(_same_split(x)) == 1
     n = len(mods)
     for i, x in enumerate(mods):
         y, z = mods[(i + 1) % n], mods[(i + 7) % n]
         xx = rp.LayeredModule.direct_sum([x, x])[0]
         xy = rp.LayeredModule.direct_sum([x, y])[0]
         xxz = rp.LayeredModule.direct_sum([x, x, z])[0]
-        assert len(_same_split(xx, rp.hom_layered)) == 2
-        assert len(_same_split(xy, rp.hom_layered)) == 2
-        assert len(_same_split(xxz, rp.hom_layered)) == 3
+        assert len(_same_split(xx)) == 2
+        assert len(_same_split(xy)) == 2
+        assert len(_same_split(xxz)) == 3
 
 
 def test_fitting_split_matches_reference_on_kronecker_p3_census(kron_p3_census):
     census, _ = kron_p3_census
     assert len(census) == 85
     for x in census:
-        assert len(_same_split(x, rp.hom_layered)) == 1
+        assert len(_same_split(x)) == 1
     # sums of non-bricks: End is a matrix ring over a local ring or F_9
-    fat = [x for x in census if len(rp.hom_layered(x, x)) > 1][:6]
+    fat = [x for x in census if len(x.end_basis()) > 1][:6]
     assert len(fat) == 6
     for x, y in zip(fat, fat[1:] + fat[:1]):
-        _same_split(rp.LayeredModule.direct_sum([x, x])[0], rp.hom_layered)
-        _same_split(rp.LayeredModule.direct_sum([x, y])[0], rp.hom_layered)
+        _same_split(rp.LayeredModule.direct_sum([x, x])[0])
+        _same_split(rp.LayeredModule.direct_sum([x, y])[0])
 
 
 def test_no_probabilistic_verdicts_in_kronecker_p3_census(kron_p3_census):
@@ -166,7 +166,7 @@ def test_certified_through_residue_field_branch():
     # some endomorphism is not scalar + nilpotent, so End/rad is not F_3
     # and the certificate cannot have taken its e = 1 branch
     assert any(sp.single_eigenvalue(f.blocks, 3) is None for f in ends)
-    [(piece, kind)] = sp.fitting_split_labelled(m, qr.hom_basis)
+    [(piece, kind)] = sp.fitting_split_labelled(m)
     assert kind == sp.CERTIFIED_LOCAL
     assert piece.component_dims() == [2, 2]
 
@@ -181,14 +181,11 @@ def test_certificate_refuses_non_local_end_and_search_splits():
     basis = [ef.eye(2), ef.fmat([[0, 1], [0, 0]], p), ef.fmat([[0, 0], [1, 0]], p),
              ef.fmat([[1, 1], [-1, -1]], p)]
 
-    def hom_fn(x, y):
-        if x is s2 and y is s2:
-            return [rp.LayeredMorphism(s2, s2, [b, ef.zeros(0, 0)]) for b in basis]
-        return qr.hom_basis(x, y)
-
+    # offered through the module's End memo, which fitting splits read
+    s2._end = [rp.LayeredMorphism(s2, s2, [b, ef.zeros(0, 0)]) for b in basis]
     for b in basis:
         assert sp.single_eigenvalue([b], p) is not None
-    labelled = sp.fitting_split_labelled(s2, hom_fn)
+    labelled = sp.fitting_split_labelled(s2)
     assert [(x.component_dims(), kind) for x, kind in labelled] == [([1, 0], sp.BRICK)] * 2
 
 
