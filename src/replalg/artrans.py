@@ -129,18 +129,19 @@ def tau_inverse(m):
 
 
 class IndecCatalog:
-    """One representative per isomorphism class of indecomposables,
-    closed under tau and tau^{-1}, with flags and translation tables."""
+    """One representative per isomorphism class of indecomposables, closed
+    under tau and tau^{-1}, with flags, translation tables and the
+    IsoRegistry that holds the modules and caches their Hom spaces."""
 
-    def __init__(self, algebra, modules, tau_map, tau_inv_map,
+    def __init__(self, algebra, registry, tau_map, tau_inv_map,
                  projective, injective):
         self.algebra = algebra
-        self.modules = modules
+        self.registry = registry
+        self.modules = registry.modules
         self.tau_map = tau_map
         self.tau_inv_map = tau_inv_map
         self.projective = projective
         self.injective = injective
-        self.registry = rp.IsoRegistry(modules)
         self._leq = None
 
     def __len__(self):
@@ -226,8 +227,8 @@ class IndecCatalog:
         ignored."""
         if data.get("fingerprint") != algebra.fingerprint():
             raise InputError("catalog fingerprint does not match the algebra")
-        modules = [LayeredModule.from_json(algebra, d) for d in data["modules"]]
-        return cls(algebra, modules,
+        registry = rp.IsoRegistry(LayeredModule.from_json(algebra, d) for d in data["modules"])
+        return cls(algebra, registry,
                    [None if t is None else int(t) for t in data["tau"]],
                    [None if t is None else int(t) for t in data["tau_inv"]],
                    set(data["projective"]), set(data["injective"]))
@@ -285,7 +286,7 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET, time_limit=PHASE_SECONDS):
     projective = {index.find(algebra.proj(i, k)) for k, i in comps}
     injective = {index.find(algebra.inj(i, k)) for k, i in comps}
     cat = IndecCatalog(algebra,
-                       modules,
+                       index,
                        [tau_map.get(i) for i in range(len(modules))],
                        [tau_inv_map.get(i) for i in range(len(modules))],
                        projective, injective)

@@ -257,12 +257,11 @@ def cmd_ar_quiver(args):
 def cmd_strata(args):
     quiver = _load_quiver(args.quiver)
     algebra = rp.build_replicated(quiver, args.m, args.prime)
-    stratum = rp.sigma_stratum(algebra, args.k)
     report = _base_report("strata", quiver, args)
     gd = rp.global_dimension(algebra)
     report["results"] = {
         "k": args.k,
-        "sigma": [x.dim_label() for x in stratum.members],
+        "sigma": [x.dim_label() for x in rp.sigma_stratum(algebra, args.k)],
         "u": ([x.dim_label() for x in rp.u_stratum(algebra, args.k)]
               if args.k <= gd - 1 else []),
     }

@@ -473,54 +473,12 @@ def _simple_projective_vertices(quiver):
             if not any(quiver.arrow_source[a] == i for a in range(len(quiver.arrows)))]
 
 
-def preprojective_slices(quiver, p, depth):
-    """tau^{-j} walks from the indecomposable projectives of the base
-    algebra: slices[j][i] = tau^{-j} P(vertex i) (None once zero)."""
-    slices = [[qr.projective(quiver, p, v) for v in quiver.vertices]]
-    for _ in range(depth):
-        prev = slices[-1]
-        nxt = []
-        for m in prev:
-            if m is None or m.total_dim == 0:
-                nxt.append(None)
-                continue
-            t = qr.tau_inverse(m)
-            nxt.append(t if t.total_dim else None)
-        slices.append(nxt)
-    return slices
-
-
-def ar_sequence_middle(z, pool):
-    """Middle-term summands (with multiplicity) of the almost split
-    sequence ending in a non-projective module z, computed as rad/rad^2
-    multiplicities over a pool of candidate indecomposables; the pool must
-    contain every predecessor slice of z (sound for maps into a
-    preprojective module).  The mesh dimension identity is verified and
-    failure raises."""
-    tz = qr.tau(z)
-    registry = IsoRegistry(iso=qr.is_iso)
-    for m in pool:
-        if m is not None and m.total_dim:
-            registry.canon(m)
-    z_idx = registry.canon(z)
-    n = len(registry)
-    middle = []
-    for y_idx, y in enumerate(registry.modules):
-        mult = ar.irreducible_mult(registry.rad_basis, n, y_idx, z_idx)
-        if mult > 0:
-            middle.append((y, mult))
-    want = np.array(z.component_dims()) + np.array(tz.component_dims())
-    got = sum(mult * np.array(y.component_dims()) for y, mult in middle) if middle \
-        else np.zeros(len(want), dtype=np.int64)
-    if not np.array_equal(want, got):
-        raise AnomalyError("mesh dimension identity failed for the knitted sequence")
-    return tz, middle
-
-
 def construct_lem47(algebra, d, engine=None):
     """M = A + DA_m + (tau^i Y_j for 0 <= i <= d-(2m+3)) + P, with the Y_j
     the middle of the almost split sequence ending in Z, where tau^(d-(2m+2)) Z
-    is simple projective.  Returns (GenCog, witness N = cosyzygy^{2m} Z, Z)."""
+    is simple projective.  Z is preprojective, so `qr.ar_sequence` finds the
+    Y_j from the one-dimensional Ext^1(Z, tau Z).  Returns (GenCog, witness
+    N = cosyzygy^{2m} Z, Z)."""
     m_level = algebra.m
     if d < 2 * m_level + 3:
         raise InputError(f"lem47 needs d >= 2m+3 = {2 * m_level + 3}, got {d}")
@@ -541,10 +499,7 @@ def construct_lem47(algebra, d, engine=None):
     if z is None:
         raise ContractError(
             "no preprojective witness Z: base algebra looks representation-finite")
-    depth = max(steps + 2, 3)
-    slices = preprojective_slices(quiver, p, depth)
-    pool = [m for sl in slices for m in sl]
-    tz, middle = ar_sequence_middle(z, pool)
+    _, middle = qr.ar_sequence(z)
     if engine is None:
         engine = MDimEngine.windowed(algebra)
     ids = engine.required_ids()

@@ -1193,21 +1193,12 @@ def convert_window(m, target_algebra):
     return LayeredModule(target_algebra, layers, conn=conn)
 
 
-class SigmaStratum:
-    """The k-th cosyzygy shift of the indecomposable projective A-modules,
-    computed inside a window algebra of level k+1."""
-
-    def __init__(self, k, members, window_algebra):
-        self.k = k
-        self.members = members
-        self.window_algebra = window_algebra
-
-
 def sigma_stratum(algebra, k):
-    """Sigma_k inside the enlarged window A^(K), K = k+1 (capped at 2m+2);
-    one cosyzygy step raises the layer support by at most one, so members
-    occupy layers <= k.  k may run up to 2m+1 (the projective-dimension
-    ceiling), which the pd-sandwich checks need."""
+    """Sigma_k, the k-th cosyzygy shifts of the indecomposable projective
+    A-modules, as a list of modules over the enlarged window A^(K),
+    K = k+1 (capped at 2m+2); one cosyzygy step raises the layer support by
+    at most one, so members occupy layers <= k.  k may run up to 2m+1 (the
+    projective-dimension ceiling), which the pd-sandwich checks need."""
     if not 0 <= k <= 2 * algebra.m + 1:
         raise InputError(f"sigma_stratum: k={k} outside [0, 2m+1]")
     cap = 2 * algebra.m + 2
@@ -1226,7 +1217,7 @@ def sigma_stratum(algebra, k):
             raise AnomalyError(
                 f"cosyzygy of P({algebra.quiver.vertices[i]}) decomposed in Sigma_{k}")
         members.append(x)
-    return SigmaStratum(k, members, walg)
+    return members
 
 
 def u_stratum(algebra, k):
@@ -1234,9 +1225,8 @@ def u_stratum(algebra, k):
     algebra: the indecomposables of Sigma_k that are A^(m)-modules."""
     if not 0 <= k <= global_dimension(algebra) - 1:
         raise InputError(f"u_stratum: k={k} outside [0, gl.dim - 1]")
-    stratum = sigma_stratum(algebra, k)
     out = []
-    for x in stratum.members:
+    for x in sigma_stratum(algebra, k):
         sup = x.support_layers()
         if x.is_zero() or (sup and max(sup) > algebra.m):
             continue

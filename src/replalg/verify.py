@@ -214,7 +214,7 @@ def suite_lem23_2(quiver, m=1, p=ef.DEFAULT_PRIME):
     max_k = 2 * m + 1
     for k in range(max_k + 1):
         ids = []
-        for member in rp.sigma_stratum(algebra, k).members:
+        for member in rp.sigma_stratum(algebra, k):
             if member.is_zero():
                 continue
             converted = rp.convert_window(member, walg)

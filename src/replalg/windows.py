@@ -32,6 +32,7 @@ from . import exactfield as ef
 from . import quiverrep as qr
 from . import replicated as rp
 from .errors import AnomalyError, InputError
+from .splitting import fitting_split
 
 EXT_ENUM_CAP = 81
 CLOSURE_ROUNDS = 4
@@ -97,7 +98,7 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
                         continue
                     realized.add(key)
                     middle, _, _ = qr.realize_extension_class(m, n, coeffs)
-                    for piece, _ in qr.decompose(middle):
+                    for piece in fitting_split(middle):
                         if add(piece):
                             grew = True
         if not grew:

@@ -453,39 +453,3 @@ def test_state_is_the_sorted_krull_schmidt_ids(a2_ctx):
     assert engine.state(cat.modules[x]) == (x,)
     assert engine.state(alg.zero_module()) == ()
     assert len(engine.registry) == before
-
-
-@pytest.mark.parametrize("name", ["a3", "d4"])
-def test_ar_sequence_middle_matches_the_ar_quiver(name):
-    quiver = qr.Quiver.load(str(QUIVERS / f"{name}.q"))
-    cat = ar.indec_catalog(rp.build_replicated(quiver, 0, P))
-    arrows = ar.ar_quiver(cat).mult
-    index = {id(m): i for i, m in enumerate(cat.modules)}
-    checked = 0
-    for z in range(len(cat)):
-        if z in cat.projective:
-            continue
-        tz, middle = gc.ar_sequence_middle(cat.modules[z], cat.modules)
-        got = {index[id(y)]: mult for y, mult in middle}
-        want = {y: int(arrows[y, z]) for y in range(len(cat)) if arrows[y, z]}
-        assert got == want
-        assert cat.find(tz) == cat.tau_map[z]
-        checked += 1
-    assert checked == len(cat) - quiver.n_vertices
-
-
-@pytest.mark.parametrize("vertex", [0, 1])
-def test_ar_sequence_middle_kronecker_preprojectives(vertex):
-    # preprojectives P(1), P(2), tau^-1 P(1), tau^-1 P(2), ...: the sequence
-    # ending in tau^-j P(1) has middle term tau^-(j-1) P(2) twice, the one
-    # ending in tau^-j P(2) has tau^-j P(1) twice
-    quiver = kronecker()
-    slices = gc.preprojective_slices(quiver, 3, 4)
-    pool = [m for sl in slices for m in sl]
-    for j in range(1, 4):
-        z = slices[j][vertex]
-        tz, middle = gc.ar_sequence_middle(z, pool)
-        assert qr.is_iso(tz, slices[j - 1][vertex])
-        assert len(middle) == 1 and middle[0][1] == 2
-        want = slices[j - 1][1] if vertex == 0 else slices[j][0]
-        assert qr.is_iso(middle[0][0], want)

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from replalg import windows as w
 from replalg.errors import AnomalyError, InputError
 
 P = 32003
+QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
 
 def rep(quiver, p, dims, maps=None):
@@ -403,3 +405,54 @@ def test_euler_form_identity_on_census_pairs(quiver, p):
             assert qr.ext1_dim(x, y) == ext
             assert len(qr.hom_basis(x, y)) - ext == \
                 qr.euler_form(quiver, x.component_dims(), y.component_dims())
+
+
+@pytest.mark.parametrize("name", ["a2r", "a3", "a3alt", "d4"])
+def test_ar_sequence_matches_the_ar_quiver(name):
+    # the rad/rad^2 arrows of the AR quiver over a complete catalog are an
+    # independent oracle for the middle terms and tau of each sequence
+    quiver = qr.Quiver.load(str(QUIVERS / f"{name}.q"))
+    cat = ar.indec_catalog(rp.build_replicated(quiver, 0, P))
+    arrows = ar.ar_quiver(cat).mult
+    checked = 0
+    for z in range(len(cat)):
+        if z in cat.projective:
+            continue
+        tz, middle = qr.ar_sequence(cat.modules[z])
+        got = {cat.find(y): mult for y, mult in middle}
+        want = {y: int(arrows[y, z]) for y in range(len(cat)) if arrows[y, z]}
+        assert got == want
+        assert cat.find(tz) == cat.tau_map[z]
+        checked += 1
+    assert checked == len(cat) - quiver.n_vertices
+
+
+@pytest.mark.parametrize("vertex", [0, 1])
+def test_ar_sequence_kronecker_preprojectives(vertex):
+    # preprojectives P(1), P(2), tau^-1 P(1), tau^-1 P(2), ...: the sequence
+    # ending in tau^-j P(1) has middle term tau^-(j-1) P(2) twice, the one
+    # ending in tau^-j P(2) has tau^-j P(1) twice
+    quiver = kronecker()
+    slices = [[qr.projective(quiver, 3, v) for v in quiver.vertices]]
+    for _ in range(3):
+        slices.append([qr.tau_inverse(x) for x in slices[-1]])
+    for j in range(1, 4):
+        tz, middle = qr.ar_sequence(slices[j][vertex])
+        assert qr.is_iso(tz, slices[j - 1][vertex])
+        assert len(middle) == 1 and middle[0][1] == 2
+        want = slices[j - 1][1] if vertex == 0 else slices[j][0]
+        assert qr.is_iso(middle[0][0], want)
+
+
+def test_ar_sequence_refuses_a_larger_ext_space():
+    # Kronecker (2,2) regular at the degree-2 point x^2 - x - 1 of P^1(F_3):
+    # End = F_9 and tau Z = Z, so dim Ext^1(Z, tau Z) = 2 and a basis class
+    # need not be almost split
+    comp = ef.fmat([[0, 1], [1, 1]], 3)
+    z = rep(kronecker(), 3, [2, 2], [ef.eye(2), comp])
+    assert qr.is_iso(qr.tau(z), z)
+    assert qr.ext1_dim(z, qr.tau(z)) == 2
+    with pytest.raises(AnomalyError):
+        qr.ar_sequence(z)
+    with pytest.raises(AnomalyError):
+        qr.ar_sequence(qr.projective(kronecker(), 3, "1"))

@@ -249,7 +249,7 @@ def test_simple_pd_bounds():
 def test_sigma_stratum_zero():
     alg = alg_a2(1)
     s0 = rp.sigma_stratum(alg, 0)
-    for i, x in enumerate(s0.members):
+    for i, x in enumerate(s0):
         assert x.dim_table()[0] == qr.projective(alg.quiver, P, alg.quiver.vertices[i]).dim_table()[0]
 
 

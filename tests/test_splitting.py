@@ -33,7 +33,8 @@ def base_module(quiver, p, dims, maps):
 
 def _record_verdicts(monkeypatch):
     """Counter of the verdict kinds of every Fitting split made by the
-    module machinery and the catalog while monkeypatch is active."""
+    module machinery, the catalog and the window census while monkeypatch
+    is active."""
     seen = collections.Counter()
 
     def recording_split(m):
@@ -41,7 +42,7 @@ def _record_verdicts(monkeypatch):
         seen.update(kind for _, kind in labelled)
         return [piece for piece, _ in labelled]
 
-    for module in (rp, ar):
+    for module in (rp, ar, w):
         monkeypatch.setattr(module, "fitting_split", recording_split)
     return seen
 
