@@ -74,7 +74,7 @@ class EndAlgebra:
         is the scalar part and b_r0 the first basis element with lam != 0.
         Assumes End(M_s) has residue field F_p; a summand whose residue
         field is larger (a Kronecker regular at a point of degree >= 2)
-        raises AnomalyError, although rp.rad_end_basis handles it."""
+        raises AnomalyError, although LayeredModule.rad_end handles it."""
         lams = [single_eigenvalue(f.blocks, self.p) for f in basis]
         if None in lams:
             raise AnomalyError("diagonal basis morphism is not scalar + nilpotent")

@@ -9,7 +9,7 @@ summands; since approximations are additive, only kernels of single
 indecomposables are ever computed, and the chain becomes a walk on a
 finite successor graph.  An infinite M-dimension is certified by a state
 revisit; leaving the window (unbounded growth) yields an indeterminate
-verdict, never a guess.
+verdict (None), never a guess.
 """
 
 import math
@@ -26,7 +26,6 @@ from .splitting import fitting_split, single_eigenvalue
 
 MDIM_MAX_STEPS = 64
 MDIM_DIM_CAP = 600
-INDETERMINATE = "indeterminate"
 
 
 class WitnessNotFound(ContractError):
@@ -68,12 +67,10 @@ class GenCog:
 class ApproxResult:
     """A minimal right add-M approximation f: M' -> X with its kernel."""
 
-    def __init__(self, summand_ids, multiplicities, morphism, kernel, kernel_incl):
-        self.summand_ids = summand_ids
+    def __init__(self, multiplicities, morphism, kernel):
         self.multiplicities = multiplicities
         self.morphism = morphism
         self.kernel = kernel
-        self.kernel_incl = kernel_incl
         self.surjective = morphism.is_surjective()
 
 
@@ -106,13 +103,13 @@ def min_right_approx(summands, x, hom_fn=rp.hom_layered):
     if not reps:
         zero = x.algebra.zero_module()
         f = LayeredMorphism(zero, x, [ef.zeros(d, 0) for d in x.component_dims()])
-        return ApproxResult([], [0] * len(summands), f, zero, None)
+        return ApproxResult([0] * len(summands), f, zero)
     total, _ = LayeredModule.block_sum([summands[i] for i, chosen in reps for _ in chosen])
     blocks = [np.hstack([f.blocks[c] for _, chosen in reps for f in chosen])
               for c in range(x.algebra.n_components)]
     f = LayeredMorphism(total, x, blocks)
-    kernel, incl = f.kernel()
-    return ApproxResult([i for i, _ in reps], mults, f, kernel, incl)
+    kernel, _ = f.kernel()
+    return ApproxResult(mults, f, kernel)
 
 
 def verify_approximation(summands, x, result, hom_fn=rp.hom_layered):
@@ -149,14 +146,13 @@ def verify_approximation(summands, x, result, hom_fn=rp.hom_layered):
 
 class MDimResult:
     """Outcome of an M-dimension computation: a value (int, inf, or None
-    for indeterminate), the witness chain of non-add-M states, and cycle
-    evidence when infinite."""
+    for indeterminate) and, when infinite, the cycle certificate
+    (summand id, (first visit, revisit)) of `MDimEngine.cycle`; None when
+    that walk found no revisit or the value is finite."""
 
-    def __init__(self, value, chain, cycle=None, reason=None):
+    def __init__(self, value, cycle=None):
         self.value = value
-        self.chain = chain
         self.cycle = cycle
-        self.reason = reason
 
     @property
     def is_infinite(self):
@@ -250,7 +246,9 @@ class MDimEngine:
         return tuple(sorted(out))
 
     def mdim_id(self, x_id, summand_ids):
-        """(value, chain, cycle, reason) for a single indecomposable."""
+        """(value, cycle) for a single indecomposable: value is an int, inf
+        or None (window exit or step cap); cycle is `self.cycle` when the
+        value is inf, else None."""
         memo = {}
         onstack = []
 
@@ -288,33 +286,27 @@ class MDimEngine:
             return val
 
         value = rec(x_id, 0)
-        chain, cycle = self._witness_chain(x_id, summand_ids, value)
-        reason = "window exit or step cap" if value is None else None
-        return value, chain, cycle, reason
+        return value, (self.cycle(x_id, summand_ids) if value == math.inf else None)
 
-    def _witness_chain(self, x_id, summand_ids, value):
-        """Reconstruct the multiset chain Omega^0, Omega^1, ... of non-add-M
-        summand ids; for an infinite verdict, stop at the first revisited
-        state and report it as the cycle certificate."""
-        state = (x_id,) if x_id not in summand_ids else ()
-        chain = [state]
+    def cycle(self, x_id, summand_ids):
+        """Cycle certificate of an infinite M-dimension: walk the multiset
+        states Omega^0, Omega^1, ... of non-add-M summand ids and return
+        (first visit, revisit) of the first revisited state, or None when
+        the walk empties, leaves the window or reaches MDIM_MAX_STEPS
+        first."""
+        state = (x_id,)
         seen = {state: 0}
-        cycle = None
         steps = 0
         while state and steps < MDIM_MAX_STEPS:
             nxt = self.omega_step(state, summand_ids)
             if nxt is None:
-                break
+                return None
             state = tuple(i for i in nxt if i not in summand_ids)
             steps += 1
             if state in seen:
-                chain.append(state)
-                if state:
-                    cycle = (seen[state], steps)
-                break
+                return seen[state], steps
             seen[state] = steps
-            chain.append(state)
-        return chain, cycle
+        return None
 
 
 def m_dimension(gencog, x):
@@ -322,27 +314,17 @@ def m_dimension(gencog, x):
     math.inf with a cycle certificate, or indeterminate on window exit."""
     engine = gencog.engine
     if x.is_zero():
-        return MDimResult(0, [()])
-    pieces = engine.state(x)
-    values = []
-    chains = []
+        return MDimResult(0)
+    worst = 0
     cycle = None
-    for pid in sorted(set(pieces)):
-        if pid in gencog.summands:
-            values.append(0)
-            continue
-        val, chain, cyc, reason = engine.mdim_id(pid, gencog.summands)
+    for pid in sorted(set(engine.state(x)) - gencog.summands):
+        val, cyc = engine.mdim_id(pid, gencog.summands)
         if val is None:
-            return MDimResult(None, chain, reason=reason or INDETERMINATE)
-        values.append(val)
-        chains.append(chain)
+            return MDimResult(None)
+        worst = max(worst, val)
         if cyc is not None:
             cycle = (pid, cyc)
-    value = max(values) if values else 0
-    if math.inf in values:
-        value = math.inf
-    chain = max(chains, key=len) if chains else [pieces]
-    return MDimResult(value, chain, cycle=cycle)
+    return MDimResult(worst, cycle=cycle)
 
 
 class GldimEndResult:
@@ -350,13 +332,12 @@ class GldimEndResult:
     bound, windowed upper check) pair."""
 
     def __init__(self, value=None, exact=False, lower=None, window_checked=None,
-                 window_size=None, witnesses=None, indeterminates=0):
+                 window_size=None, indeterminates=0):
         self.value = value
         self.exact = exact
         self.lower = lower
         self.window_checked = window_checked
         self.window_size = window_size
-        self.witnesses = witnesses or []
         self.indeterminates = indeterminates
 
     def __repr__(self):
@@ -375,56 +356,49 @@ def gldim_end(gencog):
     if engine.catalog is None:
         raise ContractError("exact mode requires a complete catalog; use gldim_end_windowed")
     worst = 0
-    witnesses = []
     for idx in range(len(engine.catalog)):
         if idx in gencog.summands:
             continue
-        val, chain, cyc, reason = engine.mdim_id(idx, gencog.summands)
+        val, _ = engine.mdim_id(idx, gencog.summands)
         if val is None:
-            raise AnomalyError(f"indeterminate M-dimension in exact mode: {reason}")
+            raise AnomalyError("indeterminate M-dimension in exact mode: "
+                               "window exit or step cap")
         if val == math.inf:
-            return GldimEndResult(value=math.inf, exact=True,
-                                  witnesses=[(idx, math.inf, chain)])
-        if val > worst:
-            worst = val
-            witnesses = [(idx, val, chain)]
+            return GldimEndResult(value=math.inf, exact=True)
+        worst = max(worst, val)
     if worst >= 1:
-        return GldimEndResult(value=worst + 2, exact=True, witnesses=witnesses)
+        return GldimEndResult(value=worst + 2, exact=True)
     # every M-dimension is 0: gl.dim End <= 2; resolve below 2 by the oracle,
     # and report the bound 2 as not exact when the oracle declines to run
     from .endalg import end_algebra_gldim
     try:
         value = end_algebra_gldim(gencog)
     except OracleUnavailable:
-        return GldimEndResult(value=2, exact=False, witnesses=witnesses)
-    return GldimEndResult(value=value, exact=True, witnesses=witnesses)
+        return GldimEndResult(value=2, exact=False)
+    return GldimEndResult(value=value, exact=True)
 
 
 def gldim_end_windowed(gencog, census_modules):
-    """Windowed mode: exact lower bound from witnesses plus an upper bound
-    checked over all supplied census indecomposables."""
+    """Windowed mode: 2 + the largest M-dimension found over the supplied
+    census indecomposables, an exact lower bound and the window-checked
+    upper bound."""
     engine = gencog.engine
     worst = 0
-    witnesses = []
     indeterminates = 0
     for m in census_modules:
         pid = engine.registry.canon(m)
         if pid in gencog.summands:
             continue
-        val, chain, cyc, reason = engine.mdim_id(pid, gencog.summands)
+        val, _ = engine.mdim_id(pid, gencog.summands)
         if val is None:
             indeterminates += 1
             continue
         if val == math.inf:
-            return GldimEndResult(value=math.inf, exact=True,
-                                  witnesses=[(pid, math.inf, chain)])
-        if val > worst:
-            worst = val
-            witnesses = [(pid, val, chain)]
-    lower = worst + 2 if worst >= 1 else 2
-    return GldimEndResult(lower=lower, window_checked=worst + 2,
+            return GldimEndResult(value=math.inf, exact=True)
+        worst = max(worst, val)
+    return GldimEndResult(lower=worst + 2, window_checked=worst + 2,
                           window_size=len(census_modules),
-                          witnesses=witnesses, indeterminates=indeterminates)
+                          indeterminates=indeterminates)
 
 
 # ---------------------------------------------------------------------------

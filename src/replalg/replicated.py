@@ -31,8 +31,7 @@ import numpy as np
 
 from . import exactfield as ef
 from .errors import AnomalyError, InputError, WindowOverflow
-from .splitting import (certified_radical, find_invertible_combo, fitting_split,
-                        primary_poly, single_eigenvalue)
+from .splitting import find_invertible_combo, fitting_split, rad_end_blocks
 
 PATH = "p"
 DUAL = "d"
@@ -339,14 +338,14 @@ def fingerprint(quiver, m, p):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def build_replicated(quiver, m, p=ef.DEFAULT_PRIME, check=True):
+def build_replicated(quiver, m, p=ef.DEFAULT_PRIME):
     """Construct (and memoize) the m-replicated algebra; associativity of
-    the multiplication table is verified on all basis triples."""
+    the multiplication table is verified on all basis triples, once per
+    algebra."""
     key = (quiver.to_text(), m, p)
     if key not in _ALGEBRAS:
         alg = ReplicatedAlgebra(quiver, m, p)
-        if check:
-            alg.check_associativity()
+        alg.check_associativity()
         _ALGEBRAS[key] = alg
     return _ALGEBRAS[key]
 
@@ -559,9 +558,12 @@ class LayeredModule:
         return self._end
 
     def rad_end(self):
-        """rad_end_basis(self.end_basis()), computed once."""
+        """rad End(M) as morphisms, computed once: the ideal that the
+        locality certificate proves (`splitting.rad_end_blocks`), [] when
+        dim End <= 1; AnomalyError when End is not certified local."""
         if self._rad is None:
-            self._rad = rad_end_basis(self.end_basis())
+            self._rad = [LayeredMorphism(self, self, blocks)
+                         for blocks in rad_end_blocks(self)]
         return self._rad
 
     # -- constructions --------------------------------------------------------
@@ -936,16 +938,15 @@ class IsoRegistry:
     iso_key() (which adds the semi-invariants, equal for isomorphic
     modules) and tried in id order, so a lookup finds the id a linear scan
     would, skipping only modules that cannot be isomorphic.  A module alone
-    in its dimensions never computes its key.  iso(candidate, module) is
-    the test used (is_iso_layered by default).
+    in its dimensions never computes its key.  Candidates are tested with
+    is_iso_layered.
 
     The registry is also the Hom cache of its modules: hom_basis computes
     each space once per pair of distinct ids, and End and rad End come from
     the modules' own memos (LayeredModule.end_basis and rad_end)."""
 
-    def __init__(self, modules=(), iso=None):
+    def __init__(self, modules=()):
         self.modules = []
-        self.iso = iso
         self._buckets = {}
         self._by_identity = {}
         self._homs = {}
@@ -954,10 +955,9 @@ class IsoRegistry:
 
     def find(self, m):
         """Id of a registered module isomorphic to m, or None."""
-        iso = self.iso or is_iso_layered
         for idx in self._buckets.get(m._dims, ()):
             cand = self.modules[idx]
-            if cand.iso_key() == m.iso_key() and iso(cand, m):
+            if cand.iso_key() == m.iso_key() and is_iso_layered(cand, m):
                 return idx
         return None
 
@@ -1007,36 +1007,6 @@ def decompose_layered(m):
             mults.append(0)
         mults[idx] += 1
     return list(zip(classes.modules, mults))
-
-
-def rad_end_basis(ends):
-    """Basis of rad End(M), rref-reduced, from a basis `ends` of End(M),
-    for M with local End.  When every f is scalar + nilpotent (residue
-    field F_p) it is spanned by the nonzero f - lam*id.  Otherwise it is
-    the ideal J of splitting.certified_radical, which is rad End when the
-    certificate holds (residue field F_p^e, e > 1); AnomalyError when it
-    does not."""
-    if not ends:
-        return []
-    x, p = ends[0].source, ends[0].p
-    lams = [single_eigenvalue(f.blocks, p) for f in ends]
-    if None in lams:
-        basis = [f.blocks for f in ends]
-        mins = [primary_poly(blocks, p)[0] for blocks in basis]
-        ideal = None if None in mins else certified_radical(basis, mins, p)
-        if ideal is None:
-            raise AnomalyError(f"End({x!r}) is not certified local")
-        return [LayeredMorphism(x, x, blocks) for blocks in ideal]
-    flats = []
-    for f, lam in zip(ends, lams):
-        g = np.concatenate([np.mod(b - lam * ef.eye(b.shape[0]), p).reshape(-1)
-                            for b in f.blocks])
-        if g.any():
-            flats.append(g)
-    if not flats:
-        return []
-    r, pivots = ef.rref(np.array(flats, dtype=np.int64), p)
-    return [LayeredMorphism.from_flat(x, x, r[t]) for t in range(len(pivots))]
 
 
 def span_dim(morphisms):
@@ -1203,7 +1173,7 @@ def sigma_stratum(algebra, k):
         raise InputError(f"sigma_stratum: k={k} outside [0, 2m+1]")
     cap = 2 * algebra.m + 2
     window_m = min(max(k + 1, 1), cap)
-    walg = build_replicated(algebra.quiver, window_m, algebra.p, check=False)
+    walg = build_replicated(algebra.quiver, window_m, algebra.p)
     members = []
     for i in range(algebra.quiver.n_vertices):
         x = walg.proj(i, 0)

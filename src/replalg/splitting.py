@@ -16,7 +16,8 @@ certificate is complete: once every basis endomorphism is primary, it
 fails only when End(M) is not local, and then a Las Vegas search finds a
 split (see `_split_once`).  Its fixed random generator picks which split
 is found, never whether one exists.  A module with local End(M) is
-indecomposable, so the certificate never hides a split.
+indecomposable, so the certificate never hides a split.  Its ideal J is
+rad End(M) (`rad_end_blocks`, memoized by LayeredModule.rad_end).
 
 `find_invertible_combo` scans a basis of Hom(M, N) for an isomorphism,
 which decides whether M and N are isomorphic when one of them is
@@ -193,6 +194,35 @@ def primary_poly(blocks, p):
     return (facs[0][0] if len(facs) == 1 else None), facs
 
 
+def _primary_pass(m):
+    """(pieces, None) when some basis endomorphism of m is not primary,
+    with pieces the split along its primary components; else (None, J),
+    with J = certified_radical(...) for the basis of m.end_basis(), or
+    None when the certificate fails.  For dim End(m) >= 2."""
+    p = m.p
+    basis = [f.blocks for f in m.end_basis()]
+    mins = []
+    for blocks in basis:
+        g, facs = primary_poly(blocks, p)
+        if g is None:
+            return _primary_split(m, blocks, p, facs), None
+        mins.append(g)
+    return None, certified_radical(basis, mins, p)
+
+
+def rad_end_blocks(m):
+    """rad End(m) as an rref basis of block lists, proved by the locality
+    certificate: [] when dim End(m) <= 1, else the ideal J of
+    `certified_radical`; AnomalyError when End(m) is not certified local
+    (m is then decomposable)."""
+    if len(m.end_basis()) <= 1:
+        return []
+    _, ideal = _primary_pass(m)
+    if ideal is None:
+        raise AnomalyError(f"End({m!r}) is not certified local")
+    return ideal
+
+
 def _split_once(m):
     """(pieces, None) for one nontrivial split of m, or (None, kind) when m
     is indecomposable, with kind the verdict kind (see the module doc).
@@ -222,16 +252,13 @@ def _split_once(m):
     r = len(ends)
     if r <= 1:
         return None, BRICK
+    pieces, ideal = _primary_pass(m)
+    if pieces:
+        return pieces, None
+    if ideal is not None:
+        return None, CERTIFIED_LOCAL
     p = m.p
     basis = [f.blocks for f in ends]
-    mins = []
-    for blocks in basis:
-        g, facs = primary_poly(blocks, p)
-        if g is None:
-            return _primary_split(m, blocks, p, facs), None
-        mins.append(g)
-    if certified_radical(basis, mins, p) is not None:
-        return None, CERTIFIED_LOCAL
     rng = np.random.default_rng(0)
     nblocks = len(basis[0])
     for _ in range(1000):

@@ -174,7 +174,7 @@ def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
     projective-injective, checked inside the window algebra."""
     t0 = time.monotonic()
     window = 2 * m + 1
-    walg = rp.build_replicated(quiver, window, p, check=False)
+    walg = rp.build_replicated(quiver, window, p)
     # dims of indecomposables over a representation-finite hereditary
     # algebra are bounded by 6 (the largest root coefficient, E_8)
     base = w.base_indecomposables(quiver, p, bound=6, seed=seed)
@@ -208,7 +208,7 @@ def suite_lem23_2(quiver, m=1, p=ef.DEFAULT_PRIME):
     t0 = time.monotonic()
     algebra, catalog, _ = catalog_context(quiver, m, p)
     window = 2 * m + 1
-    walg = rp.build_replicated(quiver, window, p, check=False)
+    walg = rp.build_replicated(quiver, window, p)
     wcatalog = ar.indec_catalog(walg)
     strata_ids = {}
     max_k = 2 * m + 1

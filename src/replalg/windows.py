@@ -41,7 +41,7 @@ CLOSURE_ROUNDS = 4
 def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
     """Window census of indecomposable modules over the base hereditary
     algebra with every vertex dimension <= bound (partial by design)."""
-    found = rp.IsoRegistry(iso=qr.is_iso)
+    found = rp.IsoRegistry()
 
     def add(m):
         if m.total_dim == 0 or any(d > bound for d in m.component_dims()) \
@@ -121,7 +121,7 @@ def census_modules(algebra, bound, seed=ef.DEFAULT_SEED):
     members have every component dimension <= bound."""
     quiver, p, m = algebra.quiver, algebra.p, algebra.m
     base = base_indecomposables(quiver, p, bound, seed)
-    walg = rp.build_replicated(quiver, 2 * m + 2, p, check=False)
+    walg = rp.build_replicated(quiver, 2 * m + 2, p)
     out = rp.IsoRegistry()
 
     def add(mod):

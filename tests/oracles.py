@@ -10,8 +10,8 @@ from replalg import replicated as rp
 from replalg import splitting as sp
 from replalg import windows as w
 from replalg.artrans import _presentation_matrix, proj_basis_elements
-from replalg.errors import InputError
-from replalg.replicated import LayeredModule
+from replalg.errors import AnomalyError, InputError
+from replalg.replicated import LayeredModule, LayeredMorphism
 
 
 def a2_quiver():
@@ -371,7 +371,7 @@ def reference_rref(a, p):
 def reference_base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
     """Window census of indecomposable modules over the base hereditary
     algebra with every vertex dimension <= bound (partial by design)."""
-    found = rp.IsoRegistry(iso=qr.is_iso)
+    found = rp.IsoRegistry()
 
     def add(m):
         if m.total_dim == 0 or any(d > bound for d in m.component_dims()) \
@@ -430,3 +430,39 @@ def reference_base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
         if not grew:
             break
     return found.modules
+
+
+# ---------------------------------------------------------------------------
+# rad End(M) as replicated.rad_end_basis computed it before LayeredModule.rad_end
+# read it from the locality certificate alone, kept verbatim as a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_rad_end_basis(ends):
+    """Basis of rad End(M), rref-reduced, from a basis `ends` of End(M),
+    for M with local End.  When every f is scalar + nilpotent (residue
+    field F_p) it is spanned by the nonzero f - lam*id.  Otherwise it is
+    the ideal J of splitting.certified_radical, which is rad End when the
+    certificate holds (residue field F_p^e, e > 1); AnomalyError when it
+    does not."""
+    if not ends:
+        return []
+    x, p = ends[0].source, ends[0].p
+    lams = [sp.single_eigenvalue(f.blocks, p) for f in ends]
+    if None in lams:
+        basis = [f.blocks for f in ends]
+        mins = [sp.primary_poly(blocks, p)[0] for blocks in basis]
+        ideal = None if None in mins else sp.certified_radical(basis, mins, p)
+        if ideal is None:
+            raise AnomalyError(f"End({x!r}) is not certified local")
+        return [LayeredMorphism(x, x, blocks) for blocks in ideal]
+    flats = []
+    for f, lam in zip(ends, lams):
+        g = np.concatenate([np.mod(b - lam * ef.eye(b.shape[0]), p).reshape(-1)
+                            for b in f.blocks])
+        if g.any():
+            flats.append(g)
+    if not flats:
+        return []
+    r, pivots = ef.rref(np.array(flats, dtype=np.int64), p)
+    return [LayeredMorphism.from_flat(x, x, r[t]) for t in range(len(pivots))]

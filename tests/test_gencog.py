@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from pathlib import Path
@@ -372,15 +373,39 @@ def test_census_surfaces_a_failed_restriction(monkeypatch):
         w.census_modules(rp.build_replicated(kronecker(), 1, 3), 2)
 
 
+def test_census_checks_its_window_algebra(monkeypatch):
+    # every algebra is checked once when first built, the enlarged window
+    # of the census included, so no caller is handed an unchecked one
+    monkeypatch.setattr(rp, "_ALGEBRAS", {})
+    checked = counting(monkeypatch, rp.ReplicatedAlgebra, "check_associativity")
+    w.census_modules(rp.build_replicated(kronecker(), 1, 3), 2)
+    assert Counter(alg.m for (alg,) in checked)[4] == 1
+
+
+def test_finite_gldim_end_takes_no_omega_step(a2_ctx, monkeypatch):
+    # the multiset walk only certifies an infinite M-dimension; over the
+    # A_2 m=1 catalog every value is finite, so no state takes an Omega_M step
+    alg, cat, engine = a2_ctx
+    steps = counting(monkeypatch, MDimEngine, "omega_step")
+    base = engine.required_ids()
+    rest = sorted(set(range(len(cat))) - base)
+    runs = 0
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            assert gc.gldim_end(GenCog(engine, base | set(extra))).value < math.inf
+            runs += 1
+    assert runs == 2 ** len(rest) > 1 and steps == []
+
+
 def test_engine_computes_each_rad_end_once(monkeypatch):
     # an algebra outside the build_replicated memo, so that no module of the
     # catalog has its rad End cached yet; counted per module object
     cat = ar.indec_catalog(rp.ReplicatedAlgebra(a3(), 1, P))
     engine = MDimEngine(cat.algebra, rp.IsoRegistry(cat.modules), catalog=cat)
-    calls = counting(monkeypatch, rp, "rad_end_basis")
+    calls = counting(monkeypatch, rp, "rad_end_blocks")
     assert gc.gldim_end(GenCog(engine, engine.required_ids())).exact
-    per_object = Counter(id(ends[0].source) for (ends,) in calls)
-    ids = {engine.registry.identity_index(ends[0].source) for (ends,) in calls}
+    per_object = Counter(id(m) for (m,) in calls)
+    ids = {engine.registry.identity_index(m) for (m,) in calls}
     assert ids and None not in ids and max(per_object.values()) == 1
 
 

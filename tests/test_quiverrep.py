@@ -206,7 +206,7 @@ def test_decompose_rank_one_generic():
         # End is local with residue field F_p: every endomorphism is
         # scalar + nilpotent, and rad End has codimension 1
         ends = qr.hom_basis(piece, piece)
-        assert len(rp.rad_end_basis(ends)) == len(ends) - 1
+        assert len(piece.rad_end()) == len(ends) - 1
 
 
 def test_decompose_kronecker_regulars():
@@ -231,13 +231,13 @@ def test_decompose_field_extension_endos_small_p():
     # radical is zero
     ends = qr.hom_basis(m, m)
     assert len(ends) == 2
-    assert rp.rad_end_basis(ends) == []
+    assert m.rad_end() == []
     # the length-2 module of the same tube: End = F_9[t]/(t^2), rad of
     # dimension 2 with square zero
     c2 = np.block([[comp, ef.eye(2)], [ef.zeros(2, 2), comp]])
     m2 = rep(q, 3, [4, 4], [ef.eye(4), c2])
     ends = qr.hom_basis(m2, m2)
-    rad = rp.rad_end_basis(ends)
+    rad = m2.rad_end()
     assert len(ends) == 4 and len(rad) == 2
     assert all(f.compose(g).is_zero() for f in rad for g in rad)
 
@@ -247,7 +247,7 @@ def test_rad_end_basis_rejects_non_local_end():
     q = kronecker()
     both, _, _ = rp.LayeredModule.direct_sum([qr.simple(q, 3, "1"), qr.simple(q, 3, "2")])
     with pytest.raises(AnomalyError):
-        rp.rad_end_basis(qr.hom_basis(both, both))
+        both.rad_end()
 
 
 def test_projective_cover_and_top():

@@ -6,7 +6,8 @@ import pytest
 
 from pathlib import Path
 
-from oracles import LinearScanRegistry, reference_hom_complex, reference_validate
+from oracles import (LinearScanRegistry, reference_hom_complex, reference_rad_end_basis,
+                     reference_validate)
 from replalg import artrans as ar
 from replalg import cli
 from replalg import exactfield as ef
@@ -550,6 +551,30 @@ def test_catalog_modules_pass_compiled_and_reference_checks(name, size):
     assert checked > 0  # some relation is not vacuous
 
 
+@pytest.mark.parametrize("name, size, counts",
+                         [("a3-m2", 30, (0, 0)), ("kronecker-p3-base", 29, (19, 11))])
+def test_rad_end_matches_the_scalar_shortcut_reference(name, size, counts):
+    # rad End from the locality certificate alone equals the former
+    # scalar-plus-nilpotent shortcut element for element (both are the rref
+    # of one subspace).  counts: the modules with dim End > 1, and those
+    # whose residue field is larger than F_p; on the Kronecker census these
+    # are the tube modules at points of degree 2 (the F_9 one among them)
+    # and 3
+    if name == "kronecker-p3-base":
+        mods = w.base_indecomposables(kronecker(), 3, 3)
+    else:
+        mods = _relation_census(name)
+    assert len(mods) == size
+    nonbrick = larger_field = 0
+    for x in mods:
+        got = [f.flatten().tolist() for f in x.rad_end()]
+        want = [f.flatten().tolist() for f in reference_rad_end_basis(x.end_basis())]
+        assert got == want, x.dim_label()
+        nonbrick += len(x.end_basis()) > 1
+        larger_field += len(got) < len(x.end_basis()) - 1
+    assert (nonbrick, larger_field) == counts
+
+
 def _random_base_module(alg, rng):
     """A module over the m = 0 algebra with dims in 0..3 and random arrow
     matrices (every choice is a module: A is hereditary, with no relations)."""
@@ -665,15 +690,17 @@ def test_iso_registry_ids_match_linear_scan():
     assert len(reg) == len(ref.modules) == len(census) == 44
 
 
-def test_iso_registry_makes_no_negative_iso_test_on_kronecker_census():
+def test_iso_registry_makes_no_negative_iso_test_on_kronecker_census(monkeypatch):
     _, stream = _registry_stream(np.random.default_rng(3))
     outcomes = []
+    original = rp.is_iso_layered
 
     def iso(a, b):
-        outcomes.append(rp.is_iso_layered(a, b))
+        outcomes.append(original(a, b))
         return outcomes[-1]
 
-    reg = rp.IsoRegistry(iso=iso)
+    monkeypatch.setattr(rp, "is_iso_layered", iso)
+    reg = rp.IsoRegistry()
     for x in stream:
         reg.canon(x)
     assert len(reg) == 44 and outcomes == [True] * 44
