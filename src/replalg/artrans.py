@@ -6,9 +6,12 @@ into the opposite algebra (replicated algebra of the opposite quiver,
 layers reversed), its cokernel is the transpose, and dualizing brings the
 result back.  tau^{-1} = TrD runs the same machinery starting from the
 dual.  Catalogs are built by closing the projectives and injectives under
-tau and tau^{-1}; mesh data and orbit tables are then recomputed from
-radical quotients, so the mesh identities are independent checks rather
-than construction assumptions.
+tau and tau^{-1}.  The almost split sequence ending in a non-projective Z
+is the pushout of 0 -> Omega Z -> P_0 -> Z -> 0 along a map spanning the
+one-dimensional Ext^1(Z, tau Z); the AR quiver reads the arrows into each
+vertex from that sequence, or from rad P at a projective P.  The mesh
+check then compares the arrows into Z with those out of tau Z, which come
+from other sequences.
 """
 
 import time
@@ -128,6 +131,37 @@ def tau_inverse(m):
     return transpose_layered(m.dual())
 
 
+def ar_sequence(z, tz=None):
+    """The almost split sequence 0 -> tau Z -> E -> Z -> 0 ending in an
+    indecomposable non-projective module Z over any A^(m), m >= 0, as
+    (tau Z, [(Y, mult)]) with E = (+) Y^mult; tz, when given, is tau Z.
+
+    With the projective cover P_0 -> Z and its kernel i: Omega Z -> P_0,
+    Ext^1(Z, tau Z) is Hom(Omega Z, tau Z) modulo the restrictions g.i of
+    Hom(P_0, tau Z), and a class f gives E as the pushout
+    (tau Z (+) P_0) / {(f x, -i x)}.  The almost split class spans the
+    socle of Ext^1(Z, tau Z) as an End(Z)-module (Auslander-Reiten-Smalo,
+    ch. V), so it is nonzero.  When Ext^1(Z, tau Z) is one-dimensional
+    every nonzero class is lam*xi with lam in F_p^*, and E_(lam*xi) is
+    isomorphic to E_xi (see the `windows` docstring), so the class found
+    here is almost split.  Any other dimension raises AnomalyError, so a
+    returned sequence is certified."""
+    if tz is None:
+        tz = tau(z)
+    p0, cover, _ = rp.proj_cover(z)
+    omega, incl = cover.kernel()
+    restricted = [g.compose(incl) for g in rp.hom_layered(p0, tz)]
+    base = rp.span_dim(restricted)
+    classes = rp.hom_layered(omega, tz)
+    if len(classes) - base != 1:
+        raise AnomalyError(f"dim Ext^1(Z, tau Z) = {len(classes) - base}, not 1: "
+                           "the almost split class is not determined")
+    f = next(h for h in classes if rp.span_dim(restricted + [h]) > base)
+    total, _ = LayeredModule.block_sum([tz, p0])
+    span = [np.vstack([fb, np.mod(-ib, z.p)]) for fb, ib in zip(f.blocks, incl.blocks)]
+    return tz, rp.decompose_layered(total.quotient(span)[0])
+
+
 class IndecCatalog:
     """One representative per isomorphism class of indecomposables, closed
     under tau and tau^{-1}, with flags, translation tables and the
@@ -170,7 +204,9 @@ class IndecCatalog:
         return len(self.hom_basis(i, j))
 
     def rad_basis(self, i, j):
-        return self.registry.rad_basis(i, j)
+        """Basis of rad(X_i, X_j): all of Hom for i != j, rad End(X_i)
+        for i = j."""
+        return self.hom_basis(i, j) if i != j else self.modules[i].rad_end()
 
     # -- predecessor order ----------------------------------------------------
 
@@ -224,14 +260,31 @@ class IndecCatalog:
     @classmethod
     def from_json(cls, algebra, data):
         """Inverse of to_json; a "seed" key, written by older versions, is
-        ignored."""
+        ignored.  Table lengths, ids and the translation tables are checked
+        as indec_catalog checks them, and a failure is an InputError."""
         if data.get("fingerprint") != algebra.fingerprint():
             raise InputError("catalog fingerprint does not match the algebra")
         registry = rp.IsoRegistry(LayeredModule.from_json(algebra, d) for d in data["modules"])
-        return cls(algebra, registry,
-                   [None if t is None else int(t) for t in data["tau"]],
-                   [None if t is None else int(t) for t in data["tau_inv"]],
-                   set(data["projective"]), set(data["injective"]))
+        n = len(registry)
+
+        def ids(entries, length):
+            out = [None if t is None else int(t) for t in entries]
+            if len(out) != length:
+                raise InputError(f"catalog of {n} modules has a table of length {len(out)}")
+            if any(t is not None and not 0 <= t < n for t in out):
+                raise InputError(f"catalog id out of range 0..{n - 1}")
+            return out
+
+        try:
+            cat = cls(algebra, registry, ids(data["tau"], n), ids(data["tau_inv"], n),
+                      set(ids(data["projective"], algebra.n_components)),
+                      set(ids(data["injective"], algebra.n_components)))
+            _check_translation_tables(cat)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad catalog JSON: {exc}") from exc
+        except AnomalyError as exc:  # the file is at fault, not the program
+            raise InputError(f"inconsistent catalog: {exc}") from exc
+        return cat
 
 
 def indec_catalog(algebra, budget=CATALOG_BUDGET, time_limit=PHASE_SECONDS):
@@ -307,47 +360,43 @@ def _check_translation_tables(cat):
             raise AnomalyError(f"tau^-1 tau != id at {cat.label(idx)}")
 
 
-def irreducible_mult(rad_basis, n, i, j):
-    """dim rad(X_i, X_j) / rad^2(X_i, X_j), the multiplicity of the arrow
-    X_i -> X_j in the AR quiver, over modules with ids 0..n-1 whose
-    radical spaces rad_basis(a, b) gives; rad^2 is spanned by the
-    composites through every X_z."""
-    rad = rad_basis(i, j)
-    if not rad:
-        return 0
-    return len(rad) - rp.span_dim(v.compose(u) for z in range(n)
-                                   for u in rad_basis(i, z) for v in rad_basis(z, j))
-
-
 class ARQuiver:
-    """Irreducible-map multiplicities and mesh data over a catalog."""
+    """Irreducible-map multiplicities over a catalog: mult[y, z] is
+    dim rad(X_y, X_z) / rad^2(X_y, X_z) over F_p, the multiplicity of X_y
+    in the middle term of the almost split sequence ending in X_z (in
+    rad X_z when X_z is projective) times dim End(X_y) / rad End(X_y)."""
 
     def __init__(self, catalog):
         self.catalog = catalog
-        n = len(catalog)
-        self.mult = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                if i == j or catalog.hom_dim(i, j):
-                    self.mult[i, j] = irreducible_mult(catalog.rad_basis, n, i, j)
-        self.meshes = {}
-        for z in range(n):
-            if catalog.tau_map[z] is not None:
-                middle = {y: int(self.mult[y, z]) for y in range(n) if self.mult[y, z]}
-                self.meshes[z] = middle
+        mods, alg = catalog.modules, catalog.algebra
+        self.mult = np.zeros((len(catalog), len(catalog)), dtype=np.int64)
+        for z, tz in enumerate(catalog.tau_map):
+            if tz is None:
+                (k, i), _ = rp.top_generators(mods[z])[0]
+                middle = rp.decompose_layered(rp.syzygy(alg.simple(i, k)))
+            else:
+                _, middle = ar_sequence(mods[z], mods[tz])
+            for y, mult in middle:
+                idx = catalog.find(y)
+                if idx is None:
+                    raise AnomalyError(f"an arrow into {catalog.label(z)} leaves the catalog")
+                self.mult[idx, z] = mult * (catalog.hom_dim(idx, idx) - len(mods[idx].rad_end()))
 
     def mesh_violations(self):
-        """Mesh dimension identity dim tau Z + dim Z = sum mult(Y -> Z) dim Y
-        at every non-projective node; returns the failing nodes."""
-        bad = []
+        """Non-projective nodes z whose mesh fails: the dimension identity
+        dim tau Z + dim Z = sum mult(Y -> Z) dim Y, or mult(tau Z -> Y) =
+        mult(Y -> Z) for some Y.  The arrows out of tau Z come from the
+        sequences ending in each Y (or from rad Y), not from the one ending
+        in Z, so the second identity is an independent check."""
         cat = self.catalog
-        for z, middle in self.meshes.items():
-            tz = cat.tau_map[z]
-            want = np.array(cat.modules[z].component_dims()) + \
-                np.array(cat.modules[tz].component_dims())
-            got = sum(mult * np.array(cat.modules[y].component_dims())
-                      for y, mult in middle.items())
-            if not np.array_equal(want, got):
+        dims = np.array([m.component_dims() for m in cat.modules], dtype=np.int64)
+        bad = []
+        for z, tz in enumerate(cat.tau_map):
+            if tz is None:
+                continue
+            into = self.mult[:, z]
+            if not (np.array_equal(dims[z] + dims[tz], into @ dims)
+                    and np.array_equal(self.mult[tz], into)):
                 bad.append(z)
         return bad
 

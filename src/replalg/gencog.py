@@ -450,9 +450,9 @@ def _simple_projective_vertices(quiver):
 def construct_lem47(algebra, d, engine=None):
     """M = A + DA_m + (tau^i Y_j for 0 <= i <= d-(2m+3)) + P, with the Y_j
     the middle of the almost split sequence ending in Z, where tau^(d-(2m+2)) Z
-    is simple projective.  Z is preprojective, so `qr.ar_sequence` finds the
-    Y_j from the one-dimensional Ext^1(Z, tau Z).  Returns (GenCog, witness
-    N = cosyzygy^{2m} Z, Z)."""
+    is simple projective.  Z is preprojective, so `ar.ar_sequence` finds the
+    Y_j from the one-dimensional Ext^1(Z, tau Z) over A, with no catalog.
+    Returns (GenCog, witness N = cosyzygy^{2m} Z, Z)."""
     m_level = algebra.m
     if d < 2 * m_level + 3:
         raise InputError(f"lem47 needs d >= 2m+3 = {2 * m_level + 3}, got {d}")
@@ -473,7 +473,7 @@ def construct_lem47(algebra, d, engine=None):
     if z is None:
         raise ContractError(
             "no preprojective witness Z: base algebra looks representation-finite")
-    _, middle = qr.ar_sequence(z)
+    _, middle = ar.ar_sequence(z)
     if engine is None:
         engine = MDimEngine.windowed(algebra)
     ids = engine.required_ids()

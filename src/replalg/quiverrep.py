@@ -4,9 +4,10 @@ A module over the path algebra A = kQ is a LayeredModule over the m = 0
 replicated algebra build_replicated(quiver, 0, p); its single layer is the
 representation.  This module builds the standard A-modules, computes
 Ext^1 from the Hom complex of `replicated.hom_complex`, realizes
-extensions and almost split sequences, and names the base-algebra calls
-(hom_basis, is_iso, decompose, tau, tau_inverse) that run on the shared
-module machinery.
+extensions, and names the base-algebra calls (hom_basis, is_iso,
+decompose, tau, tau_inverse) that run on the shared module machinery.
+Almost split sequences, over A as over every A^(m), are
+`artrans.ar_sequence`.
 
 Conventions, fixed once and pinned by tests:
   * a right module over kQ is a representation in which an arrow a: i -> j
@@ -29,7 +30,7 @@ import numpy as np
 from . import artrans as ar
 from . import exactfield as ef
 from . import replicated as rp
-from .errors import AnomalyError, InputError
+from .errors import InputError
 
 
 class Quiver:
@@ -406,28 +407,6 @@ def realize_extension_class(m, n, coeffs):
     iblocks = [np.vstack([ef.eye(x), ef.zeros(y, x)]) for x, y in zip(ndims, mdims)]
     pblocks = [np.hstack([ef.zeros(y, x), ef.eye(y)]) for x, y in zip(ndims, mdims)]
     return e, rp.LayeredMorphism(n, e, iblocks), rp.LayeredMorphism(e, m, pblocks)
-
-
-def ar_sequence(z):
-    """The almost split sequence 0 -> tau Z -> E -> Z -> 0 ending in an
-    indecomposable non-projective A-module Z, as (tau Z, [(Y, mult)]) with
-    E = (+) Y^mult.
-
-    The almost split class xi spans the socle of Ext^1(Z, tau Z) as an
-    End(Z)-module (Auslander-Reiten-Smalo, ch. V), so it is nonzero.  When
-    Ext^1(Z, tau Z) is one-dimensional every nonzero class is lam*xi with
-    lam in F_p^*, and E_(lam*xi) is isomorphic to E_xi (see the `windows`
-    docstring), so the basis class realized here is almost split.  Over
-    the hereditary A, Ext^1(Z, tau Z) = D End(tau Z) (ARS, ch. IV), which
-    is one-dimensional for every preprojective Z.  Any other dimension
-    raises AnomalyError, so a returned sequence is certified."""
-    tz = tau(z)
-    edim = ext1_dim(z, tz)
-    if edim != 1:
-        raise AnomalyError(f"dim Ext^1(Z, tau Z) = {edim}, not 1: the almost split "
-                           "sequence is not the basis class")
-    e, _, _ = realize_extension_class(z, tz, [1])
-    return tz, decompose(e)
 
 
 def sequence_splits(incl):

@@ -9,11 +9,10 @@ vanish.
 A module is a tuple of layers M_0..M_m, each a plain (dims, maps) record
 of a representation of the base quiver, together with connecting
 matrices g[k, p] from the component of M_k at target(p) to the component
-of M_{k-1} at source(p), one per dual basis element.  Only the duals of
-maximal paths are free data; the rest are derived through the
-prefix/suffix relations.  Every construction re-checks all relations
-against a table compiled once per algebra (ReplicatedAlgebra.relations),
-so convention errors fail fast.
+of M_{k-1} at source(p), one per dual basis element.  The prefix/suffix
+relations tie each g[k, p] to those of the maximal paths through p.  Every
+construction re-checks all relations against a table compiled once per
+algebra (ReplicatedAlgebra.relations), so convention errors fail fast.
 
 For m = 0 the algebra is the path algebra A itself, so the modules over
 build_replicated(quiver, 0, p) are the A-modules: there is one module
@@ -390,21 +389,21 @@ class LayeredModule:
     rad_end); the first end_basis makes the action matrices read-only, so
     the memo cannot go stale."""
 
-    def __init__(self, algebra, layers, conn=None, maximal_conn=None):
-        """layers: one (dims, maps) pair per level, with conn (every
-        connecting matrix) or maximal_conn (those of maximal paths; the
-        rest are derived); or an _Assembled record from _assemble."""
+    def __init__(self, algebra, layers, conn=None):
+        """layers: one (dims, maps) pair per level, with conn the connecting
+        matrices by (k, path id) (a missing one is zero); or an _Assembled
+        record from _assemble."""
         self.algebra = algebra
         if isinstance(layers, _Assembled):
             self._adopt(*layers)
         else:
-            self._coerce(layers, conn, maximal_conn)
+            self._coerce(layers, conn or {})
         self._validate()
         self._iso_key = None
         self._end = None
         self._rad = None
 
-    def _coerce(self, layers, conn, maximal_conn):
+    def _coerce(self, layers, conn):
         """Public input: layers as (dims, maps) pairs and connecting
         matrices, copied to int64, reduced mod p and shape-checked."""
         algebra = self.algebra
@@ -413,8 +412,6 @@ class LayeredModule:
             raise InputError(f"expected {algebra.m + 1} layers, got {len(layers)}")
         self.layers = [_layer(quiver, p, dims, maps) for dims, maps in layers]
         self._dims = tuple(d for layer in self.layers for d in layer.dims)
-        if conn is None:
-            conn = self._derive_conn(maximal_conn or {})
         self.conn = {}
         for k, pid in algebra.conn_keys:
             mat = conn.get((k, pid))
@@ -423,7 +420,12 @@ class LayeredModule:
             if mat is None:
                 mat = ef.zeros(*want)
             else:
-                mat = np.mod(np.array(mat, dtype=np.int64).reshape(want), p)
+                try:
+                    mat = np.array(mat, dtype=np.int64)
+                    mat = np.mod(mat.reshape(want), p)
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"connecting matrix of {pb.name(pid)}* at layer {k}: "
+                                     f"shape {getattr(mat, 'shape', mat)}, expected {want}") from exc
             self.conn[(k, pid)] = mat
         self._edge_mats = tuple(mat for layer in self.layers for mat in layer.maps) + \
             tuple(self.conn[key] for key in algebra.conn_keys)
@@ -453,40 +455,6 @@ class LayeredModule:
         The matrices must be int64 and reduced mod p; they are adopted
         without a copy, and __init__ checks their shapes and relations."""
         return cls(algebra, _Assembled(dims, mats))
-
-    def _derive_conn(self, maximal_conn):
-        """Fill in connecting matrices for all paths from the maximal-path
-        data: g[k, q] = M_a^(k-1) g[k, a.q] = g[k, q.a] M_a^(k)."""
-        alg, pb, quiver = self.algebra, self.algebra.quiver.paths, self.algebra.quiver
-        conn = {}
-        for (k, pid), mat in maximal_conn.items():
-            if pid not in pb.maximal:
-                raise InputError(f"path {pb.name(pid)} is not maximal")
-            conn[(k, pid)] = np.array(mat, dtype=np.int64)
-        order = sorted(range(pb.n), key=lambda q: -len(pb.arrows_of[q]))
-        for k in range(1, alg.m + 1):
-            for q in order:
-                if (k, q) in conn:
-                    continue
-                want = (self.layers[k - 1].dims[pb.source[q]],
-                        self.layers[k].dims[pb.target[q]])
-                done = False
-                for a in range(len(quiver.arrows)):
-                    left = _left_extension(quiver, pb, a, q)
-                    if left is not None and (k, left) in conn:
-                        conn[(k, q)] = ef.mul(self.layers[k - 1].maps[a],
-                                              conn[(k, left)], alg.p)
-                        done = True
-                        break
-                    right = _right_extension(quiver, pb, q, a)
-                    if right is not None and (k, right) in conn:
-                        conn[(k, q)] = ef.mul(conn[(k, right)],
-                                              self.layers[k].maps[a], alg.p)
-                        done = True
-                        break
-                if not done:
-                    conn[(k, q)] = ef.zeros(*want)
-        return conn
 
     def _validate(self):
         """Check every bimodule relation of the algebra, in the order of
@@ -942,8 +910,8 @@ class IsoRegistry:
     is_iso_layered.
 
     The registry is also the Hom cache of its modules: hom_basis computes
-    each space once per pair of distinct ids, and End and rad End come from
-    the modules' own memos (LayeredModule.end_basis and rad_end)."""
+    each space once per pair of distinct ids, and End comes from the
+    module's own memo (LayeredModule.end_basis)."""
 
     def __init__(self, modules=()):
         self.modules = []
@@ -986,11 +954,6 @@ class IsoRegistry:
         if key not in self._homs:
             self._homs[key] = hom_layered(self.modules[i], self.modules[j])
         return self._homs[key]
-
-    def rad_basis(self, i, j):
-        """Basis of rad(M_i, M_j): all of Hom for i != j, rad End(M_i)
-        for i = j."""
-        return self.hom_basis(i, j) if i != j else self.modules[i].rad_end()
 
     def __len__(self):
         return len(self.modules)

@@ -42,10 +42,14 @@ def exhaustive_indecomposables_a2_m1(p):
                             ([d11, d21], [np.array([[m1]] if d11 * d21 else [],
                                                    dtype=np.int64).reshape(d11, d21)]),
                         ]
+                        # the connecting matrices of e_1 and e_2 are the
+                        # products of g with the arrow maps (prefix/suffix)
                         conn = {(1, a_id): np.array([[g]] if d20 * d11 else [],
-                                                    dtype=np.int64).reshape(d20, d11)}
+                                                    dtype=np.int64).reshape(d20, d11),
+                                (1, pb.by_name("e_1")): np.full((d10, d11), m0 * g),
+                                (1, pb.by_name("e_2")): np.full((d20, d21), g * m1)}
                         try:
-                            mod = rp.LayeredModule(alg, layers, maximal_conn=conn)
+                            mod = rp.LayeredModule(alg, layers, conn=conn)
                         except InputError:
                             continue  # parameter choice violates the relations
                         for piece, _ in rp.decompose_layered(mod):
@@ -466,3 +470,30 @@ def reference_rad_end_basis(ends):
         return []
     r, pivots = ef.rref(np.array(flats, dtype=np.int64), p)
     return [LayeredMorphism.from_flat(x, x, r[t]) for t in range(len(pivots))]
+
+
+# ---------------------------------------------------------------------------
+# the AR quiver's arrows as dim rad/rad^2 over all pairs of a catalog, as
+# artrans computed them before it read them from almost split sequences,
+# kept verbatim as a reference for ARQuiver.mult
+# ---------------------------------------------------------------------------
+
+
+def irreducible_mult(rad_basis, n, i, j):
+    """dim rad(X_i, X_j) / rad^2(X_i, X_j), the multiplicity of the arrow
+    X_i -> X_j in the AR quiver, over modules with ids 0..n-1 whose
+    radical spaces rad_basis(a, b) gives; rad^2 is spanned by the
+    composites through every X_z."""
+    rad = rad_basis(i, j)
+    if not rad:
+        return 0
+    return len(rad) - rp.span_dim(v.compose(u) for z in range(n)
+                                   for u in rad_basis(i, z) for v in rad_basis(z, j))
+
+
+def reference_ar_mult(catalog):
+    """The matrix of irreducible_mult over every pair of catalog ids."""
+    n = len(catalog)
+    return np.array([[irreducible_mult(catalog.rad_basis, n, i, j)
+                      if i == j or catalog.hom_dim(i, j) else 0
+                      for j in range(n)] for i in range(n)], dtype=np.int64)

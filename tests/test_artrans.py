@@ -1,3 +1,4 @@
+import functools
 import itertools
 from pathlib import Path
 
@@ -8,8 +9,9 @@ from replalg import artrans as ar
 from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
-from replalg.errors import BudgetExceeded
-from oracles import exhaustive_indecomposables_a2_m1, reference_transpose_layered
+from replalg.errors import BudgetExceeded, InputError
+from oracles import (exhaustive_indecomposables_a2_m1, reference_ar_mult,
+                     reference_transpose_layered)
 
 P = 32003
 QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
@@ -208,3 +210,67 @@ def test_transpose_matches_compose_add_route(name):
     for x in cat.modules:
         for y in (x, x.dual()):
             assert ar.transpose_layered(y).to_json() == reference_transpose_layered(y).to_json()
+
+
+# Catalogs on which the AR machinery is compared with the rad/rad^2 oracle.
+AR_CASES = [("a3", 2), ("d4", 2), ("a2r", 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def ar_case(name, m):
+    """(catalog, oracle mult) of quivers/<name>.q at level m, built once."""
+    quiver = qr.Quiver.load(QUIVERS / f"{name}.q")
+    cat = ar.indec_catalog(rp.build_replicated(quiver, m, P))
+    return cat, reference_ar_mult(cat)
+
+
+@pytest.mark.parametrize("name, m", AR_CASES)
+def test_ar_sequence_matches_the_rad_oracle_over_replicated(name, m):
+    # tau Z and the middle term of each sequence, computed from Z alone,
+    # against the rad/rad^2 arrows into Z over the complete catalog
+    cat, arrows = ar_case(name, m)
+    for z in range(len(cat)):
+        if z in cat.projective:
+            continue
+        tz, middle = ar.ar_sequence(cat.modules[z])
+        assert cat.find(tz) == cat.tau_map[z]
+        got = {cat.find(y): mult for y, mult in middle}
+        assert got == {y: int(arrows[y, z]) for y in range(len(cat)) if arrows[y, z]}
+
+
+@pytest.mark.parametrize("name, m", AR_CASES + [("a2", 1), ("d4", 0)])
+def test_ar_quiver_matches_the_rad_oracle(name, m):
+    cat, arrows = ar_case(name, m)
+    arq = ar.ar_quiver(cat)
+    assert np.array_equal(arq.mult, arrows)
+    assert arq.mesh_violations() == []
+
+
+def test_a_missing_arrow_is_a_mesh_violation():
+    cat, _ = ar_case("a3", 2)
+    arq = ar.ar_quiver(cat)
+    # into a non-projective z: both mesh identities at z fail
+    z = next(z for z in range(len(cat)) if z not in cat.projective)
+    y = int(np.flatnonzero(arq.mult[:, z])[0])
+    arq.mult[y, z] = 0
+    assert z in arq.mesh_violations()
+    arq.mult[y, z] = 1
+    # into a projective P from a non-injective y: the mesh at tau^-1 y
+    # sees the arrow y -> P among the arrows out of y
+    y, pz = next((y, pz) for pz in sorted(cat.projective)
+                 for y in np.flatnonzero(arq.mult[:, pz]) if y not in cat.injective)
+    arq.mult[y, pz] = 0
+    assert arq.mesh_violations() == [cat.tau_inv_map[y]]
+
+
+def test_cached_catalog_with_bad_tables_is_refused(cat_a2):
+    data = cat_a2.to_json()
+    z = next(z for z in range(len(cat_a2)) if z not in cat_a2.projective)
+    broken = [dict(data, tau=data["tau"][:-1]),
+              dict(data, tau=[None if i == z else t for i, t in enumerate(data["tau"])]),
+              dict(data, tau_inv=[len(cat_a2) if t is not None else None
+                                  for t in data["tau_inv"]]),
+              dict(data, projective=data["projective"][1:])]
+    for bad in broken:
+        with pytest.raises(InputError):
+            ar.IndecCatalog.from_json(cat_a2.algebra, bad)

@@ -256,3 +256,45 @@ def test_cache_file_with_a_seed_key_still_loads(tmp_path):
     assert code == 0 and "warning" not in err
     assert out2 == out1
     assert json.loads(path.read_text())["seed"] == 3  # loaded, not rebuilt
+
+
+@pytest.mark.parametrize("corrupt", ["truncated-tau", "tau-none-off-projectives"])
+def test_cache_with_bad_translation_tables_is_rebuilt(tmp_path, corrupt):
+    cache = tmp_path / "cache"
+    argv = ("tau-orbits", "--quiver", quiver("a2.q"), "--m", "1", "--cache", str(cache),
+            "--json")
+    code, out1, _ = run_cli(*argv)
+    assert code == 0
+    [path] = cache.glob("catalog_*.json")
+    clean = path.read_bytes()
+    data = json.loads(clean)
+    if corrupt == "truncated-tau":
+        data["tau"] = data["tau"][:-1]
+    else:
+        z = next(i for i, t in enumerate(data["tau"]) if t is not None)
+        data["tau"][z] = None
+    path.write_text(json.dumps(data, sort_keys=True))
+    code, out2, err = run_cli(*argv)
+    assert code == 0 and "warning: ignoring cache" in err
+    assert out2 == out1
+    assert path.read_bytes() == clean  # rebuilt, and written as before
+
+
+def test_gencog_file_with_a_wrong_shaped_connecting_matrix(tmp_path):
+    # the A_2, m=1 module 0,1|1,0 glued by a (1, 1) connecting matrix,
+    # written with a (1, 3) one
+    from replalg import exactfield as ef
+    from replalg import quiverrep as qr
+    from replalg import replicated as rp
+
+    alg = rp.build_replicated(qr.Quiver.load(quiver("a2.q")), 1, ef.DEFAULT_PRIME)
+    mod = rp.LayeredModule(alg, [([0, 1], None), ([1, 0], None)],
+                           conn={(1, alg.quiver.paths.by_name("a")): [[1]]}).to_json()
+    assert mod["connecting"] == [{"k": 1, "path": "a", "matrix": [[1]]}]
+    mod["connecting"][0]["matrix"] = [[1, 1, 1]]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"fingerprint": alg.fingerprint(), "summands": [mod]}))
+    code, out, err = run_cli("gldim-end", "--quiver", quiver("a2.q"), "--m", "1",
+                             "--gencog", str(path))
+    assert code == 2 and out == ""
+    assert "(1, 3)" in err and "(1, 1)" in err and "Traceback" not in err

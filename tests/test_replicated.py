@@ -155,7 +155,7 @@ def mixed_module(alg):
     pb = quiver.paths
     layers = [([0, 1], None), ([1, 0], None)]
     a = pb.by_name("a")
-    return rp.LayeredModule(alg, layers, maximal_conn={(1, a): ef.fmat([[1]], p)})
+    return rp.LayeredModule(alg, layers, conn={(1, a): ef.fmat([[1]], p)})
 
 
 def test_mixed_module_valid_and_indecomposable():
@@ -164,16 +164,6 @@ def test_mixed_module_valid_and_indecomposable():
     assert w.dim_label() == "0,1|1,0"
     out = rp.decompose_layered(w)
     assert len(out) == 1 and out[0][1] == 1
-
-
-def test_derived_connecting_requires_consistency():
-    alg = alg_a2(1)
-    quiver, p = alg.quiver, alg.p
-    # wrong shape for the maximal connecting matrix
-    layers = [([0, 1], None), ([1, 0], None)]
-    with pytest.raises(InputError):
-        rp.LayeredModule(alg, layers,
-                         maximal_conn={(1, quiver.paths.by_name("e_1")): ef.fmat([[1]], p)})
 
 
 def test_embedding_fidelity_layer0():

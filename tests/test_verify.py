@@ -1,4 +1,5 @@
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,10 @@ def a3():
 
 def kronecker():
     return qr.Quiver(["1", "2"], [("b", "2", "1"), ("c", "2", "1")])
+
+
+def a2t():
+    return qr.Quiver.load(str(Path(__file__).resolve().parent.parent / "quivers" / "a2t.q"))
 
 
 def test_report_shape():
@@ -86,3 +91,19 @@ def test_only_sampling_routines_take_a_seed():
     assert taking == {"verify.random_gencogs", "windows.base_indecomposables",
                       "windows.census_modules"} | {f"verify.suite_{s}" for s in suites}
     assert set(vf.SEEDED_SUITES) == set(suites)
+
+
+def test_lem48_on_a_three_vertex_euclidean_base():
+    report = vf.suite_lem48(a2t(), m=1, p=3)
+    assert report["verdict"] == "pass", report["counterexamples"]
+
+
+def test_lem47_on_a_three_vertex_euclidean_base():
+    # Z = tau^-1 P(3) ends the sequence 0 -> P(3) -> P(2) + P(1) -> Z -> 0,
+    # whose middle term has two distinct classes
+    alg = replicated.build_replicated(a2t(), 0, 3)
+    _, middle = artrans.ar_sequence(artrans.tau_inverse(alg.proj(2, 0)))
+    assert sorted((y.dim_label(), mult) for y, mult in middle) == [("0,1,1", 1), ("1,1,2", 1)]
+    report = vf.suite_lem47(a2t(), m=1, d=5, p=3, bound=2)
+    assert report["verdict"] == "pass", report["counterexamples"]
+    assert report["checks"][-1]["window_size"] == 71
