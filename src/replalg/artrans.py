@@ -1,11 +1,16 @@
 """Auslander-Reiten machinery over the replicated algebra.
 
-tau = DTr is computed from a minimal projective presentation: the
-presentation map is rewritten as a matrix of algebra elements, transposed
-into the opposite algebra (replicated algebra of the opposite quiver,
-layers reversed), its cokernel is the transpose, and dualizing brings the
-result back.  tau^{-1} = TrD runs the same machinery starting from the
-dual.  Catalogs are built by closing the projectives and injectives under
+tau = DTr is computed from a minimal projective presentation
+P1 -> P0 -> M, read off the projective cover P0 -> M alone: Omega M is
+the kernel of the cover, in the coordinates of its canonical kernel basis
+(the entries at the free rows), so the top of Omega M, and with it P1 and
+the map P1 -> P0, comes from one quotient per component, without building
+Omega M as a module or giving it a cover of its own.  The presentation
+map is rewritten as a matrix of algebra elements, transposed into the
+opposite algebra (replicated algebra of the opposite quiver, layers
+reversed), its cokernel is the transpose, and dualizing brings the result
+back.  tau^{-1} = TrD runs the same machinery starting from the dual.
+Catalogs are built by closing the projectives and injectives under
 tau and tau^{-1}.  The almost split sequence ending in a non-projective Z
 is the pushout of 0 -> Omega Z -> P_0 -> Z -> 0 along a map spanning the
 one-dimensional Ext^1(Z, tau Z); the AR quiver reads the arrows into each
@@ -46,32 +51,47 @@ def proj_basis_elements(algebra, i, k):
 def _presentation_matrix(m):
     """Minimal projective presentation P1 -> P0 -> M -> 0, with the map
     expressed as algebra elements: returns (summands0, summands1, lam)
-    where lam[s][t] is a list of (basis element, coefficient)."""
-    alg = m.algebra
+    where lam[s][t] is a list of (basis element, coefficient).
+
+    Everything is read off the cover P0 -> M.  Omega M has at each
+    component c the canonical kernel basis of the cover block, which is
+    the identity at its free rows, so a vector of Omega M has its entries
+    at those rows as kernel coordinates.  rad Omega M at c is spanned by
+    P0_e . basis[src] over the action edges e into c; at the free rows it
+    gives the top generators of Omega M in the order of top_generators,
+    and basis[c] carries each to its column in P0, the image of a
+    generator of P1.  Each such span must lie in the kernel of the cover,
+    else AnomalyError."""
+    alg, p = m.algebra, m.p
     p0, cover, summands0 = rp.proj_cover(m)
-    ker, incl = cover.kernel()
-    p1, cover1, summands1 = rp.proj_cover(ker)
+    bases, frees = zip(*[ef.null_space(blk, p) for blk in cover.blocks])
+    spans = [[] for _ in bases]
+    for (src, tgt), mat in zip(alg.edges, p0.edge_matrices()):
+        if not (mat.shape[0] and bases[src].shape[1]):
+            continue  # an empty image
+        image = ef.mul(mat, bases[src], p)
+        if cover.blocks[tgt].size and ef.mul(cover.blocks[tgt], image, p).any():
+            raise AnomalyError("the kernel of the projective cover is not closed "
+                               "under the action")
+        spans[tgt].append(image[frees[tgt]])
+    summands1, cols = [], []
+    for c, (k, i) in enumerate(alg.components()):
+        n = len(frees[c])
+        if not n:
+            continue
+        span = np.hstack(spans[c]) if spans[c] else ef.zeros(n, 0)
+        _, section = ef.quotient_projection(span, n, p)
+        for col in ef.mul(bases[c], section, p).T:
+            summands1.append((i, k))
+            cols.append(col)
     if not summands1:
         return summands0, [], []
-    phi = incl.compose(cover1)
-    # column offset of each P1 generator inside its component of P1
-    gen_cols = []
-    run = {}
-    for t, (i, k) in enumerate(summands1):
-        layout = proj_basis_elements(alg, i, k)
-        start = {c: run.get(c, 0) for c in layout}
-        for c, elts in layout.items():
-            run[c] = run.get(c, 0) + len(elts)
-        gen = (PATH, k, alg.quiver.paths.trivial(i))
-        gen_cols.append(start[(k, i)] + layout[(k, i)].index(gen))
     # row layout of P0 per component
     layouts0 = [proj_basis_elements(alg, i, k) for (i, k) in summands0]
     lam = []
     for s in range(len(summands0)):
         lam.append([[] for _ in summands1])
-    for t, (i, k) in enumerate(summands1):
-        comp = alg.comp_index(k, i)
-        col = phi.blocks[comp][:, gen_cols[t]]
+    for t, ((i, k), col) in enumerate(zip(summands1, cols)):
         row = 0
         for s in range(len(summands0)):
             elts = layouts0[s][(k, i)]

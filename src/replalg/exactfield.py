@@ -124,18 +124,17 @@ def rank(a, p):
 
 def kernel_basis(a, p):
     """Columns spanning the right null space of a, in canonical RREF form."""
-    nrows, ncols = a.shape
-    if ncols == 0:
-        return zeros(0, 0)
-    if nrows == 0:
-        return eye(ncols)
-    return _null_space(a, p)[0]
+    return null_space(a, p)[0]
 
 
-def _null_space(a, p):
-    """(basis, free) for a matrix with at least one row and one column:
-    the canonical kernel basis of kernel_basis, one column per free
-    (non-pivot) column of rref(a), and the list of those free columns."""
+def null_space(a, p):
+    """(basis, free): the canonical kernel basis of kernel_basis, one
+    column per free (non-pivot) column of rref(a), and the list of those
+    free columns; basis is the identity at the free rows, so a kernel
+    vector has its entries there as coordinates.  Every column of a matrix
+    without entries is free."""
+    if not a.size:
+        return eye(a.shape[1]), list(range(a.shape[1]))
     r, pivots = rref(a, p)
     free = [c for c in range(a.shape[1]) if c not in pivots]
     basis = zeros(a.shape[1], len(free))
@@ -221,7 +220,7 @@ def quotient_projection(span, n, p):
         return zeros(0, 0), zeros(0, 0)
     if span.size == 0:
         return eye(n), eye(n)
-    basis, free = _null_space(span.T, p)
+    basis, free = null_space(span.T, p)
     return basis.T, eye(n)[:, free]
 
 

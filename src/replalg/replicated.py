@@ -102,7 +102,7 @@ class ReplicatedAlgebra:
         self._proj = {}
         self._inj = {}
         self._opposite = None
-        self._op_map = None
+        self._gl_dim = None
         self._relations = None
         self._parallel = None
 
@@ -561,7 +561,8 @@ class LayeredModule:
             raise InputError("quotient span does not match the module's component dims")
         projs, sections = zip(*[ef.quotient_projection(span[c], dim, p)
                                 for c, dim in enumerate(self._dims)])
-        mats = [ef.mul(projs[tgt], ef.mul(mat, sections[src], p), p)
+        mats = [ef.mul(projs[tgt], ef.mul(mat, sections[src], p), p) if mat.size
+                else ef.zeros(projs[tgt].shape[0], sections[src].shape[1])
                 for (src, tgt), mat in zip(alg.edges, self._edge_mats)]
         quo = LayeredModule._assemble(alg, [pr.shape[0] for pr in projs], mats)
         proj = LayeredMorphism._reduced(self, quo, list(projs))
@@ -1099,10 +1100,12 @@ def pd(m):
 
 
 def global_dimension(algebra):
-    """max pd over the simple modules S(i, k)."""
-    return max(pd(algebra.simple(i, k))
-               for k in range(algebra.m + 1)
-               for i in range(algebra.quiver.n_vertices))
+    """max pd over the simple modules S(i, k), computed once per algebra."""
+    if algebra._gl_dim is None:
+        algebra._gl_dim = max(pd(algebra.simple(i, k))
+                              for k in range(algebra.m + 1)
+                              for i in range(algebra.quiver.n_vertices))
+    return algebra._gl_dim
 
 
 # ---------------------------------------------------------------------------

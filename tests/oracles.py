@@ -9,9 +9,9 @@ from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg import splitting as sp
 from replalg import windows as w
-from replalg.artrans import _presentation_matrix, proj_basis_elements
+from replalg.artrans import proj_basis_elements
 from replalg.errors import AnomalyError, InputError
-from replalg.replicated import LayeredModule, LayeredMorphism
+from replalg.replicated import PATH, LayeredModule, LayeredMorphism
 
 
 def a2_quiver():
@@ -252,6 +252,54 @@ class LinearScanRegistry:
 
 
 # ---------------------------------------------------------------------------
+# artrans._presentation_matrix as it was before it read the presentation off
+# the projective cover alone: Omega M is built as a submodule, given its own
+# projective cover, and the two are composed.  Kept verbatim as a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_presentation_matrix(m):
+    """Minimal projective presentation P1 -> P0 -> M -> 0, with the map
+    expressed as algebra elements: returns (summands0, summands1, lam)
+    where lam[s][t] is a list of (basis element, coefficient)."""
+    alg = m.algebra
+    p0, cover, summands0 = rp.proj_cover(m)
+    ker, incl = cover.kernel()
+    p1, cover1, summands1 = rp.proj_cover(ker)
+    if not summands1:
+        return summands0, [], []
+    phi = incl.compose(cover1)
+    # column offset of each P1 generator inside its component of P1
+    gen_cols = []
+    run = {}
+    for t, (i, k) in enumerate(summands1):
+        layout = proj_basis_elements(alg, i, k)
+        start = {c: run.get(c, 0) for c in layout}
+        for c, elts in layout.items():
+            run[c] = run.get(c, 0) + len(elts)
+        gen = (PATH, k, alg.quiver.paths.trivial(i))
+        gen_cols.append(start[(k, i)] + layout[(k, i)].index(gen))
+    # row layout of P0 per component
+    layouts0 = [proj_basis_elements(alg, i, k) for (i, k) in summands0]
+    lam = []
+    for s in range(len(summands0)):
+        lam.append([[] for _ in summands1])
+    for t, (i, k) in enumerate(summands1):
+        comp = alg.comp_index(k, i)
+        col = phi.blocks[comp][:, gen_cols[t]]
+        row = 0
+        for s in range(len(summands0)):
+            elts = layouts0[s][(k, i)]
+            for b in elts:
+                c = int(col[row])
+                if c:
+                    lam[s][t].append((b, c))
+                row += 1
+        assert row == len(col)
+    return summands0, summands1, lam
+
+
+# ---------------------------------------------------------------------------
 # artrans.transpose_layered as it was before it wrote the presentation
 # blocks in place: both direct sums are built, and every (s, t) block goes
 # through incl_t . mor . proj_s and an add.  Kept verbatim as a reference
@@ -262,7 +310,7 @@ def reference_transpose_layered(m):
     """Tr M as a module over the opposite replicated algebra."""
     alg = m.algebra
     op = alg.opposite()
-    summands0, summands1, lam = _presentation_matrix(m)
+    summands0, summands1, lam = reference_presentation_matrix(m)
     if not summands1:
         return op.zero_module()
 

@@ -9,9 +9,10 @@ from replalg import artrans as ar
 from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
-from replalg.errors import BudgetExceeded, InputError
+from replalg.errors import AnomalyError, BudgetExceeded, InputError
+from replalg.replicated import LayeredModule, LayeredMorphism
 from oracles import (exhaustive_indecomposables_a2_m1, reference_ar_mult,
-                     reference_transpose_layered)
+                     reference_presentation_matrix, reference_transpose_layered)
 
 P = 32003
 QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
@@ -217,11 +218,86 @@ AR_CASES = [("a3", 2), ("d4", 2), ("a2r", 3)]
 
 
 @functools.lru_cache(maxsize=None)
+def catalog(name, m):
+    """The catalog of quivers/<name>.q at level m, built once."""
+    quiver = qr.Quiver.load(QUIVERS / f"{name}.q")
+    return ar.indec_catalog(rp.build_replicated(quiver, m, P))
+
+
+@functools.lru_cache(maxsize=None)
 def ar_case(name, m):
     """(catalog, oracle mult) of quivers/<name>.q at level m, built once."""
-    quiver = qr.Quiver.load(QUIVERS / f"{name}.q")
-    cat = ar.indec_catalog(rp.build_replicated(quiver, m, P))
+    cat = catalog(name, m)
     return cat, reference_ar_mult(cat)
+
+
+def kronecker_preprojectives(p, rounds):
+    """P(1), P(2), then tau^-1 of the previous pair, `rounds` times."""
+    quiver = kronecker()
+    pair = [qr.projective(quiver, p, v) for v in quiver.vertices]
+    out = list(pair)
+    for _ in range(rounds):
+        pair = [qr.tau_inverse(x) for x in pair]
+        out += pair
+    return out
+
+
+@pytest.mark.parametrize("name, m", AR_CASES)
+def test_presentation_matches_the_reference(name, m):
+    # the presentation read off the cover equals the one through Omega M
+    # and its own cover, for M (tau) and DM (tau^-1) over each catalog
+    for x in catalog(name, m).modules:
+        for y in (x, x.dual()):
+            assert ar._presentation_matrix(y) == reference_presentation_matrix(y)
+
+
+def test_presentation_matches_the_reference_on_kronecker_preprojectives():
+    mods = kronecker_preprojectives(3, 3)
+    assert [x.component_dims() for x in mods][-2:] == [[7, 6], [8, 7]]
+    for x in mods:
+        for y in (x, x.dual()):
+            assert ar._presentation_matrix(y) == reference_presentation_matrix(y)
+
+
+def test_catalog_reads_each_presentation_off_one_cover(monkeypatch):
+    # one projective cover per transpose (of M for tau, of DM for tau^-1),
+    # and Omega M is never built as a submodule
+    calls = {"proj_cover": 0, "transpose": 0, "submodule": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rp, "proj_cover", counted("proj_cover", rp.proj_cover))
+    monkeypatch.setattr(ar, "transpose_layered", counted("transpose", ar.transpose_layered))
+    monkeypatch.setattr(LayeredModule, "submodule",
+                        counted("submodule", LayeredModule.submodule))
+    quiver = qr.Quiver.load(QUIVERS / "a3.q")
+    cat = ar.indec_catalog(rp.ReplicatedAlgebra(quiver, 2, P))
+    assert calls["transpose"] == 2 * len(cat)
+    assert calls["proj_cover"] == calls["transpose"]
+    assert calls["submodule"] == 0
+
+
+def test_a_cover_whose_kernel_is_not_a_submodule_is_an_anomaly(monkeypatch):
+    # tau^-1 P(1) over the Kronecker quiver at p=3 has dims (3, 2) and its
+    # top at vertex 2; a cover that is zero there has a kernel containing
+    # the generators, which the arrows carry out of the kernel
+    z = kronecker_preprojectives(3, 1)[2]
+    assert z.component_dims() == [3, 2]
+    real = rp.proj_cover
+
+    def broken_cover(m):
+        p0, cover, summands = real(m)
+        blocks = [b.copy() for b in cover.blocks]
+        blocks[1][:] = 0
+        return p0, LayeredMorphism(p0, m, blocks), summands
+
+    monkeypatch.setattr(rp, "proj_cover", broken_cover)
+    with pytest.raises(AnomalyError):
+        ar._presentation_matrix(z)
 
 
 @pytest.mark.parametrize("name, m", AR_CASES)

@@ -170,6 +170,19 @@ def test_end_algebra_oracle_matches_gldim_of_algebra():
         assert rp.global_dimension(alg) == want
 
 
+def test_global_dimension_is_computed_once_per_algebra(monkeypatch):
+    # construct_E reads gl.dim, and so does each u_stratum it takes: the
+    # pd of each of the 9 simples of A_3^(2) is computed once in all
+    calls = []
+    real_pd = rp.pd
+    monkeypatch.setattr(rp, "pd", lambda m: calls.append(m) or real_pd(m))
+    alg = rp.ReplicatedAlgebra(a3(), 2, P)
+    first = gc.construct_E(alg, 1).summands
+    assert gc.construct_E(alg, 1).summands == first
+    assert len(calls) == 9
+    assert rp.global_dimension(alg) == 4 and len(calls) == 9
+
+
 def test_end_algebra_oracle_pd_of_each_simple():
     # End((+) proj(i,k)) = A^(m): the simple at summand proj(i,k) has the
     # projective dimension of S(i,k), e.g. [0,1,1,2,3,3,4,5,5,6] for A_2, m=4
