@@ -552,6 +552,28 @@ class LayeredModule:
         sub = LayeredModule._assemble(alg, [b.shape[1] for b in bases], mats)
         return sub, LayeredMorphism._reduced(sub, self, bases)
 
+    def kernel_of(self, blocks):
+        """(kernel, inclusion) of the morphism out of this module with the
+        given per-component blocks, as submodule of their canonical kernel
+        bases would give them, without its solves: each basis is the
+        identity at its free rows, so the kernel acts at an edge src -> tgt
+        by M_e . basis[src] read at the free rows of tgt.  That product must
+        lie in the kernel at tgt, else AnomalyError."""
+        alg, p = self.algebra, self.algebra.p
+        bases, frees = zip(*[ef.null_space(b, p) for b in blocks])
+        mats = []
+        for (src, tgt), mat in zip(alg.edges, self._edge_mats):
+            if not (mat.shape[0] and bases[src].shape[1]):
+                mats.append(ef.zeros(len(frees[tgt]), bases[src].shape[1]))
+                continue  # an empty image
+            image = ef.mul(mat, bases[src], p)
+            coords = image[frees[tgt]]
+            if not np.array_equal(ef.mul(bases[tgt], coords, p), image):
+                raise AnomalyError("the kernel of a morphism is not closed under the action")
+            mats.append(coords)
+        sub = LayeredModule._assemble(alg, [b.shape[1] for b in bases], mats)
+        return sub, LayeredMorphism._reduced(sub, self, list(bases))
+
     def quotient(self, span):
         """Quotient by the span of per-component columns (must be stable
         under all actions).  Returns (quotient, projection)."""
@@ -734,8 +756,7 @@ class LayeredMorphism:
         return LayeredMorphism._reduced(module, module, [ef.eye(d) for d in module._dims])
 
     def kernel(self):
-        bases = [ef.kernel_basis(b, self.p) for b in self.blocks]
-        return self.source.submodule(bases)
+        return self.source.kernel_of(self.blocks)
 
     def cokernel(self):
         return self.target.quotient(list(self.blocks))

@@ -96,8 +96,7 @@ def _primary_split(m, blocks, p, facs=None):
         gpow = [1]
         for _ in range(e):
             gpow = ef.poly_mul(gpow, g, p)
-        bases = [ef.kernel_basis(ef.poly_eval_matrix(gpow, b, p), p) for b in blocks]
-        sub, _ = m.submodule(bases)
+        sub, _ = m.kernel_of([ef.poly_eval_matrix(gpow, b, p) for b in blocks])
         pieces.append(sub)
     assert sum(piece.total_dim for piece in pieces) == m.total_dim
     return pieces

@@ -300,6 +300,42 @@ def test_a_cover_whose_kernel_is_not_a_submodule_is_an_anomaly(monkeypatch):
         ar._presentation_matrix(z)
 
 
+def test_kernel_matches_the_submodule_of_its_bases():
+    # kernel() reads the action off the free rows of the canonical kernel
+    # bases, submodule() solves for it: the same module and inclusion, on
+    # the cover of every catalog module and of its dual
+    for x in catalog("a3", 2).modules:
+        for y in (x, x.dual()):
+            cover = rp.proj_cover(y)[1]
+            ker, incl = cover.kernel()
+            want, want_incl = cover.source.submodule(
+                [ef.kernel_basis(b, P) for b in cover.blocks])
+            assert ker.component_dims() == want.component_dims()
+            for got, ref in zip(ker.edge_matrices() + tuple(incl.blocks),
+                                want.edge_matrices() + tuple(want_incl.blocks)):
+                assert np.array_equal(got, ref)
+
+
+def test_ar_quiver_makes_no_solve(monkeypatch):
+    calls = []
+    real = ef.solve
+    monkeypatch.setattr(ef, "solve", lambda *args: calls.append(args) or real(*args))
+    arq = ar.ar_quiver(catalog("d4", 2))
+    assert arq.mesh_violations() == []
+    assert calls == []
+
+
+def test_the_kernel_of_a_non_morphism_is_an_anomaly():
+    # the cover of tau^-1 P(1) (Kronecker, p=3) zeroed at vertex 2: its
+    # kernel contains the generators, which the arrows carry out of it
+    z = kronecker_preprojectives(3, 1)[2]
+    cover = rp.proj_cover(z)[1]
+    blocks = [b.copy() for b in cover.blocks]
+    blocks[1][:] = 0
+    with pytest.raises(AnomalyError):
+        LayeredMorphism(cover.source, z, blocks).kernel()
+
+
 @pytest.mark.parametrize("name, m", AR_CASES)
 def test_ar_sequence_matches_the_rad_oracle_over_replicated(name, m):
     # tau Z and the middle term of each sequence, computed from Z alone,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import reference_base_indecomposables
+from oracles import reference_base_indecomposables, reference_end_algebra_gldim
 from replalg import artrans as ar
 from replalg import endalg
 from replalg import exactfield as ef
@@ -226,6 +226,67 @@ def test_end_algebra_oracle_cap():
     projs = [alg.proj(i, k) for k in range(2) for i in range(2)]
     with pytest.raises(OracleUnavailable):
         end_algebra_gldim(projs, cap=1)
+
+
+def _oracle_outcome(fn, summands):
+    """The oracle's value, or the type of the exception it raises."""
+    try:
+        return fn(summands)
+    except Exception as exc:
+        return type(exc)
+
+
+def _oracle_inputs():
+    """(label, summands): End(+ projectives) of A_2^(m), m = 1..4; the
+    additive generator and 12 random generator-cogenerators of A_3 at
+    m = 2 and of a2r at m = 3; the Kronecker p=3 sums of the tube test."""
+    for m in (1, 2, 3, 4):
+        alg = rp.build_replicated(a2(), m, P)
+        yield f"a2 m={m} projectives", [alg.proj(i, k) for k in range(m + 1) for i in range(2)]
+    from replalg.verify import random_gencogs
+    for name, m in (("a3", 2), ("a2r", 3)):
+        quiver = qr.Quiver.load(QUIVERS / f"{name}.q")
+        cat = ar.indec_catalog(rp.build_replicated(quiver, m, P))
+        engine = MDimEngine.for_catalog(cat)
+        gencogs = [GenCog(engine, set(range(len(cat))))]
+        gencogs += random_gencogs(range(len(cat)), engine, 12, seed=1)
+        for j, gencog in enumerate(gencogs):
+            yield f"{name} m={m} gencog {j}", gencog.modules()
+    r1 = _kron_p3([[1]], [[0]])
+    r2 = _kron_p3([[1, 0], [0, 1]], [[0, 1], [0, 0]])
+    f = _kron_p3([[1, 0], [0, 1]], [[0, 1], [2, 0]])
+    yield "kronecker R1+R2", [r1, r2]
+    yield "kronecker R2", [r2]
+    yield "kronecker F", [f]
+
+
+def test_end_algebra_oracle_matches_the_reference():
+    # one resolution of E/rad E against one resolution per simple
+    outcomes = []
+    for label, summands in _oracle_inputs():
+        got = _oracle_outcome(end_algebra_gldim, summands)
+        assert got == _oracle_outcome(reference_end_algebra_gldim, summands), label
+        outcomes.append(got)
+    assert outcomes[:4] == [2, 3, 5, 6]
+    assert outcomes[-3:] == [2, OracleUnavailable, AnomalyError]
+    assert len(outcomes) == 4 + 2 * 13 + 3
+
+
+def test_end_algebra_oracle_resolves_the_top_once(monkeypatch):
+    # gl.dim End = pd(E/rad E): the A_3^(2) additive generator takes
+    # gl.dim = 2 syzygy steps, not one resolution per simple (50 steps)
+    cat = ar.indec_catalog(rp.build_replicated(a3(), 2, P))
+    calls = []
+    real = endalg.EndAlgebra.syzygy
+    monkeypatch.setattr(endalg.EndAlgebra, "syzygy",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    assert end_algebra_gldim(list(cat.modules)) == 2
+    assert len(calls) == 2
+
+
+def test_end_algebra_oracle_refuses_no_summands():
+    with pytest.raises(InputError):
+        end_algebra_gldim([])
 
 
 def test_oracle_agrees_with_lemma_route_on_random_gencogs(a2_ctx):
