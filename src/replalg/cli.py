@@ -33,11 +33,11 @@ def build_parser():
     common.add_argument("--prime", type=int, default=ef.DEFAULT_PRIME,
                         help="prime modulus of the coefficient field")
     common.add_argument("--seed", type=int, default=ef.DEFAULT_SEED,
-                        help="seed of the sampling suites and the window census")
+                        help="seed (>= 0) of the sampling suites and the window census")
     common.add_argument("--budget", type=int, default=ar.CATALOG_BUDGET,
                         help="catalog entry budget")
     common.add_argument("--window", type=int, default=3,
-                        help="per-vertex dimension bound for windowed checks")
+                        help="per-vertex dimension bound (>= 1) for windowed checks")
     common.add_argument("--json", action="store_true", help="JSON output")
     common.add_argument("--cache", default=None, help="catalog cache directory")
 

@@ -427,8 +427,13 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME):
 
 
 def verify(suite, quiver, **params):
-    """Dispatch a named suite (function suite_<name>); unknown names raise
-    InputError."""
+    """Dispatch a named suite (function suite_<name>); unknown names, a
+    negative seed and a window bound below 1 raise InputError."""
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    # checked before any work, though the window census checks them again
+    if params.get("seed", 0) < 0:
+        raise InputError(f"seed must be >= 0, got {params['seed']}")
+    if params.get("bound", 1) < 1:
+        raise InputError(f"window bound must be >= 1, got {params['bound']}")
     return globals()[f"suite_{suite}"](quiver, **params)

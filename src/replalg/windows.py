@@ -7,9 +7,10 @@ closure is explicitly partial (results quote the window); it combines
 
   * simples, projectives, injectives of the base algebra,
   * tau^{-1} walks from projectives and tau walks from injectives,
-  * middle terms of extension classes between census members (one class
-    per line of Ext^1 when p^e is small, basis classes plus seeded random
-    combinations otherwise), iterated to a fixpoint,
+  * middle terms of extension classes between census members (every line
+    of Ext^1 when p^e is small, the lines of the basis classes and of
+    seeded random combinations otherwise; one class per line either way),
+    iterated to a fixpoint,
 
 and then transports the base census into the replicated algebra by
 cosyzygy shifts computed in an enlarged window, keeping the shifts that
@@ -20,10 +21,14 @@ xi and lam*xi in Ext^1(M, N) are isomorphic: with E_xi given by the block
 matrices [[N_a, xi_a], [0, M_a]] on N + M, conjugating by
 g = diag(lam*I_N, I_M) gives g [[N_a, xi_a], [0, M_a]] g^-1 =
 [[N_a, lam*xi_a], [0, M_a]], the matrices of E_{lam*xi}
-(Auslander-Reiten-Smalo, ch. I).  The enumeration keeps the coefficient
-vectors whose most significant nonzero digit is 1, which is the first
-class of each line in code order, so the census (its modules and their
-order) is the one all classes would give.
+(Auslander-Reiten-Smalo, ch. I).  At every p a class is known by its
+line's representative, the multiple whose most significant nonzero digit
+is 1.  When p^e is small the enumeration keeps exactly these vectors, the
+first class of each line in code order, so the census (its modules and
+their order) is the one all classes would give.  When p^e is large every
+vector is still drawn, in the same order, and a drawn vector whose line
+was already realized for the pair is skipped; so the random stream, and
+with it the census, is the one that realizing every draw would give.
 """
 
 import numpy as np
@@ -40,7 +45,13 @@ CLOSURE_ROUNDS = 4
 
 def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
     """Window census of indecomposable modules over the base hereditary
-    algebra with every vertex dimension <= bound (partial by design)."""
+    algebra with every vertex dimension <= bound (partial by design).
+    A bound below 1 would give an empty window, on which every check
+    passes vacuously, so it is an input error, as is a negative seed."""
+    if bound < 1:
+        raise InputError(f"window bound must be >= 1, got {bound}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     found = rp.IsoRegistry()
 
     def add(m):
@@ -93,8 +104,13 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
                     coeff_list = [[1 if t == k else 0 for t in range(e)] for k in range(e)]
                     coeff_list += [list(rng.integers(0, p, size=e)) for _ in range(4)]
                 for coeffs in coeff_list:
-                    key = (i, j, tuple(int(c) for c in coeffs))
-                    if not any(coeffs) or key in realized:
+                    if not any(coeffs):
+                        continue
+                    # key by the line's representative, so a drawn multiple
+                    # of a realized class is skipped (the draws themselves
+                    # are kept, which keeps the random stream)
+                    key = (i, j, _line_representative(coeffs, p))
+                    if key in realized:
                         continue
                     realized.add(key)
                     middle, _, _ = qr.realize_extension_class(m, n, coeffs)
@@ -104,6 +120,13 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
         if not grew:
             break
     return found.modules
+
+
+def _line_representative(coeffs, p):
+    """The multiple of a nonzero coefficient vector whose most significant
+    nonzero digit is 1."""
+    lead = ef.inv_scalar(next(x for x in reversed(coeffs) if x), p)
+    return tuple(int(c) * lead % p for c in coeffs)
 
 
 def _digits(code, p, length):
@@ -118,7 +141,7 @@ def census_modules(algebra, bound, seed=ef.DEFAULT_SEED):
     """Window census over the replicated algebra: the base census at layer
     0 together with its cosyzygy shifts (computed in an enlarged window)
     that restrict to the algebra, plus projectives and injectives; all
-    members have every component dimension <= bound."""
+    members have every component dimension <= bound (>= 1)."""
     quiver, p, m = algebra.quiver, algebra.p, algebra.m
     base = base_indecomposables(quiver, p, bound, seed)
     walg = rp.build_replicated(quiver, 2 * m + 2, p)

@@ -298,3 +298,21 @@ def test_gencog_file_with_a_wrong_shaped_connecting_matrix(tmp_path):
                              "--gencog", str(path))
     assert code == 2 and out == ""
     assert "(1, 3)" in err and "(1, 1)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "lem47", "--quiver", quiver("kron.q"), "--d", "5", "--window", "0", "--json"),
+    ("verify", "lem47", "--quiver", quiver("kron.q"), "--d", "5", "--window", "-1"),
+    ("gldim-end", "--quiver", quiver("a2.q"), "--budget", "3", "--window", "0", "--json"),
+    ("verify", "thm1", "--quiver", quiver("a2.q"), "--m", "1", "--seed", "-1"),
+    ("verify", "lem47", "--quiver", quiver("kron.q"), "--d", "5", "--window", "2",
+     "--seed", "-1"),
+    ("gldim-end", "--quiver", quiver("a2.q"), "--budget", "3", "--window", "1",
+     "--seed", "-1"),
+])
+def test_empty_window_and_negative_seed_are_input_errors(argv):
+    # an empty window would pass every windowed check vacuously, and numpy
+    # refuses a negative seed with a traceback
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err

@@ -420,10 +420,11 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("p, bound", [(2, 3), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p, bound", [(2, 3), (3, 3), (5, 2), (7, 2), (32003, 2)])
 def test_base_census_matches_all_classes_reference(p, bound):
     # lambda*xi and xi have isomorphic middle terms, so one class per line
-    # finds the same modules in the same order
+    # finds the same modules in the same order; at (7, 2) and (32003, 2)
+    # classes are drawn at random and multiples of realized ones skipped
     got = w.base_indecomposables(kronecker(), p, bound)
     want = reference_base_indecomposables(kronecker(), p, bound)
     assert [m.to_json() for m in got] == [m.to_json() for m in want]
@@ -436,6 +437,38 @@ def test_base_census_realizes_one_class_per_line(monkeypatch):
     calls.clear()
     w.base_indecomposables(kronecker(), 3, 3)
     assert len(calls) == 234
+
+
+def test_sampled_census_realizes_each_line_once(monkeypatch):
+    # at p = 32003 the drawn vectors of a one-dimensional Ext^1 all lie on
+    # the line of the basis class
+    calls = counting(monkeypatch, qr, "realize_extension_class")
+    reference_base_indecomposables(kronecker(), P, 2)
+    assert len(calls) == 1004
+    calls.clear()
+    census = w.base_indecomposables(kronecker(), P, 2)
+    assert len(calls) == 164
+    position = {id(m): k for k, m in enumerate(census)}
+    lines = []
+    for m, n, coeffs in calls:
+        lead = pow(int(next(c for c in reversed(coeffs) if c)), P - 2, P)
+        lines.append((position[id(m)], position[id(n)],
+                      tuple(int(c) * lead % P for c in coeffs)))
+    assert len(set(lines)) == len(lines)
+    assert len({(i, j) for i, j, _ in lines}) == 111
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_census_rejects_an_empty_window(bound):
+    with pytest.raises(InputError, match="window bound"):
+        w.base_indecomposables(kronecker(), 3, bound)
+    with pytest.raises(InputError, match="window bound"):
+        w.census_modules(rp.build_replicated(kronecker(), 1, 3), bound)
+
+
+def test_census_rejects_a_negative_seed():
+    with pytest.raises(InputError, match="seed"):
+        w.census_modules(rp.build_replicated(kronecker(), 1, 3), 2, seed=-1)
 
 
 def test_census_surfaces_a_failed_restriction(monkeypatch):

@@ -73,6 +73,19 @@ def test_lem48_report_payload():
     assert report["params"]["Nprime"] == [2, 2]
 
 
+@pytest.mark.parametrize("suite, params, match", [
+    ("thm1", {"seed": -1}, "seed"),
+    ("lem31_random", {"seed": -1}, "seed"),
+    ("lem47", {"bound": 0}, "window bound"),
+])
+def test_verify_rejects_a_negative_seed_and_an_empty_window(monkeypatch, suite, params, match):
+    # checked before the suite starts work
+    monkeypatch.setattr(vf, f"suite_{suite}", None)
+    quiver = kronecker() if suite == "lem47" else a2()
+    with pytest.raises(InputError, match=match):
+        vf.verify(suite, quiver, **params)
+
+
 def test_only_sampling_routines_take_a_seed():
     taking = set()
     for mod in (exactfield, splitting, replicated, quiverrep, artrans, gencog, endalg,
