@@ -26,26 +26,11 @@ import numpy as np
 from . import exactfield as ef
 from . import replicated as rp
 from .errors import AnomalyError, BudgetExceeded, InputError
-from .replicated import DUAL, PATH, LayeredModule
+from .replicated import LayeredModule
 from .splitting import fitting_split
 
 CATALOG_BUDGET = 10000
 PHASE_SECONDS = 60.0
-
-
-def proj_basis_elements(algebra, i, k):
-    """Algebra basis elements of proj(i, k) per component, matching the
-    column order used by the proj constructor."""
-    pb = algebra.quiver.paths
-    out = {}
-    for (l, j) in algebra.components():
-        if l == k:
-            out[(l, j)] = [(PATH, k, q) for q in pb.from_vertex[i] if pb.target[q] == j]
-        elif k >= 1 and l == k - 1:
-            out[(l, j)] = [(DUAL, k, r) for r in pb.into_vertex[i] if pb.source[r] == j]
-        else:
-            out[(l, j)] = []
-    return out
 
 
 def _presentation_matrix(m):
@@ -87,20 +72,14 @@ def _presentation_matrix(m):
     if not summands1:
         return summands0, [], []
     # row layout of P0 per component
-    layouts0 = [proj_basis_elements(alg, i, k) for (i, k) in summands0]
-    lam = []
-    for s in range(len(summands0)):
-        lam.append([[] for _ in summands1])
+    layouts0 = [alg.proj_basis(i, k) for (i, k) in summands0]
+    lam = [[[] for _ in summands1] for _ in summands0]
     for t, ((i, k), col) in enumerate(zip(summands1, cols)):
-        row = 0
-        for s in range(len(summands0)):
-            elts = layouts0[s][(k, i)]
-            for b in elts:
-                c = int(col[row])
-                if c:
-                    lam[s][t].append((b, c))
-                row += 1
-        assert row == len(col)
+        rows = [(s, b) for s, layout in enumerate(layouts0) for b in layout[alg.comp_index(k, i)]]
+        assert len(rows) == len(col)
+        for (s, b), c in zip(rows, col.tolist()):
+            if c:
+                lam[s][t].append((b, c))
     return summands0, summands1, lam
 
 
@@ -115,23 +94,18 @@ def transpose_layered(m):
     summands0, summands1, lam = _presentation_matrix(m)
     if not summands1:
         return op.zero_module()
-
-    def sigma_comp(i, k):
-        return (i, alg.m - k)
-
-    parts1 = [op.proj(*sigma_comp(i, k)) for (i, k) in summands1]
+    # proj(i, k) dualizes to the opposite algebra's proj(i, m - k)
+    parts1 = [op.proj(i, alg.m - k) for (i, k) in summands1]
     total1, offs1 = LayeredModule.block_sum(parts1)
-    offs0, dims0 = rp.component_offsets([op.proj(*sigma_comp(i, k)) for (i, k) in summands0])
+    offs0, dims0 = rp.component_offsets([op.proj(i, alg.m - k) for (i, k) in summands0])
     blocks = [ef.zeros(rows, cols) for rows, cols in zip(total1.component_dims(), dims0)]
-    for s, (i0, k0) in enumerate(summands0):
-        io, ko = sigma_comp(i0, k0)
-        for t in range(len(summands1)):
+    for s, (io, k0) in enumerate(summands0):
+        ko = alg.m - k0
+        for t, (i1, k1) in enumerate(summands1):
             if not lam[s][t]:
                 continue
-            i1, k1 = summands1[t]
-            layout_t = proj_basis_elements(op, *sigma_comp(i1, k1))
-            vec = np.zeros(parts1[t].layers[ko].dims[io], dtype=np.int64)
-            slot = layout_t[(ko, io)]
+            slot = op.proj_basis(i1, alg.m - k1)[op.comp_index(ko, io)]
+            vec = np.zeros(len(slot), dtype=np.int64)
             for b, c in lam[s][t]:
                 vec[slot.index(alg.to_opposite_element(b))] = c
             _, mor = rp.generator_morphism((ko, io), np.mod(vec, alg.p), parts1[t])
@@ -201,10 +175,6 @@ class IndecCatalog:
     def __len__(self):
         return len(self.modules)
 
-    @property
-    def proj_inj(self):
-        return self.projective & self.injective
-
     def layer0(self, idx):
         return self.modules[idx].is_layer_module(0)
 
@@ -225,7 +195,8 @@ class IndecCatalog:
 
     def rad_basis(self, i, j):
         """Basis of rad(X_i, X_j): all of Hom for i != j, rad End(X_i)
-        for i = j."""
+        for i = j.  Nothing in the package calls it; it stays because the
+        benchmark's layer trace (bench/tracer.py TARGETS) names it."""
         return self.hom_basis(i, j) if i != j else self.modules[i].rad_end()
 
     # -- predecessor order ----------------------------------------------------
@@ -249,23 +220,6 @@ class IndecCatalog:
         if not (0 <= i < len(self.modules) and 0 <= j < len(self.modules)):
             raise InputError("leq: module not in catalog")
         return bool(self.leq_matrix()[i, j])
-
-    def set_leq(self, s1, s2, strict=False):
-        """The four-clause set relation on catalog index sets; strict adds
-        disjointness."""
-        s1, s2 = set(s1), set(s2)
-        mat = self.leq_matrix()
-        if not all(any(mat[x, y] for x in s1) for y in s2):
-            return False
-        if not all(any(mat[x, y] for y in s2) for x in s1):
-            return False
-        if any(mat[y, x] for y in s2 for x in s1):
-            return False
-        if any(mat[y, x] for x in s1 for y in s2):
-            return False
-        if strict and s1 & s2:
-            return False
-        return True
 
     def to_json(self):
         return {
@@ -311,8 +265,11 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET, time_limit=PHASE_SECONDS):
     """Close {proj(i,k)} and {inj(i,k)} under tau^{-1} and tau.
 
     Exceeding the entry budget or the time limit raises BudgetExceeded (the
-    expected signal for representation-infinite base algebras).
+    expected signal for representation-infinite base algebras); a budget
+    below 1 is an InputError.
     """
+    if budget < 1:
+        raise InputError(f"catalog budget must be >= 1, got {budget}")
     start = time.monotonic()
     seeds = [algebra.proj(i, k) for k in range(algebra.m + 1)
              for i in range(algebra.quiver.n_vertices)]

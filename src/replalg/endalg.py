@@ -38,7 +38,8 @@ class EndAlgebra:
     coordinates of bases[s][t][c] . bases[t][u][r] in bases[s][u], kept only
     where the three blocks are non-empty.  rad E is the sum of the
     off-diagonal blocks and of the rad End(M_s); rad[s] holds rows spanning
-    rad End(M_s) in the coordinates of bases[s][s].
+    rad End(M_s) in the coordinates of bases[s][s].  bench/selftest.py
+    checks the hom_fn default, so it stays rp.hom_layered.
     """
 
     def __init__(self, summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP):
@@ -175,10 +176,6 @@ class EndAlgebra:
                     f"syzygies did not terminate within {PD_STEP_CAP} steps")
         return steps - 1
 
-    def simple_pd(self, s):
-        """Projective dimension of the simple module at summand s."""
-        return self.top_pd([s])
-
 
 def _block_diag(blocks):
     """The block-diagonal matrix with the given blocks."""
@@ -194,7 +191,7 @@ def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP)
     """gl.dim End(M) = pd(E/rad E), by one explicit projective resolution
     of the direct sum of the simple End(M)-modules.  Accepts a GenCog or a
     plain list of summand modules (the oracle does not require a
-    generator-cogenerator)."""
+    generator-cogenerator).  bench/selftest.py checks the hom_fn default."""
     if hasattr(gencog_or_summands, "modules"):
         summands = gencog_or_summands.modules()
     else:

@@ -84,6 +84,7 @@ def min_right_approx(summands, x, hom_fn=rp.hom_layered):
     elements at pivot columns of one rref over [radical image | Hom(M_i, X)]:
     each lies outside the span of the radical image and of the basis
     elements before it, the greedy choice along the canonical basis.
+    bench/selftest.py checks the hom_fn default, so it stays rp.hom_layered.
     """
     homs = [hom_fn(mi, x) for mi in summands]
     reps, mults = [], []
@@ -117,7 +118,8 @@ def verify_approximation(summands, x, result, hom_fn=rp.hom_layered):
 
     (1) for every summand S the composition Hom(S, M') -> Hom(S, X) is
     surjective; (2) right minimality: every endomorphism h of M' with
-    f h = 0 lies in rad End(M')."""
+    f h = 0 lies in rad End(M').  Only tests call it; it stays because
+    bench/selftest.py checks its hom_fn default."""
     p = x.algebra.p
     f = result.morphism
     mprime = f.source
@@ -157,10 +159,6 @@ class MDimResult:
     @property
     def is_infinite(self):
         return self.value == math.inf
-
-    @property
-    def indeterminate(self):
-        return self.value is None
 
 
 class MDimEngine:

@@ -6,8 +6,12 @@ representation.  This module builds the standard A-modules, computes
 Ext^1 from the Hom complex of `replicated.hom_complex`, realizes
 extensions, and names the base-algebra calls (hom_basis, is_iso,
 decompose, tau, tau_inverse) that run on the shared module machinery.
-Almost split sequences, over A as over every A^(m), are
-`artrans.ar_sequence`.
+These five are one-line forwards to `replicated` and `artrans`, and they
+stay for two reasons: callers working over A use them, so layer traces
+report base-algebra work apart from work over A^(m); and the benchmark's
+layer trace (bench/tracer.py TARGETS) pins all five, is_iso and decompose
+even though only tests call them.  Almost split sequences, over A as over
+every A^(m), are `artrans.ar_sequence`.
 
 Conventions, fixed once and pinned by tests:
   * a right module over kQ is a representation in which an arrow a: i -> j
@@ -207,9 +211,6 @@ class PathBasis:
         self.maximal = [i for i in range(self.n)
                         if i not in has_left and i not in has_right]
 
-    def trivial(self, v):
-        return v
-
     def compose(self, p, q):
         """Path id of pq ("p then q"), or None if not composable."""
         if self.target[p] != self.source[q]:
@@ -301,9 +302,7 @@ def _vertex_index(quiver, v):
 
 
 # ---------------------------------------------------------------------------
-# base-algebra entry points on the shared module machinery; callers working
-# over A use these names so that layer traces report base-algebra work apart
-# from work over A^(m)
+# base-algebra entry points (the module docstring says why they stay)
 # ---------------------------------------------------------------------------
 
 

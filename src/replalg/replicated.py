@@ -100,6 +100,7 @@ class ReplicatedAlgebra:
         self.edges += [(self.comp_index(k, pb.target[q]), self.comp_index(k - 1, pb.source[q]))
                        for k, q in self.conn_keys]
         self._proj = {}
+        self._proj_basis = {}
         self._inj = {}
         self._opposite = None
         self._gl_dim = None
@@ -266,6 +267,28 @@ class ReplicatedAlgebra:
             self._proj[key] = self._build_proj(*key)
         return self._proj[key]
 
+    def proj_basis(self, i, k):
+        """The algebra basis elements spanning proj(i, k), one list per
+        component in components() order: the paths (q, k) from i at layer
+        k, then the duals (r*, k) of the paths r into i at layer k - 1, in
+        path-id order.  proj, generator_morphism and the presentations of
+        artrans all read this one basis; computed once per (i, k)."""
+        key = (int(i), int(k))
+        if key not in self._proj_basis:
+            i, k = key
+            if not (0 <= i < self.quiver.n_vertices and 0 <= k <= self.m):
+                raise InputError(f"proj({i},{k}) out of range")
+            pb = self.quiver.paths
+            out = self._proj_basis[key] = []
+            for l, j in self.components():
+                if l == k:
+                    out.append([(PATH, k, q) for q in pb.from_vertex[i] if pb.target[q] == j])
+                elif l == k - 1:
+                    out.append([(DUAL, k, r) for r in pb.into_vertex[i] if pb.source[r] == j])
+                else:
+                    out.append([])
+        return self._proj_basis[key]
+
     def inj(self, i, k):
         """Indecomposable injective at vertex i, layer k: proj(i, k+1) for
         k < m, and I_A(i) concentrated in layer m for k = m."""
@@ -280,9 +303,8 @@ class ReplicatedAlgebra:
         return self._inj[key]
 
     def _build_proj(self, i, k):
-        quiver, pb = self.quiver, self.quiver.paths
-        if not (0 <= i < quiver.n_vertices and 0 <= k <= self.m):
-            raise InputError(f"proj({i},{k}) out of range")
+        pb = self.quiver.paths
+        basis = self.proj_basis(i, k)  # checks the range
         if k == 0:
             return self._concentrated(pb.standard_layer("P", i), 0)
         layers = [self._zero_layer()] * (self.m + 1)
@@ -290,12 +312,11 @@ class ReplicatedAlgebra:
         layers[k - 1] = pb.standard_layer("I", i)
         conn = {}
         for pid in range(pb.n):
-            tv, sv = pb.target[pid], pb.source[pid]
-            upper = [q for q in pb.from_vertex[i] if pb.target[q] == tv]
-            lower = [r for r in pb.into_vertex[i] if pb.source[r] == sv]
+            upper = basis[self.comp_index(k, pb.target[pid])]
+            lower = basis[self.comp_index(k - 1, pb.source[pid])]
             mat = ef.zeros(len(lower), len(upper))
-            for cq, q in enumerate(upper):
-                for cr, r in enumerate(lower):
+            for cq, (_, _, q) in enumerate(upper):
+                for cr, (_, _, r) in enumerate(lower):
                     if pb.compose(r, q) == pid:  # p = r q picks up q . p* = r*
                         mat[cr, cq] = 1
             conn[(k, pid)] = mat
@@ -394,10 +415,9 @@ class LayeredModule:
         matrices by (k, path id) (a missing one is zero); or an _Assembled
         record from _assemble."""
         self.algebra = algebra
-        if isinstance(layers, _Assembled):
-            self._adopt(*layers)
-        else:
-            self._coerce(layers, conn or {})
+        if not isinstance(layers, _Assembled):
+            layers = self._coerce(layers, conn or {})
+        self._adopt(*layers)
         self._validate()
         self._iso_key = None
         self._end = None
@@ -405,18 +425,17 @@ class LayeredModule:
 
     def _coerce(self, layers, conn):
         """Public input: layers as (dims, maps) pairs and connecting
-        matrices, copied to int64, reduced mod p and shape-checked."""
+        matrices, copied to int64, reduced mod p and shape-checked; returns
+        (dims, mats) in the form _adopt takes."""
         algebra = self.algebra
         quiver, p, pb = algebra.quiver, algebra.p, algebra.quiver.paths
         if len(layers) != algebra.m + 1:
             raise InputError(f"expected {algebra.m + 1} layers, got {len(layers)}")
-        self.layers = [_layer(quiver, p, dims, maps) for dims, maps in layers]
-        self._dims = tuple(d for layer in self.layers for d in layer.dims)
-        self.conn = {}
+        checked = [_layer(quiver, p, dims, maps) for dims, maps in layers]
+        mats = [mat for layer in checked for mat in layer.maps]
         for k, pid in algebra.conn_keys:
             mat = conn.get((k, pid))
-            want = (self.layers[k - 1].dims[pb.source[pid]],
-                    self.layers[k].dims[pb.target[pid]])
+            want = (checked[k - 1].dims[pb.source[pid]], checked[k].dims[pb.target[pid]])
             if mat is None:
                 mat = ef.zeros(*want)
             else:
@@ -426,12 +445,12 @@ class LayeredModule:
                 except (TypeError, ValueError) as exc:
                     raise InputError(f"connecting matrix of {pb.name(pid)}* at layer {k}: "
                                      f"shape {getattr(mat, 'shape', mat)}, expected {want}") from exc
-            self.conn[(k, pid)] = mat
-        self._edge_mats = tuple(mat for layer in self.layers for mat in layer.maps) + \
-            tuple(self.conn[key] for key in algebra.conn_keys)
+            mats.append(mat)
+        return [d for layer in checked for d in layer.dims], mats
 
     def _adopt(self, dims, mats):
-        """Internal input (see _Assembled): shapes are checked, and the
+        """The one place that builds the module's fields, from internal
+        input (see _Assembled) or from _coerce: shapes are checked, and the
         matrices become the module's own without a copy."""
         algebra = self.algebra
         if len(dims) != algebra.n_components or len(mats) != len(algebra.edges):
@@ -536,26 +555,10 @@ class LayeredModule:
 
     # -- constructions --------------------------------------------------------
 
-    def submodule(self, bases):
-        """Submodule spanned by per-component column bases (must be closed
-        under all actions).  Returns (sub, inclusion)."""
-        alg = self.algebra
-        if len(bases) != alg.n_components:
-            raise InputError(f"expected {alg.n_components} submodule bases, got {len(bases)}")
-        bases = [np.mod(np.asarray(b, dtype=np.int64), alg.p) for b in bases]
-        mats = []
-        for (src, tgt), mat in zip(alg.edges, self._edge_mats):
-            coords = ef.solve(bases[tgt], ef.mul(mat, bases[src], alg.p), alg.p)
-            if coords is None:
-                raise InputError("submodule bases not closed under the action")
-            mats.append(coords)
-        sub = LayeredModule._assemble(alg, [b.shape[1] for b in bases], mats)
-        return sub, LayeredMorphism._reduced(sub, self, bases)
-
     def kernel_of(self, blocks):
         """(kernel, inclusion) of the morphism out of this module with the
-        given per-component blocks, as submodule of their canonical kernel
-        bases would give them, without its solves: each basis is the
+        given per-component blocks, spanned by their canonical kernel
+        bases, without solves: each basis is the
         identity at its free rows, so the kernel acts at an edge src -> tgt
         by M_e . basis[src] read at the free rows of tgt.  That product must
         lie in the kernel at tgt, else AnomalyError."""
@@ -764,9 +767,6 @@ class LayeredMorphism:
     def rank(self):
         return sum(ef.rank(b, self.p) for b in self.blocks)
 
-    def is_injective(self):
-        return all(ef.rank(b, self.p) == b.shape[1] for b in self.blocks)
-
     def is_surjective(self):
         return all(ef.rank(b, self.p) == b.shape[0] for b in self.blocks)
 
@@ -842,10 +842,6 @@ def hom_layered(m, n):
         return []
     ker = ef.kernel_basis(hom_complex(m, n), m.p)
     return [LayeredMorphism.from_flat(m, n, ker[:, c]) for c in range(ker.shape[1])]
-
-
-def hom_dim_layered(m, n):
-    return len(hom_layered(m, n))
 
 
 def is_iso_layered(m, n):
@@ -1050,21 +1046,13 @@ def generator_morphism(comp, vec, m):
     the extension is forced by the right action of the algebra basis."""
     alg = m.algebra
     k, i = comp
-    pb = alg.quiver.paths
     source = alg.proj(i, k)
+    gen = vec.reshape(-1, 1)
     blocks = []
-    for (l, j) in alg.components():
-        cols = []
-        if l == k:
-            for q in pb.from_vertex[i]:
-                if pb.target[q] == j:
-                    cols.append(ef.mul(m.act_path(k, q), vec.reshape(-1, 1), alg.p))
-        elif l == k - 1:
-            for r in pb.into_vertex[i]:
-                if pb.source[r] == j:
-                    cols.append(ef.mul(m.conn[(k, r)], vec.reshape(-1, 1), alg.p))
-        dim_t = m.layers[l].dims[j]
-        blocks.append(np.hstack(cols) if cols else ef.zeros(dim_t, 0))
+    for dim, elts in zip(m._dims, alg.proj_basis(i, k)):
+        cols = [ef.mul(m.act_path(k, q) if kind == PATH else m.conn[(k, q)], gen, alg.p)
+                for kind, _, q in elts]
+        blocks.append(np.hstack(cols) if cols else ef.zeros(dim, 0))
     return source, LayeredMorphism._reduced(source, m, blocks)
 
 

@@ -5,6 +5,7 @@ verdict and, on failure, machine-readable counterexample payloads
 sufficient to replay the failing check.
 """
 
+import inspect
 import math
 import time
 
@@ -428,7 +429,8 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME):
 
 def verify(suite, quiver, **params):
     """Dispatch a named suite (function suite_<name>); unknown names, a
-    negative seed and a window bound below 1 raise InputError."""
+    parameter the suite does not take, a negative seed, a sample count
+    below 1 and a window bound below 1 raise InputError."""
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     # checked before any work, though the window census checks them again
@@ -436,4 +438,12 @@ def verify(suite, quiver, **params):
         raise InputError(f"seed must be >= 0, got {params['seed']}")
     if params.get("bound", 1) < 1:
         raise InputError(f"window bound must be >= 1, got {params['bound']}")
-    return globals()[f"suite_{suite}"](quiver, **params)
+    if params.get("samples", 1) < 1:
+        raise InputError(f"samples must be >= 1, got {params['samples']}")
+    fn = globals()[f"suite_{suite}"]
+    accepted = list(inspect.signature(fn).parameters)[1:]  # after the quiver
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise InputError(f"suite {suite} does not take {', '.join(unknown)}; "
+                         f"it takes {', '.join(accepted)}")
+    return fn(quiver, **params)

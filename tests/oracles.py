@@ -9,10 +9,9 @@ from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg import splitting as sp
 from replalg import windows as w
-from replalg.artrans import proj_basis_elements
 from replalg.endalg import ORACLE_CAP, PD_STEP_CAP
 from replalg.errors import AnomalyError, InputError, OracleUnavailable
-from replalg.replicated import PATH, LayeredModule, LayeredMorphism
+from replalg.replicated import DUAL, PATH, LayeredModule, LayeredMorphism
 from replalg.splitting import single_eigenvalue
 
 
@@ -254,6 +253,44 @@ class LinearScanRegistry:
 
 
 # ---------------------------------------------------------------------------
+# LayeredModule.submodule and artrans.proj_basis_elements, kept verbatim as
+# references for kernel_of and ReplicatedAlgebra.proj_basis
+# ---------------------------------------------------------------------------
+
+
+def reference_submodule(module, bases):
+    """Submodule spanned by per-component column bases (must be closed
+    under all actions).  Returns (sub, inclusion)."""
+    alg = module.algebra
+    if len(bases) != alg.n_components:
+        raise InputError(f"expected {alg.n_components} submodule bases, got {len(bases)}")
+    bases = [np.mod(np.asarray(b, dtype=np.int64), alg.p) for b in bases]
+    mats = []
+    for (src, tgt), mat in zip(alg.edges, module._edge_mats):
+        coords = ef.solve(bases[tgt], ef.mul(mat, bases[src], alg.p), alg.p)
+        if coords is None:
+            raise InputError("submodule bases not closed under the action")
+        mats.append(coords)
+    sub = LayeredModule._assemble(alg, [b.shape[1] for b in bases], mats)
+    return sub, LayeredMorphism._reduced(sub, module, bases)
+
+
+def proj_basis_elements(algebra, i, k):
+    """Algebra basis elements of proj(i, k) per component, matching the
+    column order used by the proj constructor."""
+    pb = algebra.quiver.paths
+    out = {}
+    for (l, j) in algebra.components():
+        if l == k:
+            out[(l, j)] = [(PATH, k, q) for q in pb.from_vertex[i] if pb.target[q] == j]
+        elif k >= 1 and l == k - 1:
+            out[(l, j)] = [(DUAL, k, r) for r in pb.into_vertex[i] if pb.source[r] == j]
+        else:
+            out[(l, j)] = []
+    return out
+
+
+# ---------------------------------------------------------------------------
 # artrans._presentation_matrix as it was before it read the presentation off
 # the projective cover alone: Omega M is built as a submodule, given its own
 # projective cover, and the two are composed.  Kept verbatim as a reference
@@ -279,7 +316,7 @@ def reference_presentation_matrix(m):
         start = {c: run.get(c, 0) for c in layout}
         for c, elts in layout.items():
             run[c] = run.get(c, 0) + len(elts)
-        gen = (PATH, k, alg.quiver.paths.trivial(i))
+        gen = (PATH, k, i)  # the trivial path at i has id i
         gen_cols.append(start[(k, i)] + layout[(k, i)].index(gen))
     # row layout of P0 per component
     layouts0 = [proj_basis_elements(alg, i, k) for (i, k) in summands0]

@@ -316,3 +316,26 @@ def test_empty_window_and_negative_seed_are_input_errors(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "lem22", "--quiver", quiver("a2.q"), "--samples", "3"),
+     "suite lem22 does not take samples"),
+    (("verify", "thm32_all_d", "--quiver", quiver("a2.q"), "--d", "4"),
+     "suite thm32_all_d does not take d"),
+    (("verify", "thm1", "--quiver", quiver("a2.q"), "--mode", "windowed"),
+     "suite thm1 does not take mode"),
+    (("verify", "lem31_random", "--quiver", quiver("a2.q"), "--samples", "-1"),
+     "samples must be >= 1"),
+    (("verify", "lem45", "--quiver", quiver("a2.q"), "--samples", "-2"),
+     "samples must be >= 1"),
+    (("indecs", "--quiver", quiver("a2.q"), "--budget", "-1"), "catalog budget must be >= 1"),
+    (("gldim-end", "--quiver", quiver("a2.q"), "--budget", "-1"), "catalog budget must be >= 1"),
+])
+def test_unusable_options_are_input_errors(argv, message):
+    # an option the suite does not take ended in a TypeError traceback; a
+    # sample count or budget below 1 gave a vacuous pass, a budget signal
+    # or a silent switch to windowed mode
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err and "Traceback" not in err

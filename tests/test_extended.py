@@ -29,7 +29,7 @@ def cat_d4():
 def test_d4_catalog_and_orbits(cat_d4):
     assert len(cat_d4) == 36
     assert len(cat_d4.projective) == len(cat_d4.injective) == 8
-    assert len(cat_d4.proj_inj) == 4
+    assert len(cat_d4.projective & cat_d4.injective) == 4
     table = ar.tau_orbits(cat_d4)
     assert table.cardinalities() == [8, 8, 8, 8, 1, 1, 1, 1]
     assert ar.ar_quiver(cat_d4).mesh_violations() == []

@@ -77,9 +77,13 @@ def test_lem48_report_payload():
     ("thm1", {"seed": -1}, "seed"),
     ("lem31_random", {"seed": -1}, "seed"),
     ("lem47", {"bound": 0}, "window bound"),
+    ("lem31_random", {"samples": -1}, "samples must be >= 1, got -1"),
+    ("lem45", {"samples": -2}, "samples must be >= 1, got -2"),
+    ("thm1", {"samples": 0}, "samples must be >= 1, got 0"),
 ])
 def test_verify_rejects_a_negative_seed_and_an_empty_window(monkeypatch, suite, params, match):
-    # checked before the suite starts work
+    # checked before the suite starts work; a sample count below 1 would
+    # likewise pass vacuously
     monkeypatch.setattr(vf, f"suite_{suite}", None)
     quiver = kronecker() if suite == "lem47" else a2()
     with pytest.raises(InputError, match=match):
@@ -120,3 +124,15 @@ def test_lem47_on_a_three_vertex_euclidean_base():
     report = vf.suite_lem47(a2t(), m=1, d=5, p=3, bound=2)
     assert report["verdict"] == "pass", report["counterexamples"]
     assert report["checks"][-1]["window_size"] == 71
+
+
+@pytest.mark.parametrize("suite, params", [
+    ("lem22", {"samples": 3}),
+    ("thm32_all_d", {"d": 4}),
+    ("thm1", {"mode": "windowed"}),
+])
+def test_verify_rejects_a_parameter_the_suite_does_not_take(suite, params):
+    # checked against the suite's signature before it starts work
+    name = next(iter(params))
+    with pytest.raises(InputError, match=f"suite {suite} does not take {name}; it takes m, p"):
+        vf.verify(suite, a2(), m=1, p=P, **params)
