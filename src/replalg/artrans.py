@@ -94,7 +94,7 @@ def transpose_layered(m):
     summands0, summands1, lam = _presentation_matrix(m)
     if not summands1:
         return op.zero_module()
-    # proj(i, k) dualizes to the opposite algebra's proj(i, m - k)
+    # proj(i, k)* is the opposite algebra's proj(i, m - k)
     parts1 = [op.proj(i, alg.m - k) for (i, k) in summands1]
     total1, offs1 = LayeredModule.block_sum(parts1)
     offs0, dims0 = rp.component_offsets([op.proj(i, alg.m - k) for (i, k) in summands0])
