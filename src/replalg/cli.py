@@ -102,8 +102,11 @@ def _catalog_cached(algebra, args):
 
 
 def _engine(algebra, args):
-    """M-dimension engine over the catalog, or a windowed one when the
-    catalog exceeds --budget (a representation-infinite instance)."""
+    """M-dimension engine over the catalog, or a windowed one when the base
+    quiver is not Dynkin (then A^(m) is representation-infinite, Gabriel)
+    or the catalog exceeds --budget."""
+    if not qr.is_dynkin(algebra.quiver):
+        return gc.MDimEngine.windowed(algebra)
     try:
         return gc.MDimEngine.for_catalog(_catalog_cached(algebra, args))
     except BudgetExceeded:
@@ -117,12 +120,24 @@ def _extra_summands(algebra, engine, args):
     tokens = [t for t in (args.summands or "").split(",") if t.strip()]
     modules = []
     if args.gencog:
-        with open(args.gencog) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.gencog) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise InputError(f"cannot read GenCog file {args.gencog}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise InputError(f"GenCog file {args.gencog} is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise InputError(f"GenCog file {args.gencog} holds a JSON "
+                             f"{type(data).__name__}, not an object")
         if data.get("fingerprint") != algebra.fingerprint():
             raise InputError("GenCog file fingerprint does not match the algebra")
-        tokens += data.get("summand_ids", [])
-        modules = [rp.LayeredModule.from_json(algebra, d) for d in data.get("summands", [])]
+        listed, summands = data.get("summand_ids", []), data.get("summands", [])
+        if not isinstance(listed, list) or not isinstance(summands, list):
+            raise InputError(f"GenCog file {args.gencog}: summand_ids and summands "
+                             "must be JSON lists")
+        tokens += listed
+        modules = [rp.LayeredModule.from_json(algebra, d) for d in summands]
     if tokens and engine.catalog is None:
         raise InputError("catalog ids need a representation-finite instance")
     try:

@@ -4,13 +4,12 @@ and global dimensions of endomorphism algebras.
 The minimal right add-M approximation of X is built by projectivization:
 the multiplicity of a summand M_i is dim Hom(M_i, X) / (radical image),
 with chosen coset representatives assembled into the approximating map.
-M-dimension iterates approximation kernels on multisets of indecomposable
-summands; since approximations are additive, only kernels of single
-indecomposables are ever computed, and the chain becomes a walk on a
-finite successor graph.  An infinite M-dimension is certified by a state
-revisit; leaving the window (unbounded growth) yields an indeterminate
-verdict (None), never a guess.
-"""
+Approximations are additive, so only kernels of single indecomposables are
+ever computed, and one walk gives every M-dimension: the level sets of
+non-add-M summand ids, each the union of Omega_M of the one before, until
+a level is empty.  A repeated level certifies an infinite M-dimension;
+leaving the window (unbounded growth) yields an indeterminate verdict
+(None), never a guess."""
 
 import math
 
@@ -146,21 +145,6 @@ def verify_approximation(summands, x, result, hom_fn=rp.hom_layered):
     return True
 
 
-class MDimResult:
-    """Outcome of an M-dimension computation: a value (int, inf, or None
-    for indeterminate) and, when infinite, the cycle certificate
-    (summand id, (first visit, revisit)) of `MDimEngine.cycle`; None when
-    that walk found no revisit or the value is finite."""
-
-    def __init__(self, value, cycle=None):
-        self.value = value
-        self.cycle = cycle
-
-    @property
-    def is_infinite(self):
-        return self.value == math.inf
-
-
 class MDimEngine:
     """Shared approximation/omega caches over a registry of canonical
     modules, which also caches their Hom spaces (the catalog's own registry
@@ -243,86 +227,45 @@ class MDimEngine:
             out.extend(succ)
         return tuple(sorted(out))
 
-    def mdim_id(self, x_id, summand_ids):
-        """(value, cycle) for a single indecomposable: value is an int, inf
-        or None (window exit or step cap); cycle is `self.cycle` when the
-        value is inf, else None."""
-        memo = {}
-        onstack = []
-
-        def rec(idx, depth):
-            if idx in summand_ids:
-                return 0
-            if idx in memo:
-                return memo[idx]
-            if idx in onstack:
-                return math.inf
-            if depth > MDIM_MAX_STEPS:
-                return None
-            onstack.append(idx)
-            succ = self.omega_ids(idx, summand_ids)
-            if succ is None:
-                onstack.pop()
-                memo[idx] = None
-                return None
-            best = 0
-            for nxt in set(succ):
-                if nxt in summand_ids:
-                    continue
-                sub = rec(nxt, depth + 1)
-                if sub is None:
-                    best = None
-                    break
-                if sub == math.inf:
-                    best = math.inf
-                    break
-                best = max(best, sub)
-            onstack.pop()
-            val = None if best is None else (math.inf if best == math.inf else best + 1)
-            if val != math.inf or not onstack:
-                memo[idx] = val
-            return val
-
-        value = rec(x_id, 0)
-        return value, (self.cycle(x_id, summand_ids) if value == math.inf else None)
-
-    def cycle(self, x_id, summand_ids):
-        """Cycle certificate of an infinite M-dimension: walk the multiset
-        states Omega^0, Omega^1, ... of non-add-M summand ids and return
-        (first visit, revisit) of the first revisited state, or None when
-        the walk empties, leaves the window or reaches MDIM_MAX_STEPS
-        first."""
-        state = (x_id,)
-        seen = {state: 0}
-        steps = 0
-        while state and steps < MDIM_MAX_STEPS:
-            nxt = self.omega_step(state, summand_ids)
-            if nxt is None:
-                return None
-            state = tuple(i for i in nxt if i not in summand_ids)
-            steps += 1
-            if state in seen:
-                return seen[state], steps
-            seen[state] = steps
-        return None
+    def mdim(self, start_ids, summand_ids):
+        """(value, cycle) of the level-set walk from start_ids: L_0 is
+        start_ids minus add M, and L_(i+1) the non-add-M ids of Omega_M of
+        the members of L_i.  value is the number of steps until a level is
+        empty, the largest M-dimension over start_ids; math.inf when a
+        level repeats, with cycle = (first visit, revisit), else None; None
+        when a member leaves the window or the walk reaches MDIM_MAX_STEPS."""
+        level = frozenset(start_ids) - summand_ids
+        seen = {}
+        while level and level not in seen:
+            if len(seen) == MDIM_MAX_STEPS:
+                return None, None
+            seen[level] = len(seen)
+            nxt = set()
+            for idx in sorted(level):
+                succ = self.omega_ids(idx, summand_ids)
+                if succ is None:
+                    return None, None
+                nxt.update(succ)
+            level = frozenset(nxt) - summand_ids
+        if not level:
+            return len(seen), None
+        return math.inf, (seen[level], len(seen))
 
 
 def m_dimension(gencog, x):
-    """M-dimension of a module x: least i with Omega_M^i(x) in add M;
-    math.inf with a cycle certificate, or indeterminate on window exit."""
-    engine = gencog.engine
-    if x.is_zero():
-        return MDimResult(0)
-    worst = 0
-    cycle = None
-    for pid in sorted(set(engine.state(x)) - gencog.summands):
-        val, cyc = engine.mdim_id(pid, gencog.summands)
+    """M-dimension of a module x as (value, cycle): the least i with
+    Omega_M^i(x) in add M, math.inf, or None on window exit; when infinite,
+    cycle = (summand id, (first visit, revisit)) of the last summand of x
+    whose walk repeats a level, else None."""
+    worst, cycle = 0, None
+    for pid in sorted(set(gencog.engine.state(x)) - gencog.summands):
+        val, cyc = gencog.engine.mdim((pid,), gencog.summands)
         if val is None:
-            return MDimResult(None)
+            return None, None
         worst = max(worst, val)
         if cyc is not None:
             cycle = (pid, cyc)
-    return MDimResult(worst, cycle=cycle)
+    return worst, cycle
 
 
 class GldimEndResult:
@@ -353,17 +296,12 @@ def gldim_end(gencog):
     engine = gencog.engine
     if engine.catalog is None:
         raise ContractError("exact mode requires a complete catalog; use gldim_end_windowed")
-    worst = 0
-    for idx in range(len(engine.catalog)):
-        if idx in gencog.summands:
-            continue
-        val, _ = engine.mdim_id(idx, gencog.summands)
-        if val is None:
-            raise AnomalyError("indeterminate M-dimension in exact mode: "
-                               "window exit or step cap")
-        if val == math.inf:
-            return GldimEndResult(value=math.inf, exact=True)
-        worst = max(worst, val)
+    worst, _ = engine.mdim(range(len(engine.catalog)), gencog.summands)
+    if worst is None:
+        raise AnomalyError("indeterminate M-dimension in exact mode: "
+                           "window exit or step cap")
+    if worst == math.inf:
+        return GldimEndResult(value=math.inf, exact=True)
     if worst >= 1:
         return GldimEndResult(value=worst + 2, exact=True)
     # every M-dimension is 0: gl.dim End <= 2; resolve below 2 by the oracle,
@@ -384,10 +322,7 @@ def gldim_end_windowed(gencog, census_modules):
     worst = 0
     indeterminates = 0
     for m in census_modules:
-        pid = engine.registry.canon(m)
-        if pid in gencog.summands:
-            continue
-        val, _ = engine.mdim_id(pid, gencog.summands)
+        val, _ = engine.mdim((engine.registry.canon(m),), gencog.summands)
         if val is None:
             indeterminates += 1
             continue

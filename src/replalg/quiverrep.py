@@ -152,7 +152,11 @@ class Quiver:
         with open(path) as fh:
             text = fh.read()
         if text.lstrip().startswith("{"):
-            return cls.from_json(json.loads(text))
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"quiver file {path} is not valid JSON: {exc}") from None
+            return cls.from_json(data)
         return cls.from_text(text)
 
     def to_text(self):
@@ -361,6 +365,27 @@ def euler_form(quiver, dm, dn):
     for a in range(len(quiver.arrows)):
         val -= dm[quiver.arrow_source[a]] * dn[quiver.arrow_target[a]]
     return val
+
+
+def is_dynkin(quiver):
+    """Gabriel's test: kQ is representation-finite exactly when the
+    symmetrized Euler form <x, y> + <y, x> is positive definite, that is
+    (Sylvester) when its leading principal minors are positive.  They are
+    the pivots of fraction-free (Bareiss) elimination over the integers,
+    whose divisions are exact."""
+    n = quiver.n_vertices
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[euler_form(quiver, unit[i], unit[j]) + euler_form(quiver, unit[j], unit[i])
+             for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        if rows[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            rows[i] = [(a * rows[k][k] - rows[i][k] * b) // prev
+                       for a, b in zip(rows[i], rows[k])]
+        prev = rows[k][k]
+    return True
 
 
 def realize_extension(m, n, class_index):

@@ -374,13 +374,13 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
             ok_tau = False
             bad.append({"check": f"Omega_M^{i}(Z) = tau^{i} Z", "i": i})
     checks.append({"check": "Omega_M^i(Z) = tau^i Z", "ok": ok_tau})
-    res = gc.m_dimension(gencog, n)
-    ok_low = res.value == d - 2
+    mdim_n, _ = gc.m_dimension(gencog, n)
+    ok_low = mdim_n == d - 2
     checks.append({"check": "M-dim N = d - 2 (lower bound certificate)",
-                   "got": res.value if res.value != math.inf else "inf",
+                   "got": mdim_n if mdim_n != math.inf else "inf",
                    "ok": ok_low})
     if not ok_low:
-        bad.append({"mdim_N": str(res.value)})
+        bad.append({"mdim_N": str(mdim_n)})
     census = w.census_modules(algebra, bound, seed)
     upper = gc.gldim_end_windowed(gencog, census)
     ok_up = upper.window_checked is not None and upper.window_checked <= d \
@@ -416,12 +416,12 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME):
                    "kernel": res.kernel.dim_label(), "ok": ok_kernel})
     if not ok_kernel:
         bad.append({"kernel_pieces": [piece.dim_label() for piece, _ in pieces]})
-    mres = gc.m_dimension(gencog, n0)
-    ok_inf = mres.is_infinite and mres.cycle is not None
+    mdim_n, cycle = gc.m_dimension(gencog, n0)
+    ok_inf = mdim_n == math.inf and cycle is not None
     checks.append({"check": "M-dim N = inf with cycle certificate",
-                   "cycle": mres.cycle, "ok": ok_inf})
+                   "cycle": cycle, "ok": ok_inf})
     if not ok_inf:
-        bad.append({"mdim": str(mres.value)})
+        bad.append({"mdim": str(mdim_n)})
     return _report("lem48", {"quiver": quiver.to_text(), "m": m, "p": p,
                              "N": n0.dim_label(), "Nprime": nprime.component_dims()},
                    checks, bad, t0)

@@ -1,6 +1,7 @@
 """Independent test oracles shared between test modules."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from replalg import replicated as rp
 from replalg import splitting as sp
 from replalg import windows as w
 from replalg.endalg import ORACLE_CAP, PD_STEP_CAP
+from replalg.gencog import MDIM_MAX_STEPS
 from replalg.errors import AnomalyError, InputError, OracleUnavailable
 from replalg.replicated import DUAL, PATH, LayeredModule, LayeredMorphism
 from replalg.splitting import single_eigenvalue
@@ -719,3 +721,75 @@ def reference_end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=O
         summands = list(gencog_or_summands)
     algebra = ReferenceEndAlgebra(summands, hom_fn=hom_fn, cap=cap)
     return max(algebra.simple_pd(s) for s in range(algebra.n))
+
+
+# ---------------------------------------------------------------------------
+# MDimEngine.mdim_id and MDimEngine.cycle, the recursive walk and the
+# multiset cycle walk that MDimEngine.mdim replaced, kept verbatim (self is
+# the engine) as the reference for the level-set walk
+# ---------------------------------------------------------------------------
+
+
+def reference_mdim_id(self, x_id, summand_ids):
+    """(value, cycle) for a single indecomposable: value is an int, inf
+    or None (window exit or step cap); cycle is `self.cycle` when the
+    value is inf, else None."""
+    memo = {}
+    onstack = []
+
+    def rec(idx, depth):
+        if idx in summand_ids:
+            return 0
+        if idx in memo:
+            return memo[idx]
+        if idx in onstack:
+            return math.inf
+        if depth > MDIM_MAX_STEPS:
+            return None
+        onstack.append(idx)
+        succ = self.omega_ids(idx, summand_ids)
+        if succ is None:
+            onstack.pop()
+            memo[idx] = None
+            return None
+        best = 0
+        for nxt in set(succ):
+            if nxt in summand_ids:
+                continue
+            sub = rec(nxt, depth + 1)
+            if sub is None:
+                best = None
+                break
+            if sub == math.inf:
+                best = math.inf
+                break
+            best = max(best, sub)
+        onstack.pop()
+        val = None if best is None else (math.inf if best == math.inf else best + 1)
+        if val != math.inf or not onstack:
+            memo[idx] = val
+        return val
+
+    value = rec(x_id, 0)
+    return value, (reference_cycle(self, x_id, summand_ids) if value == math.inf else None)
+
+
+def reference_cycle(self, x_id, summand_ids):
+    """Cycle certificate of an infinite M-dimension: walk the multiset
+    states Omega^0, Omega^1, ... of non-add-M summand ids and return
+    (first visit, revisit) of the first revisited state, or None when
+    the walk empties, leaves the window or reaches MDIM_MAX_STEPS
+    first."""
+    state = (x_id,)
+    seen = {state: 0}
+    steps = 0
+    while state and steps < MDIM_MAX_STEPS:
+        nxt = self.omega_step(state, summand_ids)
+        if nxt is None:
+            return None
+        state = tuple(i for i in nxt if i not in summand_ids)
+        steps += 1
+        if state in seen:
+            return seen[state], steps
+        seen[state] = steps
+    return None

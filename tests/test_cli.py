@@ -219,6 +219,48 @@ def test_gldim_end_summands_rejected_in_windowed_mode():
     assert "representation-finite" in err
 
 
+def test_gldim_end_over_a_non_dynkin_base_builds_no_catalog(monkeypatch, capsys):
+    # the Kronecker quiver fails Gabriel's test, so gldim-end goes windowed
+    # at once instead of running the tau-closure into its time limit
+    from replalg import artrans
+    from replalg.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("indec_catalog called")
+
+    monkeypatch.setattr(artrans, "indec_catalog", refuse)
+    assert main(["gldim-end", "--quiver", quiver("kron.q"), "--m", "1", "--window", "1",
+                 "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == {"mode": "windowed", "lower": 5, "window_checked": 5,
+                       "window_bound": 1, "window_size": 57, "indeterminate": 0}
+
+
+@pytest.mark.parametrize("option, content", [
+    ("--gencog", None), ("--gencog", "not json\n"), ("--gencog", "[1, 2]\n"),
+    ("--gencog", '{"fingerprint": "FP", "summands": 5}'),
+    ("--gencog", '{"fingerprint": "FP", "summand_ids": 7}'),
+    ("--quiver", '{"vertices": ["1", "2"],\n'),
+])
+def test_malformed_input_files_are_input_errors(tmp_path, option, content):
+    # a missing GenCog file, one that is not JSON, one holding a JSON list
+    # or a number where a list belongs, and a quiver file of broken JSON
+    # each ended in a traceback with exit 1, the code of a counterexample
+    from replalg import exactfield as ef
+    from replalg import quiverrep as qr
+    from replalg import replicated as rp
+
+    path = tmp_path / "input.json"
+    if content is not None:
+        alg = rp.build_replicated(qr.Quiver.load(quiver("a2.q")), 1, ef.DEFAULT_PRIME)
+        path.write_text(content.replace("FP", alg.fingerprint()))
+    files = (("--quiver", quiver("a2.q"), "--gencog", str(path)) if option == "--gencog"
+             else ("--quiver", str(path)))
+    code, out, err = run_cli("gldim-end", "--m", "1", *files)
+    assert code == 2 and out == ""
+    assert "error:" in err and str(path) in err and "Traceback" not in err
+
+
 def test_gldim_end_rejects_bad_summand_ids():
     for ids in ("0,1,99", "0,x"):
         code, out, err = run_cli("gldim-end", "--quiver", quiver("a2.q"), "--m", "1",

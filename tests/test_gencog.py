@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import reference_base_indecomposables, reference_end_algebra_gldim
+from oracles import (reference_base_indecomposables, reference_end_algebra_gldim,
+                     reference_mdim_id)
 from replalg import artrans as ar
 from replalg import endalg
 from replalg import exactfield as ef
@@ -310,8 +311,8 @@ def test_mdim_not_monotone_counterexample(a2_ctx):
     base = engine.required_ids()
     w_id = next(i for i in range(len(cat)) if cat.modules[i].dim_label() == "0,1|1,0")
     s11 = next(i for i in range(len(cat)) if cat.modules[i].dim_label() == "0,0|1,0")
-    small_val = engine.mdim_id(s11, frozenset(base))[0]
-    big_val = engine.mdim_id(s11, frozenset(base | {w_id}))[0]
+    small_val = engine.mdim((s11,), frozenset(base))[0]
+    big_val = engine.mdim((s11,), frozenset(base | {w_id}))[0]
     assert small_val == 1
     assert big_val == 2
 
@@ -355,8 +356,7 @@ def test_mdim_indeterminate_on_window_exit():
     gencog = GenCog(engine, engine.required_ids())
     z = qr.tau_inverse(qr.tau_inverse(qr.projective(alg.quiver, P, "1")))
     assert z.component_dims() == [5, 4]  # its cover kernel P(1)^3 exceeds the cap
-    res = gc.m_dimension(gencog, rp.rep_at_layer(alg, z, 0))
-    assert res.value is None
+    assert gc.m_dimension(gencog, rp.rep_at_layer(alg, z, 0)) == (None, None)
 
 
 def test_lem48_kronecker():
@@ -368,9 +368,9 @@ def test_lem48_kronecker():
     summands = [engine.registry.modules[i] for i in sorted(gencog.summands)]
     res = gc.min_right_approx(summands, n0)
     assert rp.is_iso_layered(res.kernel, n0)
-    mres = gc.m_dimension(gencog, n0)
-    assert mres.value == math.inf
-    assert mres.cycle is not None
+    value, cycle = gc.m_dimension(gencog, n0)
+    assert value == math.inf
+    assert cycle is not None
 
 
 def test_lem47_kronecker_d5():
@@ -381,8 +381,7 @@ def test_lem47_kronecker_d5():
                     for i in gencog.summands)
     # M = A + DA_1 + P (the Y_j = P(2) summands merge into A)
     assert labels == ["0,0|0,1", "0,0|1,2", "0,1|2,1", "1,0|0,0", "1,2|1,0", "2,1|0,0"]
-    mres = gc.m_dimension(gencog, n)
-    assert mres.value == 3  # = d - 2
+    assert gc.m_dimension(gencog, n)[0] == 3  # = d - 2
 
 
 def test_lem47_requires_large_d():
@@ -489,10 +488,12 @@ def test_census_checks_its_window_algebra(monkeypatch):
 
 
 def test_finite_gldim_end_takes_no_omega_step(a2_ctx, monkeypatch):
-    # the multiset walk only certifies an infinite M-dimension; over the
-    # A_2 m=1 catalog every value is finite, so no state takes an Omega_M step
+    # Omega_M steps on multiset states serve the lem45 and lem47 chains;
+    # the M-dimension walk reads omega_ids on level sets, one walk from all
+    # catalog ids per M, and over the A_2 m=1 catalog every value is finite
     alg, cat, engine = a2_ctx
     steps = counting(monkeypatch, MDimEngine, "omega_step")
+    walks = counting(monkeypatch, MDimEngine, "mdim")
     base = engine.required_ids()
     rest = sorted(set(range(len(cat))) - base)
     runs = 0
@@ -501,6 +502,40 @@ def test_finite_gldim_end_takes_no_omega_step(a2_ctx, monkeypatch):
             assert gc.gldim_end(GenCog(engine, base | set(extra))).value < math.inf
             runs += 1
     assert runs == 2 ** len(rest) > 1 and steps == []
+    assert len(walks) == runs
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_level_set_walk_matches_the_recursive_walk(name):
+    # every thm32 M and 20 seeded random generator-cogenerators of the m=2
+    # catalog: the walk from each id outside M gives the value of the former
+    # recursive walk, and gldim_end is 2 + the largest of them
+    from replalg.verify import catalog_context, random_gencogs
+    _, cat, engine = catalog_context(qr.Quiver.load(QUIVERS / f"{name}.q"), 2, P)
+    cap = ar.tau_orbits(cat).max_cardinality()
+    gencogs = [gc.construct_thm32(cat, d, engine=engine)[0] for d in range(2, cap + 1)]
+    gencogs += random_gencogs(range(len(cat)), engine, 20, seed=ef.DEFAULT_SEED)
+    assert len(gencogs) > cap
+    for gencog in gencogs:
+        values = []
+        for x_id in sorted(set(range(len(cat))) - gencog.summands):
+            want, _ = reference_mdim_id(engine, x_id, gencog.summands)
+            assert engine.mdim((x_id,), gencog.summands) == (want, None), x_id
+            values.append(want)
+        assert gc.gldim_end(gencog).value == 2 + max(values, default=0)
+
+
+@pytest.mark.parametrize("p", [3, P])
+def test_level_set_walk_certifies_lem48(p):
+    # both walks find M-dim N = inf for the Kronecker self-extension
+    # construction; the level-set walk's revisit is its certificate
+    alg = rp.build_replicated(kronecker(), 1, p)
+    engine = MDimEngine.windowed(alg)
+    gencog, n0, _ = gc.construct_lem48(alg, engine=engine)
+    [pid] = sorted(set(engine.state(n0)) - gencog.summands)
+    assert reference_mdim_id(engine, pid, gencog.summands)[0] == math.inf
+    value, cycle = gc.m_dimension(gencog, n0)
+    assert value == math.inf and cycle is not None and cycle[0] == pid
 
 
 def test_engine_computes_each_rad_end_once(monkeypatch):

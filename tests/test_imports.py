@@ -23,7 +23,6 @@ UNREAD_ALLOWED = {
     "direct_sum": "library API with inclusions and projections; tests and oracles use it",
     "dim_table": "library API; tests use it",
     "inverse": "library API of exactfield; tests use it",
-    "euler_form": "library API; tests use it, and a Tits-form test of Dynkin type would",
 }
 
 

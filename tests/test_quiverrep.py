@@ -148,6 +148,42 @@ def test_euler_form_exhaustive_small():
                 assert got == qr.euler_form(q, m.component_dims(), m.component_dims())
 
 
+def _tree(n, edges):
+    """Quiver on vertices 0..n-1 with one arrow s -> t per (s, t) in edges."""
+    return qr.Quiver([str(i) for i in range(n)],
+                     [(f"a{k}", str(s), str(t)) for k, (s, t) in enumerate(edges)])
+
+
+def _chain(n, branch=None):
+    """A_n, alternately oriented, with an extra vertex n attached to branch."""
+    edges = [(i, i + 1) if i % 2 else (i + 1, i) for i in range(n - 1)]
+    return _tree(n + 1, edges + [(n, branch)]) if branch is not None else _tree(n, edges)
+
+
+@pytest.mark.parametrize("quiver, dynkin", [
+    (_tree(1, []), True),
+    (_chain(5), True),                                      # A_5
+    (_tree(5, [(0, 1), (1, 2), (3, 2), (4, 2)]), True),     # D_5
+    (_chain(5, branch=2), True),                            # E_6
+    (_chain(6, branch=2), True),                            # E_7
+    (_chain(7, branch=2), True),                            # E_8
+    (_tree(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), False),    # A~_3
+    (_tree(5, [(1, 0), (2, 0), (0, 3), (0, 4)]), False),    # D~_4
+    (_chain(7, branch=3), False),                           # E~_7
+    (_chain(8, branch=2), False),                           # E~_8
+    (_tree(2, [(1, 0)] * 3), False),                        # 3-Kronecker
+])
+def test_is_dynkin_is_gabriels_list(quiver, dynkin):
+    assert qr.is_dynkin(quiver) is dynkin
+
+
+def test_is_dynkin_on_the_shipped_quivers():
+    root = Path(__file__).resolve().parent.parent
+    got = {path.name: qr.is_dynkin(qr.Quiver.load(path))
+           for path in sorted([*root.glob("quivers/*.q"), *root.glob("bench/quivers/*.q")])}
+    assert {name for name, dynkin in got.items() if not dynkin} == {"kron.q", "a2t.q"}
+
+
 def test_ext_vanishes_on_projectives():
     for q in (a2(), a3(), kronecker()):
         for v in q.vertices:
