@@ -88,27 +88,29 @@ def transpose_layered(m):
     of the dual presentation map P0* -> P1* = (+)_t P1_t*.  Its block
     from summand s to summand t is the generator morphism P0_s* -> P1_t*
     given by lam[s][t]; the blocks are disjoint, so each is written
-    straight into the per-component matrices of the map."""
+    straight into the per-component matrices of the map.  P1* is the
+    opposite algebra's proj_sum, built once per tuple of summands."""
     alg = m.algebra
     op = alg.opposite()
     summands0, summands1, lam = _presentation_matrix(m)
     if not summands1:
         return op.zero_module()
     # proj(i, k)* is the opposite algebra's proj(i, m - k)
-    parts1 = [op.proj(i, alg.m - k) for (i, k) in summands1]
-    total1, offs1 = LayeredModule.block_sum(parts1)
+    duals1 = [(i, alg.m - k) for (i, k) in summands1]
+    total1, offs1 = op.proj_sum(duals1)
     offs0, dims0 = rp.component_offsets([op.proj(i, alg.m - k) for (i, k) in summands0])
     blocks = [ef.zeros(rows, cols) for rows, cols in zip(total1.component_dims(), dims0)]
     for s, (io, k0) in enumerate(summands0):
         ko = alg.m - k0
-        for t, (i1, k1) in enumerate(summands1):
+        for t, (i1, k1) in enumerate(duals1):
             if not lam[s][t]:
                 continue
-            slot = op.proj_basis(i1, alg.m - k1)[op.comp_index(ko, io)]
-            vec = np.zeros(len(slot), dtype=np.int64)
+            target = op.proj(i1, k1)
+            positions = op.opposite_positions(i1, k1)
+            vec = np.zeros(len(op.proj_basis(i1, k1)[op.comp_index(ko, io)]), dtype=np.int64)
             for b, c in lam[s][t]:
-                vec[slot.index(alg.to_opposite_element(b))] = c
-            _, mor = rp.generator_morphism((ko, io), np.mod(vec, alg.p), parts1[t])
+                vec[positions[b]] = c
+            _, mor = rp.generator_morphism((ko, io), np.mod(vec, alg.p), target)
             for out, blk, row, col in zip(blocks, mor.blocks, offs1[t], offs0[s]):
                 if blk.size:
                     out[row:row + blk.shape[0], col:col + blk.shape[1]] = blk

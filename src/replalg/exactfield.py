@@ -16,6 +16,7 @@ far more than list arithmetic.  On large inputs (Kronecker windows at
 d >= 7) a vectorized update per pivot would be faster (ROADMAP item 3).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -424,11 +425,20 @@ def _equal_degree_split(f, d, p, rng):
 def factor_poly(f, p):
     """Irreducible factorization [(factor, multiplicity)], factors monic,
     sorted by (degree, coefficients).  The factorization is unique, so the
-    random draws of the equal-degree split never change the result."""
+    random draws of the equal-degree split never change the result, and it
+    is memoized on (reduced coefficients, p); every call returns fresh
+    lists."""
+    return [(list(fac), mult) for fac, mult in _factorization(tuple(poly_trim(f, p)), p)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _factorization(f, p):
+    """factor_poly of the trimmed coefficient tuple f, as tuples (a bounded
+    memo: the Fitting splits of a census meet few distinct polynomials)."""
     rng = np.random.default_rng(0)
-    f = poly_trim(f, p)
+    f = list(f)
     if poly_deg(f) < 1:
-        return []
+        return ()
     out = []
     for sq, mult in _squarefree_parts(f, p):
         for prod, d in _distinct_degree(sq, p):
@@ -437,8 +447,7 @@ def factor_poly(f, p):
     merged = {}
     for fac, mult in out:
         merged[tuple(fac)] = merged.get(tuple(fac), 0) + mult
-    return sorted(((list(k), v) for k, v in merged.items()),
-                  key=lambda t: (len(t[0]), t[0]))
+    return tuple(sorted(merged.items(), key=lambda t: (len(t[0]), t[0])))
 
 
 def poly_eval_matrix(f, a, p):

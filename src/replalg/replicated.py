@@ -101,9 +101,13 @@ class ReplicatedAlgebra:
                        for k, q in self.conn_keys]
         self._proj = {}
         self._proj_basis = {}
+        self._opposite_pos = {}
+        self._proj_sums = {}
         self._inj = {}
         self._opposite = None
+        self._dual_edges = None
         self._gl_dim = None
+        self._u_strata = {}
         self._relations = None
         self._parallel = None
 
@@ -245,6 +249,22 @@ class ReplicatedAlgebra:
             self._opposite = op
         return self._opposite
 
+    def dual_edges(self):
+        """For each action edge of the opposite algebra, in its edges
+        order, the index into self.edges of the edge whose matrix it takes
+        transposed in a dual module, computed once: arrow a at layer K
+        comes from arrow a at layer m-K, and the dual element of the
+        reversed path at level K from that of the path at level m-K+1."""
+        if self._dual_edges is None:
+            pb, pb_op = self.quiver.paths, self.quiver.opposite().paths
+            na = len(self.quiver.arrows)
+            conn = {(self.m - k + 1, pb.reversed_id(pb_op, q)): (self.m + 1) * na + e
+                    for e, (k, q) in enumerate(self.conn_keys)}
+            self._dual_edges = tuple(
+                [(self.m - k) * na + a for k in range(self.m + 1) for a in range(na)]
+                + [conn[key] for key in self.opposite().conn_keys])
+        return self._dual_edges
+
     def to_opposite_element(self, b):
         """(p, k) -> (p_rev, m - k); (p*, k) -> (p_rev*, m - k + 1)."""
         pb = self.quiver.paths
@@ -271,8 +291,9 @@ class ReplicatedAlgebra:
         """The algebra basis elements spanning proj(i, k), one list per
         component in components() order: the paths (q, k) from i at layer
         k, then the duals (r*, k) of the paths r into i at layer k - 1, in
-        path-id order.  proj, generator_morphism and the presentations of
-        artrans all read this one basis; computed once per (i, k)."""
+        path-id order.  proj, generator_morphism, opposite_positions and the
+        presentations of artrans all read this one basis; computed once per
+        (i, k)."""
         key = (int(i), int(k))
         if key not in self._proj_basis:
             i, k = key
@@ -288,6 +309,31 @@ class ReplicatedAlgebra:
                 else:
                     out.append([])
         return self._proj_basis[key]
+
+    def opposite_positions(self, i, k):
+        """{opposite of b: position of b in its component's list} over the
+        elements b of proj_basis(i, k), computed once per (i, k):
+        artrans.transpose_layered places the terms of a presentation over
+        the opposite algebra with it."""
+        key = (int(i), int(k))
+        if key not in self._opposite_pos:
+            self._opposite_pos[key] = {self.to_opposite_element(b): pos
+                                       for elts in self.proj_basis(*key)
+                                       for pos, b in enumerate(elts)}
+        return self._opposite_pos[key]
+
+    def proj_sum(self, summands):
+        """LayeredModule.block_sum of proj(i, k) over the summands (i, k),
+        as (sum, offsets), built and validated once per tuple of summands:
+        the projective covers and presentations of a catalog share few
+        sums.  The shared sum's action matrices are read-only."""
+        key = tuple((int(i), int(k)) for i, k in summands)
+        if key not in self._proj_sums:
+            total, offsets = LayeredModule.block_sum([self.proj(*ik) for ik in key])
+            for mat in total.edge_matrices():
+                mat.flags.writeable = False
+            self._proj_sums[key] = total, offsets
+        return self._proj_sums[key]
 
     def inj(self, i, k):
         """Indecomposable injective at vertex i, layer k: proj(i, k+1) for
@@ -516,14 +562,6 @@ class LayeredModule:
     def is_layer_module(self, k):
         return self.support_layers() in ([k], [])
 
-    def act_path(self, k, pid):
-        """Matrix of the action of a path on layer k (source -> target)."""
-        pb = self.algebra.quiver.paths
-        out = ef.eye(self.layers[k].dims[pb.source[pid]])
-        for a in pb.arrows_of[pid]:
-            out = ef.mul(self.layers[k].maps[a], out, self.p)
-        return out
-
     def edge_matrices(self):
         """Arrow and connecting matrices in the order of algebra.edges."""
         return self._edge_mats
@@ -632,16 +670,12 @@ class LayeredModule:
 
     def dual(self):
         """The dual module over the opposite algebra: layer K is the dual
-        of layer m-K, arrow and connecting matrices transpose."""
+        of layer m-K, arrow and connecting matrices transpose (in the
+        order of algebra.dual_edges())."""
         alg = self.algebra
-        op = alg.opposite()
-        pb, pb_op = alg.quiver.paths, op.quiver.paths
-        conn = {(kk, pb.reversed_id(pb_op, pid)): self.conn[(alg.m - kk + 1, pid)].T
-                for kk, pid in alg.conn_keys}
         dims = [d for layer in reversed(self.layers) for d in layer.dims]
-        mats = [mat.T for layer in reversed(self.layers) for mat in layer.maps]
-        mats += [conn[key] for key in op.conn_keys]
-        return LayeredModule._assemble(op, dims, mats)
+        mats = [self._edge_mats[e].T for e in alg.dual_edges()]
+        return LayeredModule._assemble(alg.opposite(), dims, mats)
 
     def to_json(self):
         alg, quiver = self.algebra, self.algebra.quiver
@@ -1019,23 +1053,22 @@ def radical_span(m):
     """Per-component spans of rad M: images of arrow maps plus images of
     every connecting action (the radical of the algebra is spanned by the
     non-trivial paths and all dual elements)."""
-    alg = m.algebra
-    dims = m.component_dims()
-    spans = [[] for _ in range(alg.n_components)]
-    for src, tgt, ms, _ in _action_edges(m, m):
-        if ms.size:
-            spans[tgt].append(ms)
-    return [np.hstack(s) if s else ef.zeros(dims[c], 0)
-            for c, s in enumerate(spans)]
+    spans = [[] for _ in m._dims]
+    for (_, tgt), mat in zip(m.algebra.edges, m._edge_mats):
+        if mat.size:
+            spans[tgt].append(mat)
+    return [np.hstack(s) if s else ef.zeros(dim, 0) for dim, s in zip(m._dims, spans)]
 
 
 def top_generators(m):
-    """[(component, lift)] giving a basis of M / rad M."""
+    """[(component, lift)] giving a basis of M / rad M; components where M
+    is zero are skipped."""
     spans = radical_span(m)
-    dims = m.component_dims()
     gens = []
     for c, (k, i) in enumerate(m.algebra.components()):
-        _, section = ef.quotient_projection(spans[c], dims[c], m.p)
+        if not m._dims[c]:
+            continue
+        _, section = ef.quotient_projection(spans[c], m._dims[c], m.p)
         for col in range(section.shape[1]):
             gens.append(((k, i), section[:, col].copy()))
     return gens
@@ -1043,31 +1076,46 @@ def top_generators(m):
 
 def generator_morphism(comp, vec, m):
     """The morphism proj(i, k) -> M sending the canonical generator to vec;
-    the extension is forced by the right action of the algebra basis."""
-    alg = m.algebra
+    the extension is forced by the right action of the algebra basis.  The
+    paths from i are walked by prefix (PathBasis orders them by length):
+    the image of q.a is M_a times the image of q.  Components where M is
+    zero get empty blocks without products."""
+    alg, p = m.algebra, m.p
+    pb = alg.quiver.paths
     k, i = comp
     source = alg.proj(i, k)
-    gen = vec.reshape(-1, 1)
+    maps = m.layers[k].maps
+    image = {}
+    for q in pb.from_vertex[i]:
+        arrs = pb.arrows_of[q]
+        image[q] = (ef.mul(maps[arrs[-1]], image[pb.index[(i, arrs[:-1])]], p) if arrs
+                    else vec.reshape(-1, 1))
     blocks = []
     for dim, elts in zip(m._dims, alg.proj_basis(i, k)):
-        cols = [ef.mul(m.act_path(k, q) if kind == PATH else m.conn[(k, q)], gen, alg.p)
-                for kind, _, q in elts]
-        blocks.append(np.hstack(cols) if cols else ef.zeros(dim, 0))
+        if not (dim and elts):
+            blocks.append(ef.zeros(dim, len(elts)))
+            continue
+        blocks.append(np.hstack([image[q] if kind == PATH
+                                 else ef.mul(m.conn[(k, q)], image[i], p)
+                                 for kind, _, q in elts]))
     return source, LayeredMorphism._reduced(source, m, blocks)
 
 
 def proj_cover(m):
-    """Minimal projective cover: (P, epimorphism, summand list [(i, k)])."""
+    """Minimal projective cover: (P, epimorphism, summand list [(i, k)]);
+    P is the algebra's proj_sum of the summands, shared by every cover
+    with the same summands."""
     alg = m.algebra
     gens = top_generators(m)
     if not gens:
         zero = alg.zero_module()
         return zero, LayeredMorphism._reduced(zero, m, [ef.zeros(d, 0) for d in m._dims]), []
-    parts = [generator_morphism((k, i), vec, m) for (k, i), vec in gens]
-    total, _ = LayeredModule.block_sum([pr for pr, _ in parts])
-    blocks = [np.hstack(cols) for cols in zip(*[mor.blocks for _, mor in parts])]
+    summands = [(i, k) for (k, i), _ in gens]
+    total, _ = alg.proj_sum(summands)
+    blocks = [np.hstack(cols) for cols in
+              zip(*[generator_morphism(comp, vec, m)[1].blocks for comp, vec in gens])]
     cover = LayeredMorphism._reduced(total, m, blocks)
-    return total, cover, [(i, k) for (k, i), _ in gens]
+    return total, cover, summands
 
 
 def syzygy(m):
@@ -1167,13 +1215,12 @@ def sigma_stratum(algebra, k):
 
 def u_stratum(algebra, k):
     """Members of Sigma_k supported in layers <= m, reinterpreted over the
-    algebra: the indecomposables of Sigma_k that are A^(m)-modules."""
+    algebra: the indecomposables of Sigma_k that are A^(m)-modules.
+    Computed once per algebra and k (construct_E takes U_i..U_{t-1} for
+    every i); each call returns a fresh list of the same modules."""
     if not 0 <= k <= global_dimension(algebra) - 1:
         raise InputError(f"u_stratum: k={k} outside [0, gl.dim - 1]")
-    out = []
-    for x in sigma_stratum(algebra, k):
-        sup = x.support_layers()
-        if x.is_zero() or (sup and max(sup) > algebra.m):
-            continue
-        out.append(convert_window(x, algebra))
-    return out
+    if k not in algebra._u_strata:
+        algebra._u_strata[k] = [convert_window(x, algebra) for x in sigma_stratum(algebra, k)
+                                if not x.is_zero() and max(x.support_layers()) <= algebra.m]
+    return list(algebra._u_strata[k])

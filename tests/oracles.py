@@ -385,6 +385,37 @@ def reference_transpose_layered(m):
 
 
 # ---------------------------------------------------------------------------
+# replicated.generator_morphism as it was before it walked path prefixes:
+# every path acts through LayeredModule.act_path, a product along the whole
+# path.  Kept verbatim as a reference, with act_path as a function
+# ---------------------------------------------------------------------------
+
+
+def reference_act_path(module, k, pid):
+    """Matrix of the action of a path on layer k (source -> target)."""
+    pb = module.algebra.quiver.paths
+    out = ef.eye(module.layers[k].dims[pb.source[pid]])
+    for a in pb.arrows_of[pid]:
+        out = ef.mul(module.layers[k].maps[a], out, module.p)
+    return out
+
+
+def reference_generator_morphism(comp, vec, m):
+    """The morphism proj(i, k) -> M sending the canonical generator to vec;
+    the extension is forced by the right action of the algebra basis."""
+    alg = m.algebra
+    k, i = comp
+    source = alg.proj(i, k)
+    gen = vec.reshape(-1, 1)
+    blocks = []
+    for dim, elts in zip(m._dims, alg.proj_basis(i, k)):
+        cols = [ef.mul(reference_act_path(m, k, q) if kind == PATH else m.conn[(k, q)], gen, alg.p)
+                for kind, _, q in elts]
+        blocks.append(np.hstack(cols) if cols else ef.zeros(dim, 0))
+    return source, LayeredMorphism._reduced(source, m, blocks)
+
+
+# ---------------------------------------------------------------------------
 # exactfield.quotient_projection as it was before it shared its null-space
 # construction with kernel_basis, kept verbatim as a reference
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 from pathlib import Path
@@ -10,9 +11,10 @@ from replalg import exactfield as ef
 from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg.errors import AnomalyError, BudgetExceeded, InputError
-from replalg.replicated import LayeredMorphism
+from replalg.replicated import LayeredModule, LayeredMorphism
 from oracles import (exhaustive_indecomposables_a2_m1, proj_basis_elements,
-                     reference_ar_mult, reference_presentation_matrix, reference_submodule,
+                     reference_ar_mult, reference_generator_morphism,
+                     reference_presentation_matrix, reference_submodule,
                      reference_transpose_layered)
 
 P = 32003
@@ -288,6 +290,68 @@ def test_catalog_reads_each_presentation_off_one_cover(monkeypatch):
     assert calls["transpose"] == 2 * len(cat)
     assert calls["proj_cover"] == calls["transpose"]
     assert calls["kernel"] == 0
+
+
+def test_catalog_builds_each_projective_sum_once_per_algebra(monkeypatch):
+    # every block_sum of a catalog build is a sum of projectives (P0 of a
+    # cover, P1* of a transpose), and each distinct tuple of them is summed
+    # once per algebra: over A_3^(2) and over its opposite
+    counts = collections.Counter()
+    real = LayeredModule.block_sum
+
+    def counted(mods):
+        alg = mods[0].algebra
+        projs = {id(x): key for key, x in alg._proj.items()}
+        assert all(id(x) in projs for x in mods)
+        counts[(id(alg), tuple(projs[id(x)] for x in mods))] += 1
+        return real(mods)
+
+    monkeypatch.setattr(LayeredModule, "block_sum", staticmethod(counted))
+    alg = rp.ReplicatedAlgebra(qr.Quiver.load(QUIVERS / "a3.q"), 2, P)
+    ar.indec_catalog(alg)
+    assert counts and set(counts.values()) == {1}
+    assert len(counts) == len(alg._proj_sums) + len(alg.opposite()._proj_sums)
+    monkeypatch.undo()
+    for a in (alg, alg.opposite()):
+        for key, (total, offsets) in a._proj_sums.items():
+            assert a.proj_sum(key)[0] is total
+            fresh, fresh_offsets = LayeredModule.block_sum([a.proj(i, k) for i, k in key])
+            assert total.to_json() == fresh.to_json() and offsets == fresh_offsets
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_generator_walk_matches_the_path_product_reference(name):
+    # the prefix walk of generator_morphism equals the product along each
+    # path, on every top generator of M and DM over the m = 2 catalog
+    for x in catalog(name, 2).modules:
+        for y in (x, x.dual()):
+            for comp, vec in rp.top_generators(y):
+                src, mor = rp.generator_morphism(comp, vec, y)
+                ref_src, ref = reference_generator_morphism(comp, vec, y)
+                assert src is ref_src and mor.target is y and mor.is_morphism()
+                assert len(mor.blocks) == len(ref.blocks)
+                for got, want in zip(mor.blocks, ref.blocks):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["a3", "d4"])
+def test_dual_edges_place_each_transpose_by_its_key(name):
+    # dual() reads algebra.dual_edges(): layer K of DM is layer m-K of M
+    # transposed, and the dual of the reversed path at level K is that of
+    # the path at level m-K+1, over every module of the m = 2 catalog
+    cat = catalog(name, 2)
+    alg = cat.algebra
+    pb, pb_op = alg.quiver.paths, alg.opposite().quiver.paths
+    for x in cat.modules:
+        d = x.dual()
+        assert d.algebra is alg.opposite()
+        for kk in range(alg.m + 1):
+            for mat, orig in zip(d.layers[kk].maps, x.layers[alg.m - kk].maps):
+                assert np.array_equal(mat, orig.T)
+        for k, pid in alg.conn_keys:
+            assert np.array_equal(d.conn[(alg.m - k + 1, pb.reversed_id(pb_op, pid))],
+                                  x.conn[(k, pid)].T)
+        assert d.dual().to_json() == x.to_json()
 
 
 def test_a_cover_whose_kernel_is_not_a_submodule_is_an_anomaly(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +149,25 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert code == 0
     assert "warning" in err
     assert out3 == out1
+
+
+# sha256 of the `indecs --cache` catalog file at the default prime, pinned
+# so that a change to tau, the catalog order or the JSON layout shows
+CATALOG_CACHE_SHA256 = {
+    ("quivers/a3.q", "2"): "bdeca8fae490beca7416be3d0415be80e15f646eb6ddc688d82722b8c5df46b1",
+    ("quivers/d4.q", "2"): "bd945bdfa24b5348ada04cd15f3f5e8df3ee0d99afa2296453536495e04e283e",
+    ("bench/quivers/e6.q", "1"): "0f04c4b881e664add45cbf4644b5d4029cfc44903af0c44f8c5a93792047144b",
+}
+
+
+@pytest.mark.parametrize("path, m", sorted(CATALOG_CACHE_SHA256))
+def test_catalog_cache_files_are_pinned(tmp_path, path, m):
+    code, _, _ = run_cli("indecs", "--quiver", os.path.join(ROOT, path), "--m", m,
+                         "--cache", str(tmp_path), "--json")
+    assert code == 0
+    (cache_file,) = tmp_path.glob("catalog_*.json")
+    digest = hashlib.sha256(cache_file.read_bytes()).hexdigest()
+    assert digest == CATALOG_CACHE_SHA256[(path, m)]
 
 
 def test_stdout_byte_identical():

@@ -261,6 +261,22 @@ def test_factor_poly_handles_pth_powers():
     assert facs == [([1, 1], 4)]
 
 
+def test_factor_poly_memo_hits_return_fresh_equal_lists():
+    # (x+1)^2 (x^2+x+2) over F_3, untrimmed and as numpy ints on the
+    # second call: one cached factorization, handed out as new lists
+    f = ef.poly_mul(ef.poly_mul([1, 1], [1, 1], 3), [2, 1, 1], 3)
+    first = ef.factor_poly(f, 3)
+    hits = ef._factorization.cache_info().hits
+    second = ef.factor_poly(np.array(f + [0, 3], dtype=np.int64), 3)
+    assert ef._factorization.cache_info().hits == hits + 1
+    assert first == second == [([1, 1], 2), ([2, 1, 1], 1)]
+    assert first is not second
+    assert all(a is not b and a[0] is not b[0] for a, b in zip(first, second))
+    first[0][0].append(7)
+    first.clear()
+    assert ef.factor_poly(f, 3) == second == [([1, 1], 2), ([2, 1, 1], 1)]
+
+
 def test_poly_eval_matrix_cayley_hamilton():
     rng = np.random.default_rng(6)
     for p in (3, 32003):

@@ -28,6 +28,26 @@ def a2t():
     return qr.Quiver.load(str(Path(__file__).resolve().parent.parent / "quivers" / "a2t.q"))
 
 
+def test_prop41_computes_each_u_stratum_once(monkeypatch):
+    # E_i takes U_i, ..., U_{t-1} for every i = 1..t-1 (t = 4 over A_3^(2),
+    # so U_3 is read three times); each U_k is one Sigma_k walk, on fresh
+    # algebras and contexts so that no earlier test has filled the memo
+    calls = []
+    real = replicated.sigma_stratum
+    monkeypatch.setattr(replicated, "sigma_stratum",
+                        lambda algebra, k: calls.append(k) or real(algebra, k))
+    monkeypatch.setattr(replicated, "_ALGEBRAS", {})
+    monkeypatch.setattr(vf, "_CONTEXTS", {})
+    report = vf.suite_prop41(a3(), m=2, p=P)
+    assert report["verdict"] == "pass"
+    assert [c["gldim_end"] for c in report["checks"]] == [3, 4, 5]
+    assert sorted(calls) == [1, 2, 3]
+    algebra = replicated.build_replicated(a3(), 2, P)
+    again = replicated.u_stratum(algebra, 3)
+    assert again is not replicated.u_stratum(algebra, 3)
+    assert sorted(calls) == [1, 2, 3]
+
+
 def test_report_shape():
     report = vf.verify("thm32_all_d", a2(), m=1, p=P)
     assert report["verdict"] == "pass"
