@@ -236,12 +236,13 @@ class IndecCatalog:
     @classmethod
     def from_json(cls, algebra, data):
         """Inverse of to_json; a "seed" key, written by older versions, is
-        ignored.  Table lengths, ids and the translation tables are checked
-        as indec_catalog checks them, and a failure is an InputError."""
+        ignored.  The data must be a JSON object; its modules, table lengths,
+        ids and translation tables are checked as indec_catalog checks them,
+        and a failure is an InputError."""
+        if not isinstance(data, dict):
+            raise InputError(f"catalog JSON is a {type(data).__name__}, not an object")
         if data.get("fingerprint") != algebra.fingerprint():
             raise InputError("catalog fingerprint does not match the algebra")
-        registry = rp.IsoRegistry(LayeredModule.from_json(algebra, d) for d in data["modules"])
-        n = len(registry)
 
         def ids(entries, length):
             out = [None if t is None else int(t) for t in entries]
@@ -252,6 +253,9 @@ class IndecCatalog:
             return out
 
         try:
+            registry = rp.IsoRegistry(LayeredModule.from_json(algebra, d)
+                                      for d in data["modules"])
+            n = len(registry)
             cat = cls(algebra, registry, ids(data["tau"], n), ids(data["tau_inv"], n),
                       set(ids(data["projective"], algebra.n_components)),
                       set(ids(data["injective"], algebra.n_components)))
@@ -263,12 +267,12 @@ class IndecCatalog:
         return cat
 
 
-def indec_catalog(algebra, budget=CATALOG_BUDGET, time_limit=PHASE_SECONDS):
+def indec_catalog(algebra, budget=CATALOG_BUDGET):
     """Close {proj(i,k)} and {inj(i,k)} under tau^{-1} and tau.
 
-    Exceeding the entry budget or the time limit raises BudgetExceeded (the
-    expected signal for representation-infinite base algebras); a budget
-    below 1 is an InputError.
+    Exceeding the entry budget or PHASE_SECONDS (read at call time) raises
+    BudgetExceeded (the expected signal for representation-infinite base
+    algebras); a budget below 1 is an InputError.
     """
     if budget < 1:
         raise InputError(f"catalog budget must be >= 1, got {budget}")
@@ -290,8 +294,8 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET, time_limit=PHASE_SECONDS):
             raise BudgetExceeded(
                 f"catalog exceeded {budget} entries: "
                 "not representation-finite within budget")
-        if time.monotonic() - start > time_limit:
-            raise BudgetExceeded(f"catalog construction exceeded {time_limit:.0f}s")
+        if time.monotonic() - start > PHASE_SECONDS:
+            raise BudgetExceeded(f"catalog construction exceeded {PHASE_SECONDS:.0f}s")
         return len(modules) - 1, True
 
     queue = []

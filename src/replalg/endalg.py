@@ -1,6 +1,7 @@
 """Direct computation of gl.dim End(M) from structure constants.
 
-An independent oracle for the approximation-based route.  The endomorphism
+An independent oracle for the approximation-based route, off its computing
+path: only `verify.suite_prop41` and the tests call it.  The endomorphism
 algebra E of M = (+) M_i (pairwise non-isomorphic summands, so E is basic)
 is assembled once from Hom bases and composition: its structure constants
 and rows spanning each rad End(M_s) (rad E is their sum with the
@@ -38,11 +39,12 @@ class EndAlgebra:
     coordinates of bases[s][t][c] . bases[t][u][r] in bases[s][u], kept only
     where the three blocks are non-empty.  rad E is the sum of the
     off-diagonal blocks and of the rad End(M_s); rad[s] holds rows spanning
-    rad End(M_s) in the coordinates of bases[s][s].  bench/selftest.py
-    checks the hom_fn default, so it stays rp.hom_layered.
+    rad End(M_s) in the coordinates of bases[s][s].  A dimension of E
+    above ORACLE_CAP, read at call time, raises OracleUnavailable.
+    bench/selftest.py checks the hom_fn default, so it stays rp.hom_layered.
     """
 
-    def __init__(self, summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP):
+    def __init__(self, summands, hom_fn=rp.hom_layered):
         if not summands:
             raise InputError("end-algebra oracle needs at least one summand")
         self.p = summands[0].algebra.p
@@ -50,9 +52,9 @@ class EndAlgebra:
         bases = [[hom_fn(summands[t], summands[s]) for t in range(n)] for s in range(n)]
         self.d = d = [[len(bases[s][t]) for t in range(n)] for s in range(n)]
         total = sum(map(sum, d))
-        if total > cap:
+        if total > ORACLE_CAP:
             raise OracleUnavailable(
-                f"end-algebra oracle cap exceeded: dim End = {total} > {cap}")
+                f"end-algebra oracle cap exceeded: dim End = {total} > {ORACLE_CAP}")
         self.consts = {}
         for s in range(n):
             for u in range(n):
@@ -187,7 +189,7 @@ def _block_diag(blocks):
     return out
 
 
-def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP):
+def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered):
     """gl.dim End(M) = pd(E/rad E), by one explicit projective resolution
     of the direct sum of the simple End(M)-modules.  Accepts a GenCog or a
     plain list of summand modules (the oracle does not require a
@@ -196,5 +198,5 @@ def end_algebra_gldim(gencog_or_summands, hom_fn=rp.hom_layered, cap=ORACLE_CAP)
         summands = gencog_or_summands.modules()
     else:
         summands = list(gencog_or_summands)
-    algebra = EndAlgebra(summands, hom_fn=hom_fn, cap=cap)
+    algebra = EndAlgebra(summands, hom_fn=hom_fn)
     return algebra.top_pd(range(algebra.n))

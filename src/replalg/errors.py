@@ -1,10 +1,11 @@
 """Exception taxonomy shared across the toolkit.
 
 The CLI maps these onto its exit-code contract: InputError and
-ContractError are usage/contract problems (exit 2), BudgetExceeded and
-OracleUnavailable are resource signals (exit 3).  AnomalyError flags a
-mathematical expectation that failed inside the machinery; it is never
-silently reconciled.
+ContractError are usage/contract problems (exit 2), BudgetExceeded is a
+resource signal (exit 3).  OracleUnavailable never reaches it: the one
+suite that runs the oracle reports a declined run in its checks.
+AnomalyError flags a mathematical expectation that failed inside the
+machinery; it is never silently reconciled.
 """
 
 

@@ -5,8 +5,8 @@ routines are pure functions of their arguments, so results are
 reproducible across runs; the random draws inside `factor_poly` come from
 a fixed generator and never reach its output (a unique, sorted factorization).
 
-Entries stay below p <= ~10^6 and matrix sizes stay at desk scale, so
-int64 accumulation in matrix products is exact.
+Entries stay below p < PRIME_BOUND = 2^20, which FieldSpec enforces, so
+every int64 sum the package forms is exact (FieldSpec says why).
 
 `rref` is the elimination kernel behind ranks, kernels, solves, inverses
 and quotient projections.  It eliminates on lists of Python ints, like
@@ -25,6 +25,7 @@ from .errors import InputError
 
 DEFAULT_PRIME = 32003
 DEFAULT_SEED = 0
+PRIME_BOUND = 1 << 20
 
 
 def is_prime(n):
@@ -42,11 +43,17 @@ def is_prime(n):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A prime field F_p; primality is checked at construction."""
+    """A prime field F_p, p < PRIME_BOUND = 2^20, checked at construction.
+    Below the bound every int64 sum the package forms is exact.  The
+    largest is the random combination of End(M) in splitting._split_once:
+    at most DIM_CAP^2 < 2^22 terms, each below p^2 < 2^40."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= PRIME_BOUND:
+            raise InputError(f"prime {self.p} is too large: int64 arithmetic is exact "
+                             f"only for p < 2^20 = {PRIME_BOUND}")
         if not is_prime(self.p):
             raise InputError(f"modulus {self.p} is not prime")
 
@@ -68,7 +75,7 @@ def eye(n):
 
 
 def mul(a, b, p):
-    """Exact matrix product mod p (int64 accumulation never overflows here)."""
+    """Exact matrix product mod p (int64 is exact for p < PRIME_BOUND)."""
     if a.shape[1] != b.shape[0]:
         raise InputError(f"shape mismatch {a.shape} x {b.shape}")
     return np.mod(a @ b, p)

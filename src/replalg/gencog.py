@@ -9,7 +9,8 @@ ever computed, and one walk gives every M-dimension: the level sets of
 non-add-M summand ids, each the union of Omega_M of the one before, until
 a level is empty.  A repeated level certifies an infinite M-dimension;
 leaving the window (unbounded growth) yields an indeterminate verdict
-(None), never a guess."""
+(None), never a guess.  gl.dim End(M) is read off the M-dimensions alone;
+the independent oracle in `endalg` only cross-checks it."""
 
 import math
 
@@ -19,7 +20,7 @@ from . import artrans as ar
 from . import exactfield as ef
 from . import quiverrep as qr
 from . import replicated as rp
-from .errors import AnomalyError, ContractError, InputError, OracleUnavailable
+from .errors import AnomalyError, ContractError, InputError
 from .replicated import IsoRegistry, LayeredModule, LayeredMorphism
 from .splitting import fitting_split, single_eigenvalue
 
@@ -148,12 +149,12 @@ def verify_approximation(summands, x, result, hom_fn=rp.hom_layered):
 class MDimEngine:
     """Shared approximation/omega caches over a registry of canonical
     modules, which also caches their Hom spaces (the catalog's own registry
-    in exact mode, a growing store in windowed mode)."""
+    in exact mode, a growing store in windowed mode).  A kernel larger than
+    MDIM_DIM_CAP, read at call time, leaves the window."""
 
-    def __init__(self, algebra, registry, dim_cap=MDIM_DIM_CAP, catalog=None):
+    def __init__(self, algebra, registry, catalog=None):
         self.algebra = algebra
         self.registry = registry
-        self.dim_cap = dim_cap
         self.catalog = catalog
         self._required = None
         self._relevant = {}
@@ -164,8 +165,8 @@ class MDimEngine:
         return cls(catalog.algebra, catalog.registry, catalog=catalog)
 
     @classmethod
-    def windowed(cls, algebra, dim_cap=MDIM_DIM_CAP):
-        return cls(algebra, IsoRegistry(), dim_cap=dim_cap)
+    def windowed(cls, algebra):
+        return cls(algebra, IsoRegistry())
 
     def required_ids(self):
         """Registry ids of all proj(i,k) and inj(i,k): the summands every
@@ -213,7 +214,7 @@ class MDimEngine:
             if not result.surjective:
                 raise AnomalyError("approximation by a generator failed to be surjective")
             kernel = result.kernel
-            self._omega[key] = None if kernel.total_dim > self.dim_cap else self.state(kernel)
+            self._omega[key] = None if kernel.total_dim > MDIM_DIM_CAP else self.state(kernel)
         return self._omega[key]
 
     def omega_step(self, state, summand_ids):
@@ -230,22 +231,19 @@ class MDimEngine:
     def mdim(self, start_ids, summand_ids):
         """(value, cycle) of the level-set walk from start_ids: L_0 is
         start_ids minus add M, and L_(i+1) the non-add-M ids of Omega_M of
-        the members of L_i.  value is the number of steps until a level is
-        empty, the largest M-dimension over start_ids; math.inf when a
-        level repeats, with cycle = (first visit, revisit), else None; None
-        when a member leaves the window or the walk reaches MDIM_MAX_STEPS."""
+        L_i, one omega_step.  value is the number of steps to an empty level,
+        the largest M-dimension over start_ids; math.inf when a level
+        repeats, with cycle = (first visit, revisit), else None; None when a
+        member leaves the window or the walk reaches MDIM_MAX_STEPS."""
         level = frozenset(start_ids) - summand_ids
         seen = {}
         while level and level not in seen:
             if len(seen) == MDIM_MAX_STEPS:
                 return None, None
             seen[level] = len(seen)
-            nxt = set()
-            for idx in sorted(level):
-                succ = self.omega_ids(idx, summand_ids)
-                if succ is None:
-                    return None, None
-                nxt.update(succ)
+            nxt = self.omega_step(tuple(sorted(level)), summand_ids)
+            if nxt is None:
+                return None, None
             level = frozenset(nxt) - summand_ids
         if not level:
             return len(seen), None
@@ -269,30 +267,30 @@ def m_dimension(gencog, x):
 
 
 class GldimEndResult:
-    """Exact value, an upper bound (value with exact=False), or a (lower
-    bound, windowed upper check) pair."""
+    """An exact value (math.inf included), or over a window the exact lower
+    bound 2 + max M-dim over the census, which is also the window's upper check."""
 
-    def __init__(self, value=None, exact=False, lower=None, window_checked=None,
-                 window_size=None, indeterminates=0):
+    def __init__(self, value=None, lower=None, window_size=None, indeterminates=0):
         self.value = value
-        self.exact = exact
         self.lower = lower
-        self.window_checked = window_checked
         self.window_size = window_size
         self.indeterminates = indeterminates
 
     def __repr__(self):
-        if self.exact:
-            return f"GldimEnd(value={self.value})"
         if self.value is not None:
-            return f"GldimEnd(value<={self.value})"
-        return (f"GldimEnd(lower={self.lower}, window_checked={self.window_checked}, "
-                f"window={self.window_size})")
+            return f"GldimEnd(value={self.value})"
+        return f"GldimEnd(lower={self.lower}, window={self.window_size})"
 
 
 def gldim_end(gencog):
-    """Exact gl.dim End(M) over a complete catalog: 2 + max M-dim over the
-    catalog (values at 2 cross-resolved by the end-algebra oracle)."""
+    """Exact gl.dim End(M) over a complete catalog from the M-dimensions
+    alone: 2 + the largest M-dimension over the catalog.  For d >= 0,
+    gl.dim End(M) <= d + 2 iff every module has M-dimension <= d.  So when
+    every M-dimension is 0, gl.dim End(M) <= 2, and Auslander (QMC Notes,
+    1971) gives >= 2 for a generator-cogenerator of a non-semisimple
+    algebra: the value is 2.  A^(m) is semisimple only for m = 0 over a
+    quiver without arrows (one vertex, as quivers are connected); there
+    End(M) is a product of copies of F_p, of global dimension 0."""
     engine = gencog.engine
     if engine.catalog is None:
         raise ContractError("exact mode requires a complete catalog; use gldim_end_windowed")
@@ -300,24 +298,15 @@ def gldim_end(gencog):
     if worst is None:
         raise AnomalyError("indeterminate M-dimension in exact mode: "
                            "window exit or step cap")
-    if worst == math.inf:
-        return GldimEndResult(value=math.inf, exact=True)
-    if worst >= 1:
-        return GldimEndResult(value=worst + 2, exact=True)
-    # every M-dimension is 0: gl.dim End <= 2; resolve below 2 by the oracle,
-    # and report the bound 2 as not exact when the oracle declines to run
-    from .endalg import end_algebra_gldim
-    try:
-        value = end_algebra_gldim(gencog)
-    except OracleUnavailable:
-        return GldimEndResult(value=2, exact=False)
-    return GldimEndResult(value=value, exact=True)
+    if worst == 0 and engine.algebra.m == 0 and not engine.algebra.quiver.arrows:
+        return GldimEndResult(value=0)
+    return GldimEndResult(value=worst + 2)
 
 
 def gldim_end_windowed(gencog, census_modules):
-    """Windowed mode: 2 + the largest M-dimension found over the supplied
-    census indecomposables, an exact lower bound and the window-checked
-    upper bound."""
+    """Windowed mode: lower = 2 + the largest M-dimension found over the
+    supplied census indecomposables, an exact lower bound and the
+    window-checked upper bound."""
     engine = gencog.engine
     worst = 0
     indeterminates = 0
@@ -327,10 +316,9 @@ def gldim_end_windowed(gencog, census_modules):
             indeterminates += 1
             continue
         if val == math.inf:
-            return GldimEndResult(value=math.inf, exact=True)
+            return GldimEndResult(value=math.inf)
         worst = max(worst, val)
-    return GldimEndResult(lower=worst + 2, window_checked=worst + 2,
-                          window_size=len(census_modules),
+    return GldimEndResult(lower=worst + 2, window_size=len(census_modules),
                           indeterminates=indeterminates)
 
 
@@ -339,12 +327,11 @@ def gldim_end_windowed(gencog, census_modules):
 # ---------------------------------------------------------------------------
 
 
-def construct_thm32(catalog, d, engine=None):
+def construct_thm32(catalog, d, engine):
     """M = catalog minus {tau^i Z: 0 <= i <= d-3} for a non-injective Z
     with tau^(d-2) Z projective, taken from the longest-orbit walk."""
     if d < 2:
         raise InputError(f"d must be >= 2, got {d}")
-    engine = engine or MDimEngine.for_catalog(catalog)
     table = ar.tau_orbits(catalog)
     orbit = None
     for o in table.orbits:
@@ -361,13 +348,11 @@ def construct_thm32(catalog, d, engine=None):
     return GenCog(engine, ids), z
 
 
-def construct_E(algebra, i, engine=None):
+def construct_E(algebra, i, engine):
     """E_i = A + DA_m + P + (U_i + ... + U_{t-1}), t = gl.dim A^(m)."""
     t = rp.global_dimension(algebra)
     if not 1 <= i <= t - 1:
         raise InputError(f"construct_E: i = {i} outside [1, {t - 1}]")
-    if engine is None:
-        engine = MDimEngine.windowed(algebra)
     ids = engine.required_ids()
     for k in range(i, t):
         for u in rp.u_stratum(algebra, k):
@@ -380,7 +365,7 @@ def _simple_projective_vertices(quiver):
             if not any(quiver.arrow_source[a] == i for a in range(len(quiver.arrows)))]
 
 
-def construct_lem47(algebra, d, engine=None):
+def construct_lem47(algebra, d, engine):
     """M = A + DA_m + (tau^i Y_j for 0 <= i <= d-(2m+3)) + P, with the Y_j
     the middle of the almost split sequence ending in Z, where tau^(d-(2m+2)) Z
     is simple projective.  Z is preprojective, so `ar.ar_sequence` finds the
@@ -407,8 +392,6 @@ def construct_lem47(algebra, d, engine=None):
         raise ContractError(
             "no preprojective witness Z: base algebra looks representation-finite")
     _, middle = ar.ar_sequence(z)
-    if engine is None:
-        engine = MDimEngine.windowed(algebra)
     ids = engine.required_ids()
     for y, _ in middle:
         cur = y
@@ -425,7 +408,7 @@ def construct_lem47(algebra, d, engine=None):
     return gencog, n, z
 
 
-def construct_lem48(algebra, engine=None):
+def construct_lem48(algebra, engine):
     """M = A + DA_m + P + N' for a non-split self-extension N' of a brick N
     with Ext^1(N, N) != 0.  Returns (GenCog, N at layer 0, N')."""
     quiver, p = algebra.quiver, algebra.p
@@ -437,8 +420,6 @@ def construct_lem48(algebra, engine=None):
     e, incl, proj = qr.realize_extension(n, n, 0)
     if qr.sequence_splits(incl):
         raise AnomalyError("realized self-extension split")
-    if engine is None:
-        engine = MDimEngine.windowed(algebra)
     ids = engine.required_ids()
     ids.add(engine.registry.canon(rp.rep_at_layer(algebra, e, 0)))
     return GenCog(engine, ids), rp.rep_at_layer(algebra, n, 0), e

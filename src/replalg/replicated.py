@@ -710,7 +710,7 @@ class LayeredModule:
             for entry in data["connecting"]:
                 pid = quiver.paths.by_name(entry["path"])
                 conn[(entry["k"], pid)] = np.array(entry["matrix"], dtype=np.int64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad layered-module JSON: {exc}") from exc
         return cls(algebra, layers, conn=conn)
 

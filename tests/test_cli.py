@@ -151,6 +151,42 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert out3 == out1
 
 
+def test_cache_that_cannot_be_created_is_skipped(tmp_path):
+    # the cache directory names a file: no catalog file can be written
+    argv = ("indecs", "--quiver", quiver("a2.q"), "--m", "1", "--json")
+    code, want, _ = run_cli(*argv)
+    code, out, err = run_cli(*argv, "--cache", quiver("a2.q"))
+    assert code == 0 and out == want
+    assert "warning: not writing cache" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("ar-quiver", "--quiver", quiver("a2.q"), "--m", "1", "--dot"), "DOT file"),
+    (("construct", "thm32", "--quiver", quiver("a2.q"), "--m", "1", "--d", "4", "--out"),
+     "GenCog file"),
+])
+def test_unwritable_output_path_is_an_input_error(tmp_path, argv, what):
+    path = str(tmp_path / "missing" / "x.out")
+    code, out, err = run_cli(*argv, path, "--json")
+    assert code == 2 and out == ""
+    assert f"error: cannot write {what} {path}: " in err and "Traceback" not in err
+
+
+def test_a_prime_below_2_to_the_20_runs():
+    code, out, _ = run_cli("gldim", "--quiver", quiver("a2.q"), "--m", "1",
+                           "--prime", "1000003", "--json")
+    assert code == 0 and json.loads(out)["results"]["global_dimension"] == 2
+
+
+def test_gldim_end_of_the_d4_additive_generator_is_exact():
+    # every M-dimension is 0, so the value is 2 with no end-algebra oracle,
+    # whose cap this End(M) exceeds
+    code, out, _ = run_cli("gldim-end", "--quiver", quiver("d4.q"), "--m", "2",
+                           "--summands", ",".join(map(str, range(60))), "--json")
+    assert code == 0
+    assert json.loads(out)["results"] == {"mode": "exact", "value": 2, "summands": 60}
+
+
 # sha256 of the `indecs --cache` catalog file at the default prime, pinned
 # so that a change to tau, the catalog order or the JSON layout shows
 CATALOG_CACHE_SHA256 = {
@@ -320,7 +356,8 @@ def test_cache_file_with_a_seed_key_still_loads(tmp_path):
     assert json.loads(path.read_text())["seed"] == 3  # loaded, not rebuilt
 
 
-@pytest.mark.parametrize("corrupt", ["truncated-tau", "tau-none-off-projectives"])
+@pytest.mark.parametrize("corrupt", ["truncated-tau", "tau-none-off-projectives",
+                                     "json-list", "modules-number", "maps-list"])
 def test_cache_with_bad_translation_tables_is_rebuilt(tmp_path, corrupt):
     cache = tmp_path / "cache"
     argv = ("tau-orbits", "--quiver", quiver("a2.q"), "--m", "1", "--cache", str(cache),
@@ -332,12 +369,18 @@ def test_cache_with_bad_translation_tables_is_rebuilt(tmp_path, corrupt):
     data = json.loads(clean)
     if corrupt == "truncated-tau":
         data["tau"] = data["tau"][:-1]
+    elif corrupt == "json-list":
+        data = []
+    elif corrupt == "modules-number":
+        data["modules"] = 5
+    elif corrupt == "maps-list":
+        data["modules"][0]["layers"][0]["maps"] = []
     else:
         z = next(i for i, t in enumerate(data["tau"]) if t is not None)
         data["tau"][z] = None
     path.write_text(json.dumps(data, sort_keys=True))
     code, out2, err = run_cli(*argv)
-    assert code == 0 and "warning: ignoring cache" in err
+    assert code == 0 and "warning: ignoring cache" in err and "Traceback" not in err
     assert out2 == out1
     assert path.read_bytes() == clean  # rebuilt, and written as before
 
@@ -393,11 +436,16 @@ def test_empty_window_and_negative_seed_are_input_errors(argv):
      "samples must be >= 1"),
     (("indecs", "--quiver", quiver("a2.q"), "--budget", "-1"), "catalog budget must be >= 1"),
     (("gldim-end", "--quiver", quiver("a2.q"), "--budget", "-1"), "catalog budget must be >= 1"),
+    (("gldim", "--quiver", quiver("a2.q"), "--prime", "2147483647"),
+     "prime 2147483647 is too large"),
+    (("verify", "lem47", "--quiver", quiver("kron.q"), "--prime", "1048583"),
+     "prime 1048583 is too large"),
 ])
 def test_unusable_options_are_input_errors(argv, message):
     # an option the suite does not take ended in a TypeError traceback; a
     # sample count or budget below 1 gave a vacuous pass, a budget signal
-    # or a silent switch to windowed mode
+    # or a silent switch to windowed mode; a prime of 2^20 or more gave
+    # int64 overflow and silently wrong arithmetic
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert f"error: {message}" in err and "Traceback" not in err

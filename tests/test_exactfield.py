@@ -40,6 +40,32 @@ def test_fieldspec_rejects_composite():
     assert ef.FieldSpec(32003).p == 32003
 
 
+LARGEST_PRIME = 1048573  # the largest prime below PRIME_BOUND = 2^20
+
+
+def test_fieldspec_rejects_primes_where_int64_overflows():
+    # at p = 2^31 - 1 a 1x3 by 3x1 product of p - 1 sums three terms near
+    # 2^62 and wraps in int64
+    with pytest.raises(ef.InputError, match="too large"):
+        ef.FieldSpec(2147483647)
+    with pytest.raises(ef.InputError, match="too large"):
+        ef.FieldSpec(ef.PRIME_BOUND)
+    assert ef.is_prime(LARGEST_PRIME) and ef.FieldSpec(LARGEST_PRIME).p == LARGEST_PRIME
+    assert not any(ef.is_prime(q) for q in range(LARGEST_PRIME + 1, ef.PRIME_BOUND))
+
+
+def test_mul_is_exact_at_the_largest_allowed_prime():
+    # 2,048 entries of p - 1 on each side, and a seeded random product:
+    # each equals the product over Python ints
+    p = LARGEST_PRIME
+    row, col = ef.fmat(np.full((1, 2048), p - 1), p), ef.fmat(np.full((2048, 1), p - 1), p)
+    assert int(ef.mul(row, col, p)[0, 0]) == 2048 * (p - 1) ** 2 % p
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(0, p, size=(8, 2048)), rng.integers(0, p, size=(2048, 8))
+    want = [[sum(int(x) * int(y) for x, y in zip(r, c)) % p for c in b.T] for r in a]
+    assert ef.mul(a, b, p).tolist() == want
+
+
 def test_rank_identity_and_zero():
     assert ef.rank(ef.eye(3), 32003) == 3
     assert ef.rank(ef.zeros(2, 5), 32003) == 0

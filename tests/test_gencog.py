@@ -88,8 +88,7 @@ def test_thm32_chain_identity_a2_d4(a2_ctx):
         cur = ti
         if i <= 2:
             assert state == (ti,)
-    res = gc.gldim_end(gencog)
-    assert res.value == 4 and res.exact
+    assert gc.gldim_end(gencog).value == 4
 
 
 def test_thm32_witness_not_found(a2_ctx):
@@ -121,7 +120,7 @@ def test_construct_E1_a2(a2_ctx):
 
 def test_construct_E_range_checked(a2_ctx):
     alg, _, engine = a2_ctx
-    with pytest.raises(Exception):
+    with pytest.raises(InputError, match="outside"):
         gc.construct_E(alg, 2, engine=engine)  # t = 2, so i <= 1
 
 
@@ -133,30 +132,27 @@ def test_gldim_end_additive_generator(a2_ctx):
     assert end_algebra_gldim(addgen) == 2
 
 
-def _oracle_raising(exc):
-    def oracle(*args, **kwargs):
-        raise exc
-    return oracle
+def test_gldim_end_of_an_additive_generator_calls_no_oracle(monkeypatch):
+    # every M-dimension of an additive generator is 0, so gldim_end gives 2
+    # (Auslander: >= 2 off the semisimple case) or 0 (semisimple A^(0) of
+    # the one-vertex quiver) with the oracle patched to fail, and the
+    # oracle, run first, gives the same value
+    cases = [(a2(), m) for m in (1, 2, 3)] + [(a3(), m) for m in (1, 2)]
+    cases += [(qr.Quiver.load(QUIVERS / "a2r.q"), 3), (qr.Quiver(["1"], []), 0)]
+    addgens = []
+    for quiver, m in cases:
+        cat = ar.indec_catalog(rp.build_replicated(quiver, m, P))
+        addgen = GenCog(MDimEngine.for_catalog(cat), set(range(len(cat))))
+        addgens.append((addgen, end_algebra_gldim(addgen)))
+    assert [want for _, want in addgens] == [2] * 6 + [0]
 
+    def fail(*args, **kwargs):
+        raise AssertionError("gldim_end called the end-algebra oracle")
 
-def test_gldim_end_propagates_oracle_anomaly(a2_ctx, monkeypatch):
-    # the additive generator has every M-dimension 0, so gldim_end asks
-    # the oracle; an anomaly there must never turn into a value
-    alg, cat, engine = a2_ctx
-    addgen = GenCog(engine, set(range(len(cat))))
-    monkeypatch.setattr(endalg, "end_algebra_gldim",
-                        _oracle_raising(AnomalyError("oracle anomaly")))
-    with pytest.raises(AnomalyError):
-        gc.gldim_end(addgen)
-
-
-def test_gldim_end_without_oracle_is_not_exact(a2_ctx, monkeypatch):
-    alg, cat, engine = a2_ctx
-    addgen = GenCog(engine, set(range(len(cat))))
-    monkeypatch.setattr(endalg, "end_algebra_gldim",
-                        _oracle_raising(OracleUnavailable("cap")))
-    res = gc.gldim_end(addgen)
-    assert res.value == 2 and not res.exact
+    for name in ("end_algebra_gldim", "EndAlgebra"):
+        monkeypatch.setattr(endalg, name, fail)
+    for addgen, want in addgens:
+        assert gc.gldim_end(addgen).value == want
 
 
 def test_end_algebra_oracle_matches_gldim_of_algebra():
@@ -178,8 +174,8 @@ def test_global_dimension_is_computed_once_per_algebra(monkeypatch):
     real_pd = rp.pd
     monkeypatch.setattr(rp, "pd", lambda m: calls.append(m) or real_pd(m))
     alg = rp.ReplicatedAlgebra(a3(), 2, P)
-    first = gc.construct_E(alg, 1).summands
-    assert gc.construct_E(alg, 1).summands == first
+    first = gc.construct_E(alg, 1, MDimEngine.windowed(alg)).summands
+    assert gc.construct_E(alg, 1, MDimEngine.windowed(alg)).summands == first
     assert len(calls) == 9
     assert rp.global_dimension(alg) == 4 and len(calls) == 9
 
@@ -222,11 +218,12 @@ def test_end_algebra_oracle_on_a_tube_and_a_larger_residue_field():
         end_algebra_gldim([f])
 
 
-def test_end_algebra_oracle_cap():
+def test_end_algebra_oracle_cap(monkeypatch):
     alg = rp.build_replicated(a2(), 1, P)
     projs = [alg.proj(i, k) for k in range(2) for i in range(2)]
-    with pytest.raises(OracleUnavailable):
-        end_algebra_gldim(projs, cap=1)
+    monkeypatch.setattr(endalg, "ORACLE_CAP", 1)
+    with pytest.raises(OracleUnavailable, match="dim End = 9 > 1"):
+        end_algebra_gldim(projs)
 
 
 def _oracle_outcome(fn, summands):
@@ -348,11 +345,12 @@ def test_pi_part_of_approximation_is_projective_cover(a2_ctx):
     assert checked >= 4
 
 
-def test_mdim_indeterminate_on_window_exit():
+def test_mdim_indeterminate_on_window_exit(monkeypatch):
     # a dimension cap below the kernel size must produce an indeterminate
     # verdict, never a guess
+    monkeypatch.setattr(gc, "MDIM_DIM_CAP", 2)
     alg = rp.build_replicated(kronecker(), 1, P)
-    engine = MDimEngine.windowed(alg, dim_cap=2)
+    engine = MDimEngine.windowed(alg)
     gencog = GenCog(engine, engine.required_ids())
     z = qr.tau_inverse(qr.tau_inverse(qr.projective(alg.quiver, P, "1")))
     assert z.component_dims() == [5, 4]  # its cover kernel P(1)^3 exceeds the cap
@@ -375,7 +373,7 @@ def test_lem48_kronecker():
 
 def test_lem47_kronecker_d5():
     alg = rp.build_replicated(kronecker(), 1, P)
-    gencog, n, z = gc.construct_lem47(alg, 5)
+    gencog, n, z = gc.construct_lem47(alg, 5, MDimEngine.windowed(alg))
     assert z.component_dims() == [3, 2]
     labels = sorted(gencog.engine.registry.modules[i].dim_label()
                     for i in gencog.summands)
@@ -386,14 +384,14 @@ def test_lem47_kronecker_d5():
 
 def test_lem47_requires_large_d():
     alg = rp.build_replicated(kronecker(), 1, P)
-    with pytest.raises(Exception):
-        gc.construct_lem47(alg, 4)
+    with pytest.raises(InputError, match="d >= 2m\\+3 = 5, got 4"):
+        gc.construct_lem47(alg, 4, MDimEngine.windowed(alg))
 
 
 def test_lem47_rejects_rep_finite_base():
     alg = rp.build_replicated(a2(), 1, P)
     with pytest.raises(ContractError):
-        gc.construct_lem47(alg, 5)
+        gc.construct_lem47(alg, 5, MDimEngine.windowed(alg))
 
 
 def test_base_census_kronecker_counts():
@@ -487,10 +485,11 @@ def test_census_checks_its_window_algebra(monkeypatch):
     assert Counter(alg.m for (alg,) in checked)[4] == 1
 
 
-def test_finite_gldim_end_takes_no_omega_step(a2_ctx, monkeypatch):
-    # Omega_M steps on multiset states serve the lem45 and lem47 chains;
-    # the M-dimension walk reads omega_ids on level sets, one walk from all
-    # catalog ids per M, and over the A_2 m=1 catalog every value is finite
+def test_finite_gldim_end_steps_on_level_sets(a2_ctx, monkeypatch):
+    # one walk from all catalog ids per M; each of its steps is one
+    # omega_step on a level set: sorted distinct ids outside add M (the
+    # lem45 and lem47 chains step on multiset states); over the A_2 m=1
+    # catalog every value is finite
     alg, cat, engine = a2_ctx
     steps = counting(monkeypatch, MDimEngine, "omega_step")
     walks = counting(monkeypatch, MDimEngine, "mdim")
@@ -499,10 +498,12 @@ def test_finite_gldim_end_takes_no_omega_step(a2_ctx, monkeypatch):
     runs = 0
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
+            before = len(steps)
             assert gc.gldim_end(GenCog(engine, base | set(extra))).value < math.inf
+            for _, state, scope in steps[before:]:
+                assert list(state) == sorted(set(state)) and not set(state) & scope
             runs += 1
-    assert runs == 2 ** len(rest) > 1 and steps == []
-    assert len(walks) == runs
+    assert runs == 2 ** len(rest) > 1 and len(walks) == runs and steps
 
 
 @pytest.mark.parametrize("name", ["a3", "d4"])
@@ -544,7 +545,7 @@ def test_engine_computes_each_rad_end_once(monkeypatch):
     cat = ar.indec_catalog(rp.ReplicatedAlgebra(a3(), 1, P))
     engine = MDimEngine(cat.algebra, rp.IsoRegistry(cat.modules), catalog=cat)
     calls = counting(monkeypatch, rp, "rad_end_blocks")
-    assert gc.gldim_end(GenCog(engine, engine.required_ids())).exact
+    assert gc.gldim_end(GenCog(engine, engine.required_ids())).value == 4
     per_object = Counter(id(m) for (m,) in calls)
     ids = {engine.registry.identity_index(m) for (m,) in calls}
     assert ids and None not in ids and max(per_object.values()) == 1
@@ -572,7 +573,7 @@ def test_end_is_computed_once_per_module_over_a_catalog(monkeypatch):
     assert len(cat) == 30
     ar.ar_quiver(cat)
     engine = MDimEngine.for_catalog(cat)
-    assert gc.gldim_end(GenCog(engine, engine.required_ids())).exact
+    assert gc.gldim_end(GenCog(engine, engine.required_ids())).value == 5
     assert len(seen) >= len(cat) and max(seen.values()) == 1
 
 

@@ -1,5 +1,6 @@
-"""Every module-level import in src/replalg is used, and every function,
-method and class it defines is read somewhere in it.
+"""Every module-level import in src/replalg is used, every function,
+method and class it defines is read somewhere in it, and only verify
+imports the end-algebra oracle.
 
 Stdlib-ast scans: a name bound by a top-level `import` or `from ...
 import` statement must be read somewhere in the module (or be listed in
@@ -106,3 +107,36 @@ def test_every_definition_is_read_in_src():
     assert [d for d in dead if not allowed_unread(d[2], pinned)] == []
     # an allowlist entry that src reads, or no longer defines, is stale
     assert set(UNREAD_ALLOWED) <= {name for _, _, name in dead}
+
+
+def endalg_importers(sources):
+    """Names of the modules in `sources` (file name -> text) with an import
+    of endalg anywhere, inside functions too: `from .endalg import ...`,
+    `from . import endalg`, `import replalg.endalg` and their absolute forms."""
+    out = set()
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.rsplit(".", 1)[-1] == "endalg" for name in names):
+                out.add(fname.removesuffix(".py"))
+    return out
+
+
+def test_detector_finds_an_endalg_import_inside_a_function():
+    sources = {"a.py": "def f():\n    from .endalg import end_algebra_gldim\n",
+               "b.py": "from . import endalg, exactfield\n",
+               "c.py": "import replalg.endalg as oracle\n",
+               "d.py": "from .endalgebra import x\nfrom . import exactfield\n"}
+    assert endalg_importers(sources) == {"a", "b", "c"}
+
+
+def test_only_verify_imports_the_end_algebra_oracle():
+    # the oracle cross-checks gencog.gldim_end, so nothing on the computing
+    # path may reach it
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert endalg_importers(sources) == {"verify"}
