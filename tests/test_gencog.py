@@ -14,6 +14,7 @@ from replalg import exactfield as ef
 from replalg import gencog as gc
 from replalg import quiverrep as qr
 from replalg import replicated as rp
+from replalg import verify as vf
 from replalg import windows as w
 from replalg.endalg import end_algebra_gldim
 from replalg.errors import AnomalyError, ContractError, InputError, OracleUnavailable
@@ -153,6 +154,42 @@ def test_gldim_end_of_an_additive_generator_calls_no_oracle(monkeypatch):
         monkeypatch.setattr(endalg, name, fail)
     for addgen, want in addgens:
         assert gc.gldim_end(addgen).value == want
+
+
+def _oracle_raising(exc):
+    def oracle(*args, **kwargs):
+        raise exc
+    return oracle
+
+
+def test_gldim_end_propagates_oracle_anomaly(a2_ctx, monkeypatch):
+    # gldim_end reads no oracle, but suite_prop41 cross-checks its values
+    # with one; an anomaly there, or an indeterminate M-dimension inside
+    # gldim_end, must never turn into a value
+    monkeypatch.setattr(vf, "end_algebra_gldim",
+                        _oracle_raising(AnomalyError("oracle anomaly")))
+    with pytest.raises(AnomalyError, match="oracle anomaly"):
+        vf.suite_prop41(a2(), m=1, p=P)
+    alg, cat, engine = a2_ctx
+    addgen = GenCog(engine, set(range(len(cat))))
+    monkeypatch.setattr(MDimEngine, "mdim", lambda self, start, summands: (None, None))
+    with pytest.raises(AnomalyError, match="indeterminate"):
+        gc.gldim_end(addgen)
+
+
+def test_gldim_end_without_oracle_is_not_exact(a2_ctx, monkeypatch):
+    # with the oracle unavailable gldim_end still gives 2 on the additive
+    # generator (exact by Auslander's bound); what is not exact is the
+    # cross-check: suite_prop41 records the oracle as unavailable, never
+    # as a value that agrees
+    unavailable = _oracle_raising(OracleUnavailable("cap"))
+    monkeypatch.setattr(endalg, "end_algebra_gldim", unavailable)
+    monkeypatch.setattr(vf, "end_algebra_gldim", unavailable)
+    alg, cat, engine = a2_ctx
+    assert gc.gldim_end(GenCog(engine, set(range(len(cat))))).value == 2
+    checks = vf.suite_prop41(a2(), m=1, p=P)["checks"]
+    assert checks and all(c["oracle"] == "cap exceeded" for c in checks)
+    assert all(c["gldim_end"] == c["want"] and c["ok"] for c in checks)
 
 
 def test_end_algebra_oracle_matches_gldim_of_algebra():
