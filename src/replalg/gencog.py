@@ -360,9 +360,11 @@ def construct_E(algebra, i, engine):
     return GenCog(engine, ids)
 
 
-def _simple_projective_vertices(quiver):
-    return [i for i in range(quiver.n_vertices)
-            if not any(quiver.arrow_source[a] == i for a in range(len(quiver.arrows)))]
+def _require_representation_infinite(quiver, lemma):
+    """Lemmas 4.7 and 4.8 need a representation-infinite base algebra."""
+    if qr.is_dynkin(quiver):
+        raise ContractError(f"{lemma} needs a representation-infinite base algebra, "
+                            "but the base quiver is Dynkin (Gabriel's test)")
 
 
 def construct_lem47(algebra, d, engine):
@@ -370,27 +372,20 @@ def construct_lem47(algebra, d, engine):
     the middle of the almost split sequence ending in Z, where tau^(d-(2m+2)) Z
     is simple projective.  Z is preprojective, so `ar.ar_sequence` finds the
     Y_j from the one-dimensional Ext^1(Z, tau Z) over A, with no catalog.
+    The base algebra must be representation-infinite (ContractError on a
+    Dynkin quiver): then its preprojective component holds no injective
+    (ASS vol. 1, VIII.2), so Z = tau^-(d-(2m+2)) P at the first sink is
+    nonzero and not injective.
     Returns (GenCog, witness N = cosyzygy^{2m} Z, Z)."""
     m_level = algebra.m
     if d < 2 * m_level + 3:
         raise InputError(f"lem47 needs d >= 2m+3 = {2 * m_level + 3}, got {d}")
     quiver, p = algebra.quiver, algebra.p
-    steps = d - (2 * m_level + 2)
-    z = None
-    for i in _simple_projective_vertices(quiver):
-        cand = qr.projective(quiver, p, quiver.vertices[i])
-        ok = True
-        for _ in range(steps):
-            cand = qr.tau_inverse(cand)
-            if cand.total_dim == 0:
-                ok = False
-                break
-        if ok and qr.tau_inverse(cand).total_dim:
-            z = cand
-            break
-    if z is None:
-        raise ContractError(
-            "no preprojective witness Z: base algebra looks representation-finite")
+    _require_representation_infinite(quiver, "lem47")
+    sink = next(i for i in range(quiver.n_vertices) if i not in quiver.arrow_source)
+    z = qr.projective(quiver, p, quiver.vertices[sink])
+    for _ in range(d - (2 * m_level + 2)):
+        z = qr.tau_inverse(z)
     _, middle = ar.ar_sequence(z)
     ids = engine.required_ids()
     for y, _ in middle:
@@ -410,13 +405,15 @@ def construct_lem47(algebra, d, engine):
 
 def construct_lem48(algebra, engine):
     """M = A + DA_m + P + N' for a non-split self-extension N' of a brick N
-    with Ext^1(N, N) != 0.  Returns (GenCog, N at layer 0, N')."""
+    with Ext^1(N, N) != 0; ContractError on a Dynkin base quiver, whose
+    algebra has no such brick.  Returns (GenCog, N at layer 0, N')."""
     quiver, p = algebra.quiver, algebra.p
+    _require_representation_infinite(quiver, "lem48")
     n = _find_self_extending_brick(quiver, p, 3)
     if n is None:
         raise ContractError(
             "no brick with a self-extension found within the search bound "
-            "(base algebra looks representation-finite)")
+            "(dimension 3 at each vertex)")
     e, incl, proj = qr.realize_extension(n, n, 0)
     if qr.sequence_splits(incl):
         raise AnomalyError("realized self-extension split")

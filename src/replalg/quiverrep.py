@@ -2,10 +2,12 @@
 
 A module over the path algebra A = kQ is a LayeredModule over the m = 0
 replicated algebra build_replicated(quiver, 0, p); its single layer is the
-representation.  This module builds the standard A-modules, computes
-Ext^1 from the Hom complex of `replicated.hom_complex`, realizes
-extensions, and names the base-algebra calls (hom_basis, is_iso,
-decompose, tau, tau_inverse) that run on the shared module machinery.
+representation.  This module names the standard A-modules (built by
+`ReplicatedAlgebra.proj`, `inj` and `simple` at m = 0 from the product
+`ReplicatedAlgebra.mult`), computes Ext^1 from the Hom complex of
+`replicated.hom_complex`, realizes extensions, and names the base-algebra
+calls (hom_basis, is_iso, decompose, tau, tau_inverse) that run on the
+shared module machinery.
 These five are one-line forwards to `replicated` and `artrans`, and they
 stay for two reasons: callers working over A use them, so layer traces
 report base-algebra work apart from work over A^(m); and the benchmark's
@@ -16,10 +18,11 @@ every A^(m), are `artrans.ar_sequence`.
 Conventions, fixed once and pinned by tests:
   * a right module over kQ is a representation in which an arrow a: i -> j
     induces a linear map from the component at i to the component at j;
-  * the indecomposable projective P(i) has basis the paths with source i,
-    so dim Hom(P(i), M) = dim M at i;
+  * the indecomposable projective P(i) has basis the paths with source i
+    (`ReplicatedAlgebra.proj_basis`), so dim Hom(P(i), M) = dim M at i;
   * the indecomposable injective I(i) has basis the (duals of) paths with
     target i, so dim Hom(M, I(i)) = dim M at i;
+  * arrows act on both by right multiplication (`ReplicatedAlgebra.mult`);
   * path composition is written left to right: pq means "p then q" and
     exists when target(p) = source(q).
 
@@ -246,39 +249,6 @@ class PathBasis:
     def reversed_id(self, opposite_paths, p):
         """Id of the reversed path inside the opposite quiver's basis."""
         return opposite_paths.index[(self.target[p], tuple(reversed(self.arrows_of[p])))]
-
-    def standard_layer(self, kind, v):
-        """(dims, maps) of the simple S(v), projective P(v) or injective
-        I(v) for kind "S", "P" or "I", with 0/1 entries.
-
-        P(v): the component at j has basis the paths v ~> j, and an arrow
-        acts by right extension of paths.  I(v): the component at j has
-        basis the dual paths j ~> v, and an arrow a: j -> j' sends q* to
-        (q')* when q = a.q'.  S(v): the trivial path at v alone.
-        """
-        quiver, nv = self.quiver, self.quiver.n_vertices
-        if kind == "P":
-            basis = [[q for q in self.from_vertex[v] if self.target[q] == j] for j in range(nv)]
-        elif kind == "I":
-            basis = [[q for q in self.into_vertex[v] if self.source[q] == j] for j in range(nv)]
-        else:
-            basis = [[v] if j == v else [] for j in range(nv)]
-        dims = [len(b) for b in basis]
-        pos = [{q: k for k, q in enumerate(b)} for b in basis]
-        maps = []
-        for a in range(len(quiver.arrows)):
-            s, t = quiver.arrow_source[a], quiver.arrow_target[a]
-            mat = ef.zeros(dims[t], dims[s])
-            for k, q in enumerate(basis[s]):
-                if kind == "I":  # strip a leading arrow from a dual path
-                    arrs = self.arrows_of[q]
-                    ext = self.index.get((t, arrs[1:])) if arrs and arrs[0] == a else None
-                else:
-                    ext = self.index.get((self.source[q], self.arrows_of[q] + (a,)))
-                if ext is not None and ext in pos[t]:
-                    mat[pos[t][ext], k] = 1
-            maps.append(mat)
-        return dims, maps
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ a dual path at layer k eats path prefixes from layer k-1 on the right and
 path suffixes from layer k on the left, and products of two dual elements
 vanish.
 
+ReplicatedAlgebra.mult is that product and its only encoding:
+build_replicated checks that it is associative, the module relations are
+compiled from it, the standard projective, injective and simple modules
+are spans of basis elements (proj_basis) on which it acts, and dual
+modules order their edges by its anti-isomorphism to_opposite_element.
+
 A module is a tuple of layers M_0..M_m, each a plain (dims, maps) record
 of a representation of the base quiver, together with connecting
 matrices g[k, p] from the component of M_k at target(p) to the component
@@ -61,19 +67,14 @@ _RELATION_MESSAGES = {
     "two-step": "two-step zero fails: {r}* after {q}*",
 }
 
-
-def _left_extension(quiver, pb, a, q):
-    """Path id of (a then q), or None when the composite does not exist."""
-    if quiver.arrow_target[a] != pb.source[q]:
-        return None
-    return pb.index.get((quiver.arrow_source[a], (a,) + pb.arrows_of[q]))
-
-
-def _right_extension(quiver, pb, q, a):
-    """Path id of (q then a), or None when the composite does not exist."""
-    if quiver.arrow_source[a] != pb.target[q]:
-        return None
-    return pb.index.get((pb.source[q], pb.arrows_of[q] + (a,)))
+# the kind of the relation of x then y, by (type of x, type of y, xy = 0)
+_RELATION_KINDS = {
+    (DUAL, PATH, False): "prefix",
+    (PATH, DUAL, False): "suffix",
+    (DUAL, PATH, True): "arrow-after-dual",
+    (PATH, DUAL, True): "dual-after-arrow",
+    (DUAL, DUAL, True): "two-step",
+}
 
 
 class ReplicatedAlgebra:
@@ -99,6 +100,10 @@ class ReplicatedAlgebra:
                       for s, t in zip(quiver.arrow_source, quiver.arrow_target)]
         self.edges += [(self.comp_index(k, pb.target[q]), self.comp_index(k - 1, pb.source[q]))
                        for k, q in self.conn_keys]
+        # the basis element acting along each edge, in the same order
+        arrow_ids = [pb.index[(s, (a,))] for a, s in enumerate(quiver.arrow_source)]
+        self.edge_elements = [(PATH, k, q) for k in range(m + 1) for q in arrow_ids]
+        self.edge_elements += [(DUAL, k, q) for k, q in self.conn_keys]
         self._proj = {}
         self._proj_basis = {}
         self._opposite_pos = {}
@@ -161,51 +166,34 @@ class ReplicatedAlgebra:
         return self._parallel
 
     def relations(self):
-        """Every bimodule relation a module must satisfy, compiled once:
-        for each layer k >= 1 and path q, the prefix and suffix relations
-        g[k, q] = M_a g[k, a.q] = g[k, q.a] M_a and the zero products of
-        q* with the arrows that do not extend it, then (k >= 2) the
+        """Every bimodule relation a module must satisfy, compiled once
+        from mult: for each composable pair of action edges, x acting
+        first and then y, not both arrows, M_y M_x is the matrix of the
+        edge of xy, or zero when xy = 0.  These are the prefix and suffix
+        relations g[k, q] = M_a g[k, a.q] = g[k, q.a] M_a, the zero
+        products of q* with the arrows that do not extend it, and the
         two-step zeros g[k-1, r] g[k, q] = 0."""
         if self._relations is None:
             self._relations = tuple(self._compile_relations())
         return self._relations
 
     def _compile_relations(self):
-        quiver, pb, comp = self.quiver, self.quiver.paths, self.comp_index
-        na = len(quiver.arrows)
-
-        def arrow(k, a):
-            return k * na + a
-
-        def dual(k, q):
-            return (self.m + 1) * na + (k - 1) * pb.n + q
-
-        for k in range(1, self.m + 1):
-            for q in range(pb.n):
-                arrs = pb.arrows_of[q]
-                row, col = comp(k - 1, pb.source[q]), comp(k, pb.target[q])
-                for a in range(na):
-                    left = _left_extension(quiver, pb, a, q)
-                    if left is not None:
-                        yield Relation("prefix", arrow(k - 1, a), dual(k, left), dual(k, q),
-                                       row, col, k, q, None)
-                    right = _right_extension(quiver, pb, q, a)
-                    if right is not None:
-                        yield Relation("suffix", dual(k, right), arrow(k, a), dual(k, q),
-                                       row, col, k, q, None)
-                    # zero products: q* . a = 0 unless a is the first arrow
-                    # of q, and a . q* = 0 unless a is the last arrow of q
-                    if quiver.arrow_source[a] == pb.source[q] and arrs[:1] != (a,):
-                        yield Relation("arrow-after-dual", arrow(k - 1, a), dual(k, q), None,
-                                       comp(k - 1, quiver.arrow_target[a]), col, k, q, None)
-                    if quiver.arrow_target[a] == pb.target[q] and arrs[-1:] != (a,):
-                        yield Relation("dual-after-arrow", dual(k, q), arrow(k, a), None,
-                                       row, comp(k, quiver.arrow_source[a]), k, q, None)
-                if k >= 2:
-                    for r in range(pb.n):
-                        if pb.target[r] == pb.source[q]:
-                            yield Relation("two-step", dual(k - 1, r), dual(k, q), None,
-                                           comp(k - 2, pb.source[r]), col, k, q, r)
+        index = {x: e for e, x in enumerate(self.edge_elements)}
+        by_source = {}
+        for e, (src, _) in enumerate(self.edges):
+            by_source.setdefault(src, []).append(e)
+        for ex, x in enumerate(self.edge_elements):
+            for ey in by_source.get(self.edges[ex][1], ()):
+                y = self.edge_elements[ey]
+                if x[0] == y[0] == PATH:
+                    continue
+                xy = self.mult(x, y)
+                # the relation is named by the dual element it ties down
+                named = xy if xy is not None else (x if x[0] == DUAL else y)
+                yield Relation(_RELATION_KINDS[x[0], y[0], xy is None], ey, ex,
+                               None if xy is None else index[xy],
+                               self.edges[ey][1], self.edges[ex][0], named[1], named[2],
+                               y[2] if x[0] == y[0] else None)
 
     def relation_message(self, rel):
         """The InputError message for a failed relation."""
@@ -252,17 +240,13 @@ class ReplicatedAlgebra:
     def dual_edges(self):
         """For each action edge of the opposite algebra, in its edges
         order, the index into self.edges of the edge whose matrix it takes
-        transposed in a dual module, computed once: arrow a at layer K
-        comes from arrow a at layer m-K, and the dual element of the
-        reversed path at level K from that of the path at level m-K+1."""
+        transposed in a dual module, computed once: the edge whose element
+        to_opposite_element maps to the opposite edge's element (arrow a
+        at layer K comes from arrow a at layer m-K, and the dual of the
+        reversed path at level K from that of the path at level m-K+1)."""
         if self._dual_edges is None:
-            pb, pb_op = self.quiver.paths, self.quiver.opposite().paths
-            na = len(self.quiver.arrows)
-            conn = {(self.m - k + 1, pb.reversed_id(pb_op, q)): (self.m + 1) * na + e
-                    for e, (k, q) in enumerate(self.conn_keys)}
-            self._dual_edges = tuple(
-                [(self.m - k) * na + a for k in range(self.m + 1) for a in range(na)]
-                + [conn[key] for key in self.opposite().conn_keys])
+            index = {self.to_opposite_element(x): e for e, x in enumerate(self.edge_elements)}
+            self._dual_edges = tuple(index[x] for x in self.opposite().edge_elements)
         return self._dual_edges
 
     def to_opposite_element(self, b):
@@ -279,12 +263,13 @@ class ReplicatedAlgebra:
     # -- distinguished modules ---------------------------------------------
 
     def proj(self, i, k):
-        """Indecomposable projective at vertex i, layer k.  For k >= 1 the
-        layer-k part is P_A(i), the layer-(k-1) part is I_A(i), and the
-        module is projective-injective with top S(i,k) and socle S(i,k-1)."""
+        """Indecomposable projective e_(i,k) A^(m) at vertex i, layer k,
+        spanned by proj_basis(i, k).  For k >= 1 the layer-k part is
+        P_A(i), the layer-(k-1) part is I_A(i), and the module is
+        projective-injective with top S(i,k) and socle S(i,k-1)."""
         key = (int(i), int(k))
         if key not in self._proj:
-            self._proj[key] = self._build_proj(*key)
+            self._proj[key] = self._spanned(self.proj_basis(*key))
         return self._proj[key]
 
     def proj_basis(self, i, k):
@@ -337,7 +322,9 @@ class ReplicatedAlgebra:
 
     def inj(self, i, k):
         """Indecomposable injective at vertex i, layer k: proj(i, k+1) for
-        k < m, and I_A(i) concentrated in layer m for k = m."""
+        k < m; for k = m, I_A(i) in layer m, spanned by the duals
+        (r*, m+1) of the paths r into i (the layer-m part of
+        e_(i,m+1) A^(m+1))."""
         i, k = int(i), int(k)
         if not (0 <= i < self.quiver.n_vertices and 0 <= k <= self.m):
             raise InputError(f"inj({i},{k}) out of range")
@@ -345,28 +332,29 @@ class ReplicatedAlgebra:
             return self.proj(i, k + 1)
         key = (i, k)
         if key not in self._inj:
-            self._inj[key] = self._concentrated(self.quiver.paths.standard_layer("I", i), k)
+            pb = self.quiver.paths
+            basis = [[] for _ in range(self.n_components)]
+            for r in pb.into_vertex[i]:
+                basis[self.comp_index(k, pb.source[r])].append((DUAL, k + 1, r))
+            self._inj[key] = self._spanned(basis)
         return self._inj[key]
 
-    def _build_proj(self, i, k):
-        pb = self.quiver.paths
-        basis = self.proj_basis(i, k)  # checks the range
-        if k == 0:
-            return self._concentrated(pb.standard_layer("P", i), 0)
-        layers = [self._zero_layer()] * (self.m + 1)
-        layers[k] = pb.standard_layer("P", i)
-        layers[k - 1] = pb.standard_layer("I", i)
-        conn = {}
-        for pid in range(pb.n):
-            upper = basis[self.comp_index(k, pb.target[pid])]
-            lower = basis[self.comp_index(k - 1, pb.source[pid])]
-            mat = ef.zeros(len(lower), len(upper))
-            for cq, (_, _, q) in enumerate(upper):
-                for cr, (_, _, r) in enumerate(lower):
-                    if pb.compose(r, q) == pid:  # p = r q picks up q . p* = r*
-                        mat[cr, cq] = 1
-            conn[(k, pid)] = mat
-        return LayeredModule(self, layers, conn=conn)
+    def _spanned(self, basis):
+        """The module with the given basis elements, one list per
+        component, on which each action edge acts by right multiplication
+        with its element (mult).  A product outside the lists counts as 0,
+        so the module is the span of the lists modulo the products that
+        leave it."""
+        pos = [{b: n for n, b in enumerate(elts)} for elts in basis]
+        mats = []
+        for (src, tgt), x in zip(self.edges, self.edge_elements):
+            mat = ef.zeros(len(basis[tgt]), len(basis[src]))
+            for col, b in enumerate(basis[src]):
+                row = pos[tgt].get(self.mult(b, x))
+                if row is not None:
+                    mat[row, col] = 1
+            mats.append(mat)
+        return LayeredModule._assemble(self, [len(elts) for elts in basis], mats)
 
     def projective_injectives(self):
         """All proj(i, k) with k >= 1, in (k, i) order."""
@@ -374,10 +362,13 @@ class ReplicatedAlgebra:
                 for i in range(self.quiver.n_vertices)]
 
     def simple(self, i, k):
-        quiver = self.quiver
-        if not (0 <= i < quiver.n_vertices and 0 <= k <= self.m):
+        """The simple top of proj(i, k), spanned by the trivial path at
+        (i, k): its products with the edges span the radical and drop."""
+        if not (0 <= i < self.quiver.n_vertices and 0 <= k <= self.m):
             raise InputError(f"simple({i},{k}) out of range")
-        return self._concentrated(quiver.paths.standard_layer("S", i), k)
+        basis = [[] for _ in range(self.n_components)]
+        basis[self.comp_index(k, i)].append((PATH, k, i))
+        return self._spanned(basis)
 
     def zero_module(self):
         return LayeredModule(self, [self._zero_layer()] * (self.m + 1), conn={})
@@ -478,6 +469,12 @@ class LayeredModule:
         if len(layers) != algebra.m + 1:
             raise InputError(f"expected {algebra.m + 1} layers, got {len(layers)}")
         checked = [_layer(quiver, p, dims, maps) for dims, maps in layers]
+        unknown = set(conn) - set(algebra.conn_keys)
+        if unknown:
+            names = sorted(f"k={k}, path {pb.name(q) if q in range(pb.n) else repr(q)}"
+                           for k, q in unknown)
+            raise InputError(f"connecting matrix outside the dual basis elements "
+                             f"(layers 1..{algebra.m}, paths of the quiver): {'; '.join(names)}")
         mats = [mat for layer in checked for mat in layer.maps]
         for k, pid in algebra.conn_keys:
             mat = conn.get((k, pid))
@@ -708,8 +705,11 @@ class LayeredModule:
                 layers.append((dims, maps))
             conn = {}
             for entry in data["connecting"]:
-                pid = quiver.paths.by_name(entry["path"])
-                conn[(entry["k"], pid)] = np.array(entry["matrix"], dtype=np.int64)
+                key = (entry["k"], quiver.paths.by_name(entry["path"]))
+                if key in conn:
+                    raise InputError(f"connecting entry k={entry['k']}, path {entry['path']} "
+                                     "appears twice")
+                conn[key] = np.array(entry["matrix"], dtype=np.int64)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad layered-module JSON: {exc}") from exc
         return cls(algebra, layers, conn=conn)

@@ -191,6 +191,135 @@ def reference_validate(self):
                                 f"two-step zero fails: {pb.name(r)}* after {pb.name(q)}*")
 
 
+# ---------------------------------------------------------------------------
+# the hand-coded encodings of the product of A^(m) that
+# ReplicatedAlgebra.mult replaced, kept verbatim as references: the relation
+# compiler, the edge order of dual modules, and the standard P, I and S
+# built from standard layers
+# ---------------------------------------------------------------------------
+
+
+def reference_compile_relations(self):
+    """ReplicatedAlgebra._compile_relations before it read mult: the four
+    relation families, written out per layer and path."""
+    quiver, pb, comp = self.quiver, self.quiver.paths, self.comp_index
+    na = len(quiver.arrows)
+
+    def arrow(k, a):
+        return k * na + a
+
+    def dual(k, q):
+        return (self.m + 1) * na + (k - 1) * pb.n + q
+
+    for k in range(1, self.m + 1):
+        for q in range(pb.n):
+            arrs = pb.arrows_of[q]
+            row, col = comp(k - 1, pb.source[q]), comp(k, pb.target[q])
+            for a in range(na):
+                left = _left_extension(quiver, pb, a, q)
+                if left is not None:
+                    yield rp.Relation("prefix", arrow(k - 1, a), dual(k, left), dual(k, q),
+                                      row, col, k, q, None)
+                right = _right_extension(quiver, pb, q, a)
+                if right is not None:
+                    yield rp.Relation("suffix", dual(k, right), arrow(k, a), dual(k, q),
+                                      row, col, k, q, None)
+                # zero products: q* . a = 0 unless a is the first arrow
+                # of q, and a . q* = 0 unless a is the last arrow of q
+                if quiver.arrow_source[a] == pb.source[q] and arrs[:1] != (a,):
+                    yield rp.Relation("arrow-after-dual", arrow(k - 1, a), dual(k, q), None,
+                                      comp(k - 1, quiver.arrow_target[a]), col, k, q, None)
+                if quiver.arrow_target[a] == pb.target[q] and arrs[-1:] != (a,):
+                    yield rp.Relation("dual-after-arrow", dual(k, q), arrow(k, a), None,
+                                      row, comp(k, quiver.arrow_source[a]), k, q, None)
+            if k >= 2:
+                for r in range(pb.n):
+                    if pb.target[r] == pb.source[q]:
+                        yield rp.Relation("two-step", dual(k - 1, r), dual(k, q), None,
+                                          comp(k - 2, pb.source[r]), col, k, q, r)
+
+
+def reference_dual_edges(self):
+    """ReplicatedAlgebra.dual_edges before it read to_opposite_element:
+    the edge indices written out by layer and level."""
+    pb, pb_op = self.quiver.paths, self.quiver.opposite().paths
+    na = len(self.quiver.arrows)
+    conn = {(self.m - k + 1, pb.reversed_id(pb_op, q)): (self.m + 1) * na + e
+            for e, (k, q) in enumerate(self.conn_keys)}
+    return tuple(
+        [(self.m - k) * na + a for k in range(self.m + 1) for a in range(na)]
+        + [conn[key] for key in self.opposite().conn_keys])
+
+
+def reference_standard_layer(self, kind, v):
+    """(dims, maps) of the simple S(v), projective P(v) or injective
+    I(v) for kind "S", "P" or "I", with 0/1 entries; self is a PathBasis.
+
+    P(v): the component at j has basis the paths v ~> j, and an arrow
+    acts by right extension of paths.  I(v): the component at j has
+    basis the dual paths j ~> v, and an arrow a: j -> j' sends q* to
+    (q')* when q = a.q'.  S(v): the trivial path at v alone.
+    """
+    quiver, nv = self.quiver, self.quiver.n_vertices
+    if kind == "P":
+        basis = [[q for q in self.from_vertex[v] if self.target[q] == j] for j in range(nv)]
+    elif kind == "I":
+        basis = [[q for q in self.into_vertex[v] if self.source[q] == j] for j in range(nv)]
+    else:
+        basis = [[v] if j == v else [] for j in range(nv)]
+    dims = [len(b) for b in basis]
+    pos = [{q: k for k, q in enumerate(b)} for b in basis]
+    maps = []
+    for a in range(len(quiver.arrows)):
+        s, t = quiver.arrow_source[a], quiver.arrow_target[a]
+        mat = ef.zeros(dims[t], dims[s])
+        for k, q in enumerate(basis[s]):
+            if kind == "I":  # strip a leading arrow from a dual path
+                arrs = self.arrows_of[q]
+                ext = self.index.get((t, arrs[1:])) if arrs and arrs[0] == a else None
+            else:
+                ext = self.index.get((self.source[q], self.arrows_of[q] + (a,)))
+            if ext is not None and ext in pos[t]:
+                mat[pos[t][ext], k] = 1
+        maps.append(mat)
+    return dims, maps
+
+
+def reference_proj(self, i, k):
+    """ReplicatedAlgebra._build_proj before proj read mult: standard
+    layers P_A(i) and I_A(i) and hand-built connecting matrices."""
+    pb = self.quiver.paths
+    basis = self.proj_basis(i, k)  # checks the range
+    if k == 0:
+        return self._concentrated(reference_standard_layer(pb, "P", i), 0)
+    layers = [self._zero_layer()] * (self.m + 1)
+    layers[k] = reference_standard_layer(pb, "P", i)
+    layers[k - 1] = reference_standard_layer(pb, "I", i)
+    conn = {}
+    for pid in range(pb.n):
+        upper = basis[self.comp_index(k, pb.target[pid])]
+        lower = basis[self.comp_index(k - 1, pb.source[pid])]
+        mat = ef.zeros(len(lower), len(upper))
+        for cq, (_, _, q) in enumerate(upper):
+            for cr, (_, _, r) in enumerate(lower):
+                if pb.compose(r, q) == pid:  # p = r q picks up q . p* = r*
+                    mat[cr, cq] = 1
+        conn[(k, pid)] = mat
+    return LayeredModule(self, layers, conn=conn)
+
+
+def reference_inj(self, i, k):
+    """ReplicatedAlgebra.inj before it read mult."""
+    if k < self.m:
+        return reference_proj(self, i, k + 1)
+    return self._concentrated(reference_standard_layer(self.quiver.paths, "I", i), k)
+
+
+def reference_simple(self, i, k):
+    """ReplicatedAlgebra.simple before it read mult."""
+    return self._concentrated(reference_standard_layer(self.quiver.paths, "S", i), k)
+
+
 def reference_hom_complex(m, n):
     """replicated.hom_complex as it was before its index-scatter build:
     every block is an np.kron with a fresh identity."""

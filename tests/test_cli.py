@@ -405,6 +405,31 @@ def test_gencog_file_with_a_wrong_shaped_connecting_matrix(tmp_path):
     assert "(1, 3)" in err and "(1, 1)" in err and "Traceback" not in err
 
 
+def test_gldim_end_gencog_file_with_a_stray_connecting_entry(tmp_path):
+    # a connecting entry at a level with no dual elements (k = 2 for m = 1)
+    # used to be dropped without a word
+    from replalg import exactfield as ef
+    from replalg import quiverrep as qr
+    from replalg import replicated as rp
+
+    alg = rp.build_replicated(qr.Quiver.load(quiver("a2.q")), 1, ef.DEFAULT_PRIME)
+    mod = alg.proj(0, 1).to_json()
+    mod["connecting"].append({"k": 2, "path": "e_1", "matrix": [[1]]})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"fingerprint": alg.fingerprint(), "summands": [mod]}))
+    code, out, err = run_cli("gldim-end", "--quiver", quiver("a2.q"), "--m", "1",
+                             "--gencog", str(path))
+    assert code == 2 and out == ""
+    assert "k=2, path e_1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite, extra", [("lem47", ("--d", "5")), ("lem48", ())])
+def test_lemmas_47_and_48_over_a_dynkin_base_are_contract_errors(suite, extra):
+    code, out, err = run_cli("verify", suite, "--quiver", quiver("d4.q"), "--m", "1", *extra)
+    assert code == 2 and out == ""
+    assert "representation-infinite" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "lem47", "--quiver", quiver("kron.q"), "--d", "5", "--window", "0", "--json"),
     ("verify", "lem47", "--quiver", quiver("kron.q"), "--d", "5", "--window", "-1"),

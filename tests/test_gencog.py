@@ -431,6 +431,22 @@ def test_lem47_rejects_rep_finite_base():
         gc.construct_lem47(alg, 5, MDimEngine.windowed(alg))
 
 
+@pytest.mark.parametrize("path", [QUIVERS / "d4.q", QUIVERS.parent / "bench" / "quivers" / "e6.q"],
+                         ids=lambda path: path.name)
+def test_lemmas_47_and_48_reject_a_dynkin_base_at_once(path, monkeypatch):
+    # both lemmas need a representation-infinite A; on D_4, lem47 used to
+    # report a counterexample, and on E_6 lem48 searched for minutes
+    def no_search(*args):
+        raise AssertionError("searched for a brick over a Dynkin base")
+
+    monkeypatch.setattr(gc, "_find_self_extending_brick", no_search)
+    alg = rp.build_replicated(qr.Quiver.load(path), 1, P)
+    with pytest.raises(ContractError, match="lem47 needs a representation-infinite"):
+        gc.construct_lem47(alg, 5, MDimEngine.windowed(alg))
+    with pytest.raises(ContractError, match="lem48 needs a representation-infinite"):
+        gc.construct_lem48(alg, MDimEngine.windowed(alg))
+
+
 def test_base_census_kronecker_counts():
     # per-vertex bound 3 over F_3: 3 preprojectives, 3 preinjectives,
     # 4 + 7 + 12 regulars of dims (1,1), (2,2), (3,3)

@@ -6,8 +6,9 @@ import pytest
 
 from pathlib import Path
 
-from oracles import (LinearScanRegistry, reference_hom_complex, reference_rad_end_basis,
-                     reference_validate)
+from oracles import (LinearScanRegistry, reference_compile_relations, reference_dual_edges,
+                     reference_hom_complex, reference_inj, reference_proj,
+                     reference_rad_end_basis, reference_simple, reference_validate)
 from replalg import artrans as ar
 from replalg import cli
 from replalg import exactfield as ef
@@ -19,6 +20,8 @@ from replalg.errors import AnomalyError, InputError
 
 P = 32003
 QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
+QUIVER_FILES = sorted(QUIVERS.glob("*.q")) + sorted(
+    (QUIVERS.parent / "bench" / "quivers").glob("*.q"))
 
 
 def a2():
@@ -294,6 +297,30 @@ def test_json_roundtrip_bit_exact():
     for key in m.conn:
         assert np.array_equal(back.conn[key], m.conn[key])
     assert back.to_json() == data
+
+
+def test_json_rejects_connecting_entries_outside_the_dual_basis():
+    # A_2, m = 1: the dual elements sit at level 1 only, so entries at
+    # k = 2 or k = 0 name no basis element and used to be dropped unread
+    alg = alg_a2(1)
+    data = alg.proj(0, 1).to_json()
+    for k in (2, 0):
+        bad = dict(data, connecting=data["connecting"] + [
+            {"k": k, "path": "e_1", "matrix": [[1]]}])
+        with pytest.raises(InputError, match=f"k={k}, path e_1"):
+            rp.LayeredModule.from_json(alg, bad)
+    with pytest.raises(InputError, match="k=1, path 7"):
+        rp.LayeredModule(alg, [([1, 0], None), ([0, 0], None)], conn={(1, 7): [[1]]})
+
+
+def test_json_rejects_a_repeated_connecting_entry():
+    # the second entry for (k, path) used to overwrite the first
+    alg = alg_a2(1)
+    data = alg.proj(0, 1).to_json()
+    first = data["connecting"][0]
+    bad = dict(data, connecting=data["connecting"] + [dict(first, matrix=[[0]])])
+    with pytest.raises(InputError, match=f"k=1, path {first['path']} appears twice"):
+        rp.LayeredModule.from_json(alg, bad)
 
 
 def test_direct_sum_and_decompose_layered():
@@ -753,3 +780,57 @@ def test_iso_registry_keys_only_modules_that_share_dims(monkeypatch):
     assert len(reg) == 44 and 0 < len(keyed) < len(fresh)
     assert {id(x) for x in keyed} == {id(x) for x in fresh
                                       if shared[tuple(x.component_dims())] > 1}
+
+
+# ---------------------------------------------------------------------------
+# mult is the one encoding of the product: the relations, the standard
+# modules and the dual edge order are read off it, and agree with the
+# hand-coded references in oracles.py
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", QUIVER_FILES, ids=lambda path: path.name)
+def test_relations_match_reference_compiler(path):
+    quiver = qr.Quiver.load(path)
+    for m in range(5):
+        alg = rp.ReplicatedAlgebra(quiver, m, P)
+        for a in (alg, alg.opposite()):
+            assert sorted(a.relations()) == sorted(reference_compile_relations(a)), m
+
+
+def _same_matrices(got, want):
+    assert got.component_dims() == want.component_dims()
+    for x, y in zip(got.edge_matrices(), want.edge_matrices(), strict=True):
+        assert x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("p", [2, 3, P])
+def test_standard_modules_match_reference_builder(p):
+    for path in QUIVER_FILES:
+        quiver = qr.Quiver.load(path)
+        for m in range(5):
+            alg = rp.ReplicatedAlgebra(quiver, m, p)
+            for a in (alg, alg.opposite()):
+                assert a.dual_edges() == reference_dual_edges(a)
+                for i, k in itertools.product(range(quiver.n_vertices), range(m + 1)):
+                    _same_matrices(a.proj(i, k), reference_proj(a, i, k))
+                    _same_matrices(a.inj(i, k), reference_inj(a, i, k))
+                    _same_matrices(a.simple(i, k), reference_simple(a, i, k))
+
+
+def test_relations_and_standard_modules_call_mult(monkeypatch):
+    alg = rp.ReplicatedAlgebra(a3(), 2, P)  # not memoized, so nothing is compiled yet
+    mult, calls = rp.ReplicatedAlgebra.mult, []
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return mult(self, x, y)
+
+    monkeypatch.setattr(rp.ReplicatedAlgebra, "mult", counted)
+    counts = []
+    for build in (alg.relations, lambda: alg.proj(1, 1), lambda: alg.inj(1, 2),
+                  lambda: alg.simple(1, 0)):
+        before = len(calls)
+        build()
+        counts.append(len(calls) - before)
+    assert all(counts), counts
