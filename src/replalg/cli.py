@@ -68,7 +68,6 @@ def build_parser():
     ve.add_argument("suite", choices=list(vf.SUITES))
     ve.add_argument("--samples", type=int, default=None)
     ve.add_argument("--d", type=int, default=None)
-    ve.add_argument("--mode", choices=["exact", "windowed"], default=None)
     return parser
 
 
@@ -102,15 +101,12 @@ def _catalog_cached(algebra, args):
 
 
 def _engine(algebra, args):
-    """M-dimension engine over the catalog, or a windowed one when the base
-    quiver is not Dynkin (then A^(m) is representation-infinite, Gabriel)
-    or the catalog exceeds --budget."""
+    """M-dimension engine over the catalog when the base quiver is Dynkin,
+    else a windowed one (then A^(m) is representation-infinite, Gabriel);
+    a catalog that exceeds --budget is a budget signal."""
     if not qr.is_dynkin(algebra.quiver):
         return gc.MDimEngine.windowed(algebra)
-    try:
-        return gc.MDimEngine.for_catalog(_catalog_cached(algebra, args))
-    except BudgetExceeded:
-        return gc.MDimEngine.windowed(algebra)
+    return gc.MDimEngine.for_catalog(_catalog_cached(algebra, args))
 
 
 def _write_output(path, what, text):
@@ -370,19 +366,16 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     quiver = _load_quiver(args.quiver)
+    accepted = vf.parameters(args.suite)
     params = {"m": args.m, "p": args.prime}
-    if args.suite in vf.SEEDED_SUITES:
+    if "seed" in accepted:
         params["seed"] = args.seed
+    if "bound" in accepted:
+        params["bound"] = args.window
     if args.samples is not None:
         params["samples"] = args.samples
     if args.d is not None:
         params["d"] = args.d
-    if args.mode is not None:
-        params["mode"] = args.mode
-    if args.suite in ("prop41", "cor42") and args.mode == "windowed":
-        params["bound"] = args.window
-    if args.suite == "lem47":
-        params["bound"] = args.window
     report = vf.verify(args.suite, quiver, **params)
     wall = report.pop("wall_ms", None)
     base = _base_report(f"verify {args.suite}", quiver, args)

@@ -7,8 +7,9 @@ with chosen coset representatives assembled into the approximating map.
 Approximations are additive, so only kernels of single indecomposables are
 ever computed, and one walk gives every M-dimension: the level sets of
 non-add-M summand ids, each the union of Omega_M of the one before, until
-a level is empty.  A repeated level certifies an infinite M-dimension;
-leaving the window (unbounded growth) yields an indeterminate verdict
+a level is empty.  A repeated level certifies an infinite M-dimension.
+A walk over a complete catalog empties or repeats, so it needs no cap; a
+windowed one that leaves the window yields an indeterminate verdict
 (None), never a guess.  gl.dim End(M) is read off the M-dimensions alone;
 the independent oracle in `endalg` only cross-checks it."""
 
@@ -149,8 +150,8 @@ def verify_approximation(summands, x, result, hom_fn=rp.hom_layered):
 class MDimEngine:
     """Shared approximation/omega caches over a registry of canonical
     modules, which also caches their Hom spaces (the catalog's own registry
-    in exact mode, a growing store in windowed mode).  A kernel larger than
-    MDIM_DIM_CAP, read at call time, leaves the window."""
+    in exact mode, a growing store in windowed mode).  In windowed mode a
+    kernel larger than MDIM_DIM_CAP, read at call time, leaves the window."""
 
     def __init__(self, algebra, registry, catalog=None):
         self.algebra = algebra
@@ -214,7 +215,8 @@ class MDimEngine:
             if not result.surjective:
                 raise AnomalyError("approximation by a generator failed to be surjective")
             kernel = result.kernel
-            self._omega[key] = None if kernel.total_dim > MDIM_DIM_CAP else self.state(kernel)
+            leaves = self.catalog is None and kernel.total_dim > MDIM_DIM_CAP
+            self._omega[key] = None if leaves else self.state(kernel)
         return self._omega[key]
 
     def omega_step(self, state, summand_ids):
@@ -234,11 +236,11 @@ class MDimEngine:
         L_i, one omega_step.  value is the number of steps to an empty level,
         the largest M-dimension over start_ids; math.inf when a level
         repeats, with cycle = (first visit, revisit), else None; None when a
-        member leaves the window or the walk reaches MDIM_MAX_STEPS."""
+        member leaves the window or a windowed walk reaches MDIM_MAX_STEPS."""
         level = frozenset(start_ids) - summand_ids
         seen = {}
         while level and level not in seen:
-            if len(seen) == MDIM_MAX_STEPS:
+            if self.catalog is None and len(seen) == MDIM_MAX_STEPS:
                 return None, None
             seen[level] = len(seen)
             nxt = self.omega_step(tuple(sorted(level)), summand_ids)
@@ -296,8 +298,7 @@ def gldim_end(gencog):
         raise ContractError("exact mode requires a complete catalog; use gldim_end_windowed")
     worst, _ = engine.mdim(range(len(engine.catalog)), gencog.summands)
     if worst is None:
-        raise AnomalyError("indeterminate M-dimension in exact mode: "
-                           "window exit or step cap")
+        raise AnomalyError("indeterminate M-dimension in exact mode")
     if worst == 0 and engine.algebra.m == 0 and not engine.algebra.quiver.arrows:
         return GldimEndResult(value=0)
     return GldimEndResult(value=worst + 2)

@@ -693,8 +693,12 @@ class LayeredModule:
         try:
             if data["m"] != algebra.m or data["p"] != algebra.p:
                 raise InputError("module JSON does not match the algebra (m or p differ)")
-            layers = []
-            for entry in data["layers"]:
+            layers, arrows = [], {name for name, _, _ in quiver.arrows}
+            for k, entry in enumerate(data["layers"]):
+                unknown = ([f"vertex {v!r}" for v in entry["dims"] if v not in quiver.vindex]
+                           + [f"arrow {a!r}" for a in entry["maps"] if a not in arrows])
+                if unknown:
+                    raise InputError(f"layer {k} names no {', no '.join(unknown)} of the quiver")
                 dims = [entry["dims"][v] for v in quiver.vertices]
                 maps = []
                 for name, s, t in quiver.arrows:
@@ -797,9 +801,6 @@ class LayeredMorphism:
 
     def cokernel(self):
         return self.target.quotient(list(self.blocks))
-
-    def rank(self):
-        return sum(ef.rank(b, self.p) for b in self.blocks)
 
     def is_surjective(self):
         return all(ef.rank(b, self.p) == b.shape[0] for b in self.blocks)

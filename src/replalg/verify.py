@@ -23,9 +23,6 @@ from .gencog import GenCog, MDimEngine, WitnessNotFound
 
 SUITES = ("thm1", "thm32_all_d", "prop41", "lem22", "lem23_2", "lem31_random",
           "lem45", "cor42", "lem47", "lem48")
-# the suites that sample (random generator-cogenerators, or the window
-# census's random extension classes); only these take a seed
-SEEDED_SUITES = ("thm1", "prop41", "lem22", "lem31_random", "lem45", "cor42", "lem47")
 
 _CONTEXTS = {}
 
@@ -125,13 +122,13 @@ def suite_thm32_all_d(quiver, m=1, p=ef.DEFAULT_PRIME):
                                    "max_orbit": cap}, checks, bad, t0)
 
 
-def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
-                 mode="exact", bound=3):
-    """gl.dim End(E_i) = i + 2 for i = 1..t-1; exact over a catalog,
-    lower-bound-plus-window over a representation-infinite base."""
+def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, bound=3):
+    """gl.dim End(E_i) = i + 2 for i = 1..t-1; exact over a catalog when the
+    base quiver is Dynkin (Gabriel), lower-bound-plus-window otherwise."""
     t0 = time.monotonic()
     algebra = rp.build_replicated(quiver, m, p)
     t = rp.global_dimension(algebra)
+    mode = "exact" if qr.is_dynkin(quiver) else "windowed"
     checks, bad = [], []
     if mode == "exact":
         _, catalog, engine = catalog_context(quiver, m, p)
@@ -301,12 +298,13 @@ def suite_lem45(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=1
                              "samples": samples}, checks, bad, t0)
 
 
-def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
-                mode="exact", bound=3):
+def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, bound=3):
     """Representation dimension is at most 3: gl.dim End(E_1) <= 3;
-    on representation-finite instances the additive generator gives <= 2."""
+    on representation-finite instances (a Dynkin base quiver) the additive
+    generator gives <= 2."""
     t0 = time.monotonic()
     algebra = rp.build_replicated(quiver, m, p)
+    mode = "exact" if qr.is_dynkin(quiver) else "windowed"
     checks, bad = [], []
     if mode == "exact":
         _, catalog, engine = catalog_context(quiver, m, p)
@@ -424,12 +422,18 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME):
                    checks, bad, t0)
 
 
+def parameters(suite):
+    """The parameters that suite_<suite> takes after the quiver; an unknown
+    suite name raises InputError."""
+    if suite not in SUITES:
+        raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    return list(inspect.signature(globals()[f"suite_{suite}"]).parameters)[1:]
+
+
 def verify(suite, quiver, **params):
     """Dispatch a named suite (function suite_<name>); unknown names, a
     parameter the suite does not take, a negative seed, a sample count
     below 1 and a window bound below 1 raise InputError."""
-    if suite not in SUITES:
-        raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     # checked before any work, though the window census checks them again
     if params.get("seed", 0) < 0:
         raise InputError(f"seed must be >= 0, got {params['seed']}")
@@ -437,10 +441,9 @@ def verify(suite, quiver, **params):
         raise InputError(f"window bound must be >= 1, got {params['bound']}")
     if params.get("samples", 1) < 1:
         raise InputError(f"samples must be >= 1, got {params['samples']}")
-    fn = globals()[f"suite_{suite}"]
-    accepted = list(inspect.signature(fn).parameters)[1:]  # after the quiver
+    accepted = parameters(suite)
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise InputError(f"suite {suite} does not take {', '.join(unknown)}; "
                          f"it takes {', '.join(accepted)}")
-    return fn(quiver, **params)
+    return globals()[f"suite_{suite}"](quiver, **params)

@@ -180,7 +180,7 @@ def test_criterion_5_prop41():
                     bad.append((name, i, "oracle", oracle))
             except OracleUnavailable:
                 pass
-    report = vf.suite_prop41(kronecker(), m=1, p=3, mode="windowed", bound=3)
+    report = vf.suite_prop41(kronecker(), m=1, p=3, bound=3)
     if report["verdict"] != "pass":
         bad.append(("kronecker windowed", report["counterexamples"]))
     elapsed = time.monotonic() - t0
@@ -257,10 +257,10 @@ def test_criterion_10_cor42():
     t0 = time.monotonic()
     bad = []
     for name, quiver in (("a2", a2()), ("a3", a3())):
-        report = vf.suite_cor42(quiver, m=1, p=P, mode="exact")
+        report = vf.suite_cor42(quiver, m=1, p=P)
         if report["verdict"] != "pass":
             bad.append((name, report["counterexamples"]))
-    report = vf.suite_cor42(kronecker(), m=1, p=3, mode="windowed", bound=3)
+    report = vf.suite_cor42(kronecker(), m=1, p=3, bound=3)
     if report["verdict"] != "pass":
         bad.append(("kronecker windowed", report["counterexamples"]))
     elapsed = time.monotonic() - t0

@@ -264,10 +264,9 @@ def test_gldim_end_gencog_file_with_a_direct_sum(tmp_path):
 
 
 def test_gldim_end_summands_rejected_in_windowed_mode():
-    # catalog ids need a catalog: when the catalog exceeds --budget the
-    # windowed fallback refuses them instead of dropping them
-    argv = ("gldim-end", "--quiver", quiver("a2.q"), "--m", "1", "--budget", "3",
-            "--window", "1", "--json")
+    # catalog ids need a catalog: over a base quiver that is not Dynkin the
+    # windowed mode refuses them instead of dropping them
+    argv = ("gldim-end", "--quiver", quiver("kron.q"), "--m", "1", "--window", "1", "--json")
     code, out, _ = run_cli(*argv)
     assert code == 0 and json.loads(out)["results"]["mode"] == "windowed"
     code, out, err = run_cli(*argv, "--summands", "0,1,2")
@@ -423,6 +422,43 @@ def test_gldim_end_gencog_file_with_a_stray_connecting_entry(tmp_path):
     assert "k=2, path e_1" in err and "Traceback" not in err
 
 
+def test_gldim_end_gencog_file_with_an_unknown_arrow_or_vertex(tmp_path):
+    # a "maps" entry for an arrow the quiver lacks, or a "dims" entry for
+    # an unknown vertex, used to be dropped without a word
+    from replalg import exactfield as ef
+    from replalg import quiverrep as qr
+    from replalg import replicated as rp
+
+    alg = rp.build_replicated(qr.Quiver.load(quiver("a2.q")), 1, ef.DEFAULT_PRIME)
+    mod = alg.proj(0, 1).to_json()
+    mod["layers"][0]["maps"]["zz"] = [[5]]
+    mod["layers"][0]["dims"]["9"] = 4
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"fingerprint": alg.fingerprint(), "summands": [mod]}))
+    code, out, err = run_cli("gldim-end", "--quiver", quiver("a2.q"), "--m", "1",
+                             "--gencog", str(path))
+    assert code == 2 and out == ""
+    assert "vertex '9'" in err and "arrow 'zz'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["prop41", "cor42"])
+@pytest.mark.parametrize("path, mode", [("kron.q", "windowed"), ("a2.q", "exact")])
+def test_gabriels_test_picks_the_mode_of_prop41_and_cor42(suite, path, mode):
+    code, out, err = run_cli("verify", suite, "--quiver", quiver(path), "--m", "1",
+                             "--prime", "3", "--window", "2", "--json")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["verdict"] == "pass" and results["params"]["mode"] == mode
+
+
+def test_dynkin_catalog_over_budget_is_a_budget_signal():
+    # no fallback to windowed mode: exit 3, as for indecs
+    code, out, err = run_cli("gldim-end", "--quiver", quiver("a3.q"), "--m", "2",
+                             "--budget", "3")
+    assert code == 3 and out == ""
+    assert "budget" in err
+
+
 @pytest.mark.parametrize("suite, extra", [("lem47", ("--d", "5")), ("lem48", ())])
 def test_lemmas_47_and_48_over_a_dynkin_base_are_contract_errors(suite, extra):
     code, out, err = run_cli("verify", suite, "--quiver", quiver("d4.q"), "--m", "1", *extra)
@@ -433,16 +469,18 @@ def test_lemmas_47_and_48_over_a_dynkin_base_are_contract_errors(suite, extra):
 @pytest.mark.parametrize("argv", [
     ("verify", "lem47", "--quiver", quiver("kron.q"), "--d", "5", "--window", "0", "--json"),
     ("verify", "lem47", "--quiver", quiver("kron.q"), "--d", "5", "--window", "-1"),
-    ("gldim-end", "--quiver", quiver("a2.q"), "--budget", "3", "--window", "0", "--json"),
+    ("gldim-end", "--quiver", quiver("kron.q"), "--window", "0", "--json"),
     ("verify", "thm1", "--quiver", quiver("a2.q"), "--m", "1", "--seed", "-1"),
     ("verify", "lem47", "--quiver", quiver("kron.q"), "--d", "5", "--window", "2",
      "--seed", "-1"),
-    ("gldim-end", "--quiver", quiver("a2.q"), "--budget", "3", "--window", "1",
-     "--seed", "-1"),
+    ("gldim-end", "--quiver", quiver("kron.q"), "--window", "1", "--seed", "-1"),
+    ("verify", "prop41", "--quiver", quiver("a2.q"), "--m", "1", "--window", "0"),
+    ("verify", "cor42", "--quiver", quiver("a2.q"), "--m", "1", "--window", "0"),
 ])
 def test_empty_window_and_negative_seed_are_input_errors(argv):
     # an empty window would pass every windowed check vacuously, and numpy
-    # refuses a negative seed with a traceback
+    # refuses a negative seed with a traceback; --window reaches every suite
+    # that takes a bound, so prop41 and cor42 refuse 0 in exact mode too
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
@@ -453,8 +491,8 @@ def test_empty_window_and_negative_seed_are_input_errors(argv):
      "suite lem22 does not take samples"),
     (("verify", "thm32_all_d", "--quiver", quiver("a2.q"), "--d", "4"),
      "suite thm32_all_d does not take d"),
-    (("verify", "thm1", "--quiver", quiver("a2.q"), "--mode", "windowed"),
-     "suite thm1 does not take mode"),
+    (("verify", "thm1", "--quiver", quiver("a2.q"), "--d", "4"),
+     "suite thm1 does not take d"),
     (("verify", "lem31_random", "--quiver", quiver("a2.q"), "--samples", "-1"),
      "samples must be >= 1"),
     (("verify", "lem45", "--quiver", quiver("a2.q"), "--samples", "-2"),

@@ -382,6 +382,26 @@ def test_pi_part_of_approximation_is_projective_cover(a2_ctx):
     assert checked >= 4
 
 
+def test_exact_walk_is_not_capped(monkeypatch):
+    # over a complete catalog each level is a set of catalog ids, so the
+    # walk empties or repeats; the window's step cap must not make a walk
+    # longer than it indeterminate (A_2^(3), d = 8: the largest M-dimension is 6)
+    monkeypatch.setattr(gc, "MDIM_MAX_STEPS", 3)
+    _, cat, engine = vf.catalog_context(a2(), 3, P)
+    gencog, _ = gc.construct_thm32(cat, 8, engine=engine)
+    assert gc.gldim_end(gencog).value == 8
+
+
+def test_windowed_walk_stops_at_the_step_cap(monkeypatch):
+    # Kronecker, p = 3, Lemma 4.7 with d = 5: M-dim N = 3 takes three steps
+    alg = rp.build_replicated(kronecker(), 1, 3)
+    gencog, n, _ = gc.construct_lem47(alg, 5, MDimEngine.windowed(alg))
+    assert gc.m_dimension(gencog, n) == (3, None)
+    monkeypatch.setattr(gc, "MDIM_MAX_STEPS", 2)
+    gencog, n, _ = gc.construct_lem47(alg, 5, MDimEngine.windowed(alg))
+    assert gc.m_dimension(gencog, n) == (None, None)
+
+
 def test_mdim_indeterminate_on_window_exit(monkeypatch):
     # a dimension cap below the kernel size must produce an indeterminate
     # verdict, never a guess

@@ -313,6 +313,16 @@ def test_json_rejects_connecting_entries_outside_the_dual_basis():
         rp.LayeredModule(alg, [([1, 0], None), ([0, 0], None)], conn={(1, 7): [[1]]})
 
 
+def test_json_rejects_an_unknown_arrow_or_vertex():
+    # both entries used to be dropped, loading a module equal to the original
+    alg = alg_a2(1)
+    data = alg.proj(0, 1).to_json()
+    data["layers"][0]["maps"]["zz"] = [[5]]
+    data["layers"][0]["dims"]["9"] = 4
+    with pytest.raises(InputError, match="layer 0 names no vertex '9', no arrow 'zz'"):
+        rp.LayeredModule.from_json(alg, data)
+
+
 def test_json_rejects_a_repeated_connecting_entry():
     # the second entry for (k, path) used to overwrite the first
     alg = alg_a2(1)

@@ -127,7 +127,6 @@ def test_only_sampling_routines_take_a_seed():
     suites = ("thm1", "prop41", "lem22", "lem31_random", "lem45", "cor42", "lem47")
     assert taking == {"verify.random_gencogs", "windows.base_indecomposables",
                       "windows.census_modules"} | {f"verify.suite_{s}" for s in suites}
-    assert set(vf.SEEDED_SUITES) == set(suites)
 
 
 def test_lem48_on_a_three_vertex_euclidean_base():
@@ -156,3 +155,10 @@ def test_verify_rejects_a_parameter_the_suite_does_not_take(suite, params):
     name = next(iter(params))
     with pytest.raises(InputError, match=f"suite {suite} does not take {name}; it takes m, p"):
         vf.verify(suite, a2(), m=1, p=P, **params)
+
+
+def test_parameters_read_the_suite_signature():
+    assert vf.parameters("prop41") == ["m", "p", "seed", "bound"]
+    assert vf.parameters("lem48") == ["m", "p"]
+    with pytest.raises(InputError, match="unknown suite 'nope'"):
+        vf.parameters("nope")
