@@ -244,10 +244,11 @@ class IndecCatalog:
         if data.get("fingerprint") != algebra.fingerprint():
             raise InputError("catalog fingerprint does not match the algebra")
 
-        def ids(entries, length):
-            out = [None if t is None else int(t) for t in entries]
+        def ids(name, length):
+            out = [None if t is None else int(t) for t in data[name]]
             if len(out) != length:
-                raise InputError(f"catalog of {n} modules has a table of length {len(out)}")
+                raise InputError(f"catalog table {name!r} has {len(out)} entries, "
+                                 f"expected {length}")
             if any(t is not None and not 0 <= t < n for t in out):
                 raise InputError(f"catalog id out of range 0..{n - 1}")
             return out
@@ -256,9 +257,9 @@ class IndecCatalog:
             registry = rp.IsoRegistry(LayeredModule.from_json(algebra, d)
                                       for d in data["modules"])
             n = len(registry)
-            cat = cls(algebra, registry, ids(data["tau"], n), ids(data["tau_inv"], n),
-                      set(ids(data["projective"], algebra.n_components)),
-                      set(ids(data["injective"], algebra.n_components)))
+            cat = cls(algebra, registry, ids("tau", n), ids("tau_inv", n),
+                      set(ids("projective", algebra.n_components)),
+                      set(ids("injective", algebra.n_components)))
             _check_translation_tables(cat)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad catalog JSON: {exc}") from exc

@@ -14,6 +14,15 @@ and quotient projections.  It eliminates on lists of Python ints, like
 submodules, action edges), and on those per-entry numpy indexing costs
 far more than list arithmetic.  On large inputs (Kronecker windows at
 d >= 7) a vectorized update per pivot would be faster (ROADMAP item 3).
+
+Kernel memo: `rank`, `null_space` and `quotient_projection` look their
+result up in a bounded LRU cache of MEMO_SIZE = 256 entries each, keyed by
+the shape and bytes of the int64 input reduced mod p, p (and n).  Catalogs
+build many modules with identical small 0/1 blocks, so the same few
+matrices recur from different call sites.  Only inputs of at most
+MEMO_ENTRIES = 256 entries use the memo, so the large Hom complexes of
+window runs bypass it.  The arrays these functions return are read-only,
+cached or not, so a caller that writes into a shared result raises.
 """
 
 import functools
@@ -26,6 +35,8 @@ from .errors import InputError
 DEFAULT_PRIME = 32003
 DEFAULT_SEED = 0
 PRIME_BOUND = 1 << 20
+MEMO_ENTRIES = 256   # inputs with at most this many entries use the kernel memo
+MEMO_SIZE = 256      # results kept per kernel memo
 
 
 def is_prime(n):
@@ -126,8 +137,13 @@ def rref(a, p):
 def rank(a, p):
     if a.size == 0:
         return 0
-    _, pivots = rref(a, p)
-    return len(pivots)
+    if a.size <= MEMO_ENTRIES:
+        return _rank_memo(*_content_key(a, p))
+    return _rank(a, p)
+
+
+def _rank(a, p):
+    return len(rref(a, p)[1])
 
 
 def kernel_basis(a, p):
@@ -140,7 +156,17 @@ def null_space(a, p):
     column per free (non-pivot) column of rref(a), and the list of those
     free columns; basis is the identity at the free rows, so a kernel
     vector has its entries there as coordinates.  Every column of a matrix
-    without entries is free."""
+    without entries is free.  basis is read-only and free a fresh list
+    (kernel memo, module docstring)."""
+    if a.size <= MEMO_ENTRIES:
+        basis, free = _null_space_memo(*_content_key(a, p))
+    else:
+        basis, free = _null_space(a, p)
+        _read_only(basis)
+    return basis, list(free)
+
+
+def _null_space(a, p):
     if not a.size:
         return eye(a.shape[1]), list(range(a.shape[1]))
     r, pivots = rref(a, p)
@@ -222,14 +248,63 @@ def quotient_projection(span, n, p):
 
     span: matrix whose columns span the subspace U (may be redundant).
     Returns (proj, section): proj is q x n with kernel exactly U, section
-    is n x q with proj @ section = I, where q = n - dim U.
+    is n x q with proj @ section = I, where q = n - dim U.  Both are
+    read-only (kernel memo, module docstring).
     """
+    if span.size <= MEMO_ENTRIES:
+        return _quotient_projection_memo(*_content_key(span, p), n)
+    proj, section = _quotient_projection(span, n, p)
+    _read_only(proj, section)
+    return proj, section
+
+
+def _quotient_projection(span, n, p):
     if n == 0:
         return zeros(0, 0), zeros(0, 0)
     if span.size == 0:
         return eye(n), eye(n)
-    basis, free = null_space(span.T, p)
+    basis, free = _null_space(span.T, p)
     return basis.T, eye(n)[:, free]
+
+
+# ---------------------------------------------------------------------------
+# the kernel memo of rank, null_space and quotient_projection
+# ---------------------------------------------------------------------------
+
+
+def _content_key(a, p):
+    """(shape, bytes, p) of the int64 matrix a reduced mod p: the memo key,
+    from which _from_key rebuilds that reduced matrix."""
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    return a.shape, a.tobytes(), p
+
+
+def _from_key(shape, data):
+    return np.frombuffer(data, dtype=np.int64).reshape(shape)
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _rank_memo(shape, data, p):
+    return _rank(_from_key(shape, data), p)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _null_space_memo(shape, data, p):
+    basis, free = _null_space(_from_key(shape, data), p)
+    _read_only(basis)
+    return basis, tuple(free)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _quotient_projection_memo(shape, data, p, n):
+    proj, section = _quotient_projection(_from_key(shape, data), n, p)
+    _read_only(proj, section)
+    return proj, section
 
 
 # ---------------------------------------------------------------------------

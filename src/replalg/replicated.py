@@ -114,7 +114,9 @@ class ReplicatedAlgebra:
         self._gl_dim = None
         self._u_strata = {}
         self._relations = None
+        self._live_relations = {}
         self._parallel = None
+        self._zero = None
 
     def components(self):
         return [(k, i) for k in range(self.m + 1) for i in range(self.quiver.n_vertices)]
@@ -177,6 +179,16 @@ class ReplicatedAlgebra:
             self._relations = tuple(self._compile_relations())
         return self._relations
 
+    def live_relations(self, dims):
+        """The relations whose product block is non-empty for a module with
+        component dims, in relations() order, computed once per dims: the
+        others hold vacuously."""
+        live = self._live_relations.get(dims)
+        if live is None:
+            live = self._live_relations[dims] = tuple(
+                rel for rel in self.relations() if dims[rel.row] and dims[rel.col])
+        return live
+
     def _compile_relations(self):
         index = {x: e for e, x in enumerate(self.edge_elements)}
         by_source = {}
@@ -204,13 +216,22 @@ class ReplicatedAlgebra:
     def check_associativity(self):
         """(xy)z = x(yz) on all basis triples; products are basis elements
         or zero, so this is a finite table check.  Both sides vanish unless
-        xy or yz is nonzero, so only those triples are compared."""
+        xy or yz is nonzero, so only those triples are compared, and of
+        them only the ones where a side can be nonzero: for xy != 0, the z
+        with (xy)z or yz nonzero; for yz != 0, the x with x(yz) or xy
+        nonzero.  They are taken in basis order, so the first failing
+        triple is the one a scan of all triples meets first."""
         table = {}
+        right = {b: set() for b in self.basis}
+        left = {b: set() for b in self.basis}
         for x in self.basis:
             for y in self.basis:
                 r = self.mult(x, y)
                 if r is not None:
                     table[(x, y)] = r
+                    right[x].add(y)
+                    left[y].add(x)
+        order = {b: n for n, b in enumerate(self.basis)}
 
         def check(x, y, z):
             xy, yz = table.get((x, y)), table.get((y, z))
@@ -219,11 +240,11 @@ class ReplicatedAlgebra:
             if lhs != rhs:
                 raise AnomalyError(f"associativity fails on {x}, {y}, {z}")
 
-        for x, y in table:
-            for z in self.basis:
+        for (x, y), xy in table.items():
+            for z in sorted(right.get(xy, set()) | right[y], key=order.get):
                 check(x, y, z)
-        for y, z in table:
-            for x in self.basis:
+        for (y, z), yz in table.items():
+            for x in sorted(left.get(yz, set()) | left[y], key=order.get):
                 check(x, y, z)
         return True
 
@@ -371,7 +392,10 @@ class ReplicatedAlgebra:
         return self._spanned(basis)
 
     def zero_module(self):
-        return LayeredModule(self, [self._zero_layer()] * (self.m + 1), conn={})
+        """The zero module, built once per algebra."""
+        if self._zero is None:
+            self._zero = LayeredModule(self, [self._zero_layer()] * (self.m + 1), conn={})
+        return self._zero
 
     def _zero_layer(self):
         return ([0] * self.quiver.n_vertices, None)
@@ -519,12 +543,11 @@ class LayeredModule:
         return cls(algebra, _Assembled(dims, mats))
 
     def _validate(self):
-        """Check every bimodule relation of the algebra, in the order of
+        """Check every bimodule relation of the algebra with a non-empty
+        product block (the others hold vacuously), in the order of
         algebra.relations(); the first failure raises InputError."""
-        alg, dims, mats = self.algebra, self._dims, self._edge_mats
-        for rel in alg.relations():
-            if not (dims[rel.row] and dims[rel.col]):
-                continue  # empty product block: the relation holds vacuously
+        alg, mats = self.algebra, self._edge_mats
+        for rel in alg.live_relations(self._dims):
             got = ef.mul(mats[rel.lhs], mats[rel.rhs], alg.p)
             holds = not got.any() if rel.out is None else np.array_equal(got, mats[rel.out])
             if not holds:
@@ -619,12 +642,14 @@ class LayeredModule:
         if len(span) != alg.n_components or any(
                 s.shape[0] != dim for s, dim in zip(span, self._dims)):
             raise InputError("quotient span does not match the module's component dims")
-        projs, sections = zip(*[ef.quotient_projection(span[c], dim, p)
+        projs, sections = zip(*[ef.quotient_projection(span[c], dim, p) if dim
+                                else (ef.zeros(0, 0), ef.zeros(0, 0))
                                 for c, dim in enumerate(self._dims)])
-        mats = [ef.mul(projs[tgt], ef.mul(mat, sections[src], p), p) if mat.size
-                else ef.zeros(projs[tgt].shape[0], sections[src].shape[1])
+        dims = [pr.shape[0] for pr in projs]
+        mats = [ef.mul(projs[tgt], ef.mul(mat, sections[src], p), p) if dims[tgt] and dims[src]
+                else ef.zeros(dims[tgt], dims[src])
                 for (src, tgt), mat in zip(alg.edges, self._edge_mats)]
-        quo = LayeredModule._assemble(alg, [pr.shape[0] for pr in projs], mats)
+        quo = LayeredModule._assemble(alg, dims, mats)
         proj = LayeredMorphism._reduced(self, quo, list(projs))
         if not proj.is_morphism():
             raise InputError("quotient span is not stable under all actions")
@@ -1113,8 +1138,9 @@ def proj_cover(m):
         return zero, LayeredMorphism._reduced(zero, m, [ef.zeros(d, 0) for d in m._dims]), []
     summands = [(i, k) for (k, i), _ in gens]
     total, _ = alg.proj_sum(summands)
-    blocks = [np.hstack(cols) for cols in
-              zip(*[generator_morphism(comp, vec, m)[1].blocks for comp, vec in gens])]
+    columns = zip(*[generator_morphism(comp, vec, m)[1].blocks for comp, vec in gens])
+    blocks = [np.hstack(cols) if dim and width else ef.zeros(dim, width)
+              for dim, width, cols in zip(m._dims, total._dims, columns)]
     cover = LayeredMorphism._reduced(total, m, blocks)
     return total, cover, summands
 

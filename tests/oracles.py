@@ -953,3 +953,37 @@ def reference_cycle(self, x_id, summand_ids):
             return seen[state], steps
         seen[state] = steps
     return None
+
+
+# ---------------------------------------------------------------------------
+# ReplicatedAlgebra.check_associativity as it was before it indexed the
+# third factor by the products that can be nonzero, kept verbatim as a
+# reference
+# ---------------------------------------------------------------------------
+
+
+def reference_check_associativity(self):
+    """(xy)z = x(yz) on all basis triples; products are basis elements
+    or zero, so this is a finite table check.  Both sides vanish unless
+    xy or yz is nonzero, so only those triples are compared."""
+    table = {}
+    for x in self.basis:
+        for y in self.basis:
+            r = self.mult(x, y)
+            if r is not None:
+                table[(x, y)] = r
+
+    def check(x, y, z):
+        xy, yz = table.get((x, y)), table.get((y, z))
+        lhs = table.get((xy, z)) if xy is not None else None
+        rhs = table.get((x, yz)) if yz is not None else None
+        if lhs != rhs:
+            raise AnomalyError(f"associativity fails on {x}, {y}, {z}")
+
+    for x, y in table:
+        for z in self.basis:
+            check(x, y, z)
+    for y, z in table:
+        for x in self.basis:
+            check(x, y, z)
+    return True

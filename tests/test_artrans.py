@@ -189,12 +189,23 @@ def test_dynkin_catalog_size(name, m):
     injectives P(i, k), k >= 1, and m(|Phi+| - n) modules straddling two
     adjacent layers.  The first two parts follow from the construction;
     the third is pinned here, not derived."""
-    quiver = qr.Quiver.load(QUIVERS / f"{name}.q")
+    assert_dynkin_catalog_size(qr.Quiver.load(QUIVERS / f"{name}.q"), m, POSITIVE_ROOTS[name])
+
+
+def assert_dynkin_catalog_size(quiver, m, roots):
     cat = ar.indec_catalog(rp.build_replicated(quiver, m, P))
-    roots, n = POSITIVE_ROOTS[name], quiver.n_vertices
     assert len(cat.modules) == (2 * m + 1) * roots
     assert sum(1 for x in cat.modules if len(x.support_layers()) == 1) == (m + 1) * roots
-    assert len(cat.projective & cat.injective) == m * n
+    assert len(cat.projective & cat.injective) == m * quiver.n_vertices
+
+
+@pytest.mark.parametrize("name, roots", [("e7", 63), ("e8", 120)])
+def test_e7_and_e8_catalog_sizes(name, roots):
+    # quivers/e7.q and e8.q extend the E_6 chain of bench/quivers/e6.q;
+    # at m = 1 their catalogs hold (2m+1)|Phi+| = 189 and 360 modules
+    quiver = qr.Quiver.load(QUIVERS / f"{name}.q")
+    assert qr.is_dynkin(quiver)
+    assert_dynkin_catalog_size(quiver, 1, roots)
 
 
 @pytest.mark.parametrize("name", ["a3", "d4"])
@@ -459,4 +470,16 @@ def test_cached_catalog_with_bad_tables_is_refused(cat_a2):
               dict(data, projective=data["projective"][1:])]
     for bad in broken:
         with pytest.raises(InputError):
+            ar.IndecCatalog.from_json(cat_a2.algebra, bad)
+
+
+def test_short_projective_table_names_the_table_and_its_length(cat_a2):
+    # projective and injective tables have one entry per component
+    # (n_components = 4 for A_2, m = 1), not one per module
+    data = cat_a2.to_json()
+    n = cat_a2.algebra.n_components
+    for table in ("projective", "injective"):
+        bad = dict(data, **{table: data[table][:-1]})
+        with pytest.raises(InputError, match=f"catalog table '{table}' has {n - 1} entries, "
+                                             f"expected {n}"):
             ar.IndecCatalog.from_json(cat_a2.algebra, bad)

@@ -193,9 +193,20 @@ def test_rref_matches_reference(p):
         assert pivots == want_pivots
 
 
+KERNEL_MEMOS = (ef._rank_memo, ef._null_space_memo, ef._quotient_projection_memo)
+
+
+def clear_kernel_memos():
+    for memo in KERNEL_MEMOS:
+        memo.cache_clear()
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_derived_kernels_match_reference(p):
+    # the kernel memo is cleared around the reference computation, so
+    # neither side reads a result the other one cached
     rng = np.random.default_rng(p)
+    clear_kernel_memos()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ef, "rref", reference_rref)
         cases = kernel_cases(p, rng)
@@ -204,6 +215,7 @@ def test_derived_kernels_match_reference(p):
         want = ([ef.rank(a, p) for a in cases], [ef.kernel_basis(a, p) for a in cases],
                 [ef.inverse(a, p) for a in squares],
                 [ef.quotient_projection(a, a.shape[0], p) for a in cases])
+    clear_kernel_memos()
     assert [ef.rank(a, p) for a in cases] == want[0]
     for a, k in zip(cases, want[1]):
         assert_same(ef.kernel_basis(a, p), k)
@@ -301,6 +313,94 @@ def test_factor_poly_memo_hits_return_fresh_equal_lists():
     first[0][0].append(7)
     first.clear()
     assert ef.factor_poly(f, 3) == second == [([1, 1], 2), ([2, 1, 1], 1)]
+
+
+def memo_calls():
+    return [(info.hits, info.misses) for info in (memo.cache_info() for memo in KERNEL_MEMOS)]
+
+
+def small_matrices(p, rng):
+    """Random matrices of at most MEMO_ENTRIES entries, of every rank: products
+    of random factors, with an empty and a zero one."""
+    out = [ef.zeros(0, 3), ef.zeros(3, 0), ef.zeros(4, 5)]
+    for _ in range(30):
+        rows, cols, r = (int(x) for x in rng.integers(1, 9, size=3))
+        out.append(ef.mul(ef.fmat(rng.integers(0, p, size=(rows, r)), p),
+                          ef.fmat(rng.integers(0, p, size=(r, cols)), p), p))
+    out.append(ef.fmat(rng.integers(0, p, size=(16, 16)), p))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_kernel_memo_hits_equal_misses(p):
+    # the second call is a hit on an unreduced copy of the input (the key
+    # is the content mod p), and both equal the uncached kernels
+    rng = np.random.default_rng(p + 1)
+    for a in small_matrices(p, rng):
+        unreduced = a + p * rng.integers(-2, 3, size=a.shape)
+        want_basis, want_free = ef._null_space(a, p)
+        want_proj, want_section = reference_quotient_projection(a, a.shape[0], p)
+        want_rank = len(reference_rref(a, p)[1])
+        first = ef.null_space(a, p), ef.quotient_projection(a, a.shape[0], p), ef.rank(a, p)
+        before = memo_calls()
+        second = (ef.null_space(unreduced, p), ef.quotient_projection(unreduced, a.shape[0], p),
+                  ef.rank(unreduced, p))
+        after = memo_calls()
+        if a.size:
+            assert after == [(h + 1, m) for h, m in before]
+        for (basis, free), (proj, section), rank in (first, second):
+            assert_same(basis, want_basis)
+            assert free == want_free
+            assert_same(proj, want_proj)
+            assert_same(section, want_section)
+            assert rank == want_rank
+
+
+def test_kernel_memo_results_are_read_only_and_free_is_fresh():
+    p = 3
+    rng = np.random.default_rng(8)
+    for shape in ((4, 6), (17, 16)):  # through the memo and past it
+        a = ef.fmat(rng.integers(0, p, size=shape), p)
+        basis, free = ef.null_space(a, p)
+        proj, section = ef.quotient_projection(a, a.shape[0], p)
+        for arr in (basis, proj, section):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+        want = list(free)
+        free.append(99)
+        again = ef.null_space(a, p)[1]
+        assert again == want and again is not free
+
+
+def test_kernel_memo_is_bypassed_above_memo_entries():
+    p = 32003
+    rng = np.random.default_rng(9)
+    large = ef.fmat(rng.integers(0, p, size=(16, 17)), p)  # 272 entries
+    assert large.size > ef.MEMO_ENTRIES
+    before = memo_calls()
+    basis, free = ef.null_space(large, p)
+    proj, section = ef.quotient_projection(large, large.shape[0], p)
+    rank = ef.rank(large, p)
+    assert memo_calls() == before
+    assert_same(basis, ef._null_space(large, p)[0])
+    assert free == ef._null_space(large, p)[1]
+    want_proj, want_section = reference_quotient_projection(large, large.shape[0], p)
+    assert_same(proj, want_proj)
+    assert_same(section, want_section)
+    assert rank == len(reference_rref(large, p)[1]) == 16
+    square = large[:, :16]  # exactly MEMO_ENTRIES entries: through the memo
+    ef.rank(square, p)
+    assert memo_calls() != before
+
+
+def test_kernel_memos_are_bounded():
+    p = 32003
+    for memo in KERNEL_MEMOS:
+        assert memo.cache_info().maxsize == ef.MEMO_SIZE == 256
+    for v in range(ef.MEMO_SIZE + 10):
+        ef.rank(ef.fmat([[v, 1]], p), p)
+    assert ef._rank_memo.cache_info().currsize == ef.MEMO_SIZE
 
 
 def test_poly_eval_matrix_cayley_hamilton():

@@ -6,7 +6,8 @@ import pytest
 
 from pathlib import Path
 
-from oracles import (LinearScanRegistry, reference_compile_relations, reference_dual_edges,
+from oracles import (LinearScanRegistry, reference_check_associativity,
+                     reference_compile_relations, reference_dual_edges,
                      reference_hom_complex, reference_inj, reference_proj,
                      reference_rad_end_basis, reference_simple, reference_validate)
 from replalg import artrans as ar
@@ -74,6 +75,38 @@ def test_associativity_check_catches_one_broken_product():
     alg.mult = lambda x, y: None if x == y == e2 else right(x, y)
     with pytest.raises(AnomalyError, match="associativity fails"):
         alg.check_associativity()
+
+
+def _associativity_verdict(check, alg):
+    try:
+        return check(alg)
+    except AnomalyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "kron"])
+def test_indexed_associativity_check_matches_the_full_scan(name, monkeypatch):
+    # both pass on the true table; with one product dropped, or sent to
+    # the next basis element, both fail on the same first triple or both pass
+    quiver = qr.Quiver.load(QUIVERS / f"{name}.q")
+    for m in (1, 2, 3):
+        alg = rp.ReplicatedAlgebra(quiver, m, P)
+        assert alg.check_associativity() is True
+        assert reference_check_associativity(alg) is True
+    alg = rp.ReplicatedAlgebra(quiver, 1, P)
+    true_mult = alg.mult
+    products = [(x, y, true_mult(x, y)) for x in alg.basis for y in alg.basis
+                if true_mult(x, y) is not None]
+    failures = 0
+    for x, y, xy in products:
+        wrong = alg.basis[(alg.basis.index(xy) + 1) % alg.dim]
+        for corrupt in (None, wrong):
+            monkeypatch.setattr(alg, "mult", lambda a, b, x=x, y=y, corrupt=corrupt:
+                                corrupt if (a, b) == (x, y) else true_mult(a, b))
+            got = _associativity_verdict(rp.ReplicatedAlgebra.check_associativity, alg)
+            assert got == _associativity_verdict(reference_check_associativity, alg), (x, y)
+            failures += got is not True
+    assert failures > len(products)  # most corruptions are caught
 
 
 def test_proj_shapes_a2():
