@@ -10,27 +10,36 @@ map is rewritten as a matrix of algebra elements, transposed into the
 opposite algebra (replicated algebra of the opposite quiver, layers
 reversed), its cokernel is the transpose, and dualizing brings the result
 back.  tau^{-1} = TrD runs the same machinery starting from the dual.
-Catalogs are built by closing the projectives and injectives under
-tau and tau^{-1}.  The almost split sequence ending in a non-projective Z
-is the pushout of 0 -> Omega Z -> P_0 -> Z -> 0 along a map spanning the
-one-dimensional Ext^1(Z, tau Z); the AR quiver reads the arrows into each
-vertex from that sequence, or from rad P at a projective P.  The mesh
-check then compares the arrows into Z with those out of tau Z, which come
-from other sequences.
+Catalogs, over a Dynkin base only, are built by closing the projectives
+and injectives under tau and tau^{-1}.  The almost split sequence ending
+in a non-projective Z is the pushout of 0 -> Omega Z -> P_0 -> Z -> 0
+along a map spanning the one-dimensional Ext^1(Z, tau Z); the AR quiver
+reads the arrows into each vertex from that sequence, or from rad P at a
+projective P.  The mesh check then compares the arrows into Z with those
+out of tau Z, which come from other sequences.
 """
-
-import time
 
 import numpy as np
 
 from . import exactfield as ef
+from . import quiverrep as qr
 from . import replicated as rp
 from .errors import AnomalyError, BudgetExceeded, InputError
 from .replicated import LayeredModule
 from .splitting import fitting_split
 
 CATALOG_BUDGET = 10000
-PHASE_SECONDS = 60.0
+
+
+def require_representation_finite(algebra):
+    """Refuse a catalog over a base quiver that is not Dynkin, before any
+    work.  kQ is representation-finite exactly when Q is Dynkin (Gabriel),
+    and A^(m) contains A as a convex piece of the repetitive algebra
+    (Assem-Iwanaga), so over any other base the tau closure never ends:
+    raises BudgetExceeded, the CLI's budget signal."""
+    if not qr.is_dynkin(algebra.quiver):
+        raise BudgetExceeded("the base quiver is not Dynkin (Gabriel's test), so "
+                             "A^(m) is representation-infinite and has no finite catalog")
 
 
 def _presentation_matrix(m):
@@ -236,9 +245,11 @@ class IndecCatalog:
     @classmethod
     def from_json(cls, algebra, data):
         """Inverse of to_json; a "seed" key, written by older versions, is
-        ignored.  The data must be a JSON object; its modules, table lengths,
-        ids and translation tables are checked as indec_catalog checks them,
-        and a failure is an InputError."""
+        ignored.  As in indec_catalog, a base quiver that is not Dynkin
+        raises BudgetExceeded at once.  The data must be a JSON object; its
+        modules, table lengths, ids and translation tables are checked as
+        indec_catalog checks them, and a failure is an InputError."""
+        require_representation_finite(algebra)
         if not isinstance(data, dict):
             raise InputError(f"catalog JSON is a {type(data).__name__}, not an object")
         if data.get("fingerprint") != algebra.fingerprint():
@@ -271,13 +282,13 @@ class IndecCatalog:
 def indec_catalog(algebra, budget=CATALOG_BUDGET):
     """Close {proj(i,k)} and {inj(i,k)} under tau^{-1} and tau.
 
-    Exceeding the entry budget or PHASE_SECONDS (read at call time) raises
-    BudgetExceeded (the expected signal for representation-infinite base
-    algebras); a budget below 1 is an InputError.
+    A budget below 1 is an InputError; a base quiver that is not Dynkin
+    (require_representation_finite) and a catalog over budget raise
+    BudgetExceeded.
     """
     if budget < 1:
         raise InputError(f"catalog budget must be >= 1, got {budget}")
-    start = time.monotonic()
+    require_representation_finite(algebra)
     seeds = [algebra.proj(i, k) for k in range(algebra.m + 1)
              for i in range(algebra.quiver.n_vertices)]
     seeds += [algebra.inj(i, algebra.m) for i in range(algebra.quiver.n_vertices)]
@@ -292,11 +303,7 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET):
             raise AnomalyError("tau closure produced a decomposable module")
         index.add(m)
         if len(modules) > budget:
-            raise BudgetExceeded(
-                f"catalog exceeded {budget} entries: "
-                "not representation-finite within budget")
-        if time.monotonic() - start > PHASE_SECONDS:
-            raise BudgetExceeded(f"catalog construction exceeded {PHASE_SECONDS:.0f}s")
+            raise BudgetExceeded(f"catalog exceeded {budget} entries")
         return len(modules) - 1, True
 
     queue = []

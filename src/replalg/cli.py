@@ -26,6 +26,9 @@ from .errors import AnomalyError, BudgetExceeded, ContractError, InputError, Win
 
 
 def build_parser():
+    """Every command takes the common options, and only the commands that
+    build a catalog take --budget and --cache: no command accepts an
+    option it ignores."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiver", required=True, help="quiver file (text or JSON)")
     common.add_argument("--m", type=int, default=1, help="replication level (>= 1)")
@@ -33,12 +36,11 @@ def build_parser():
                         help="prime modulus of the coefficient field")
     common.add_argument("--seed", type=int, default=ef.DEFAULT_SEED,
                         help="seed (>= 0) of the sampling suites and the window census")
-    common.add_argument("--budget", type=int, default=ar.CATALOG_BUDGET,
-                        help="catalog entry budget")
-    common.add_argument("--window", type=int, default=3,
-                        help="per-vertex dimension bound (>= 1) for windowed checks")
     common.add_argument("--json", action="store_true", help="JSON output")
-    common.add_argument("--cache", default=None, help="catalog cache directory")
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--budget", type=int, default=ar.CATALOG_BUDGET,
+                         help="catalog entry budget")
+    catalog.add_argument("--cache", default=None, help="catalog cache directory")
 
     parser = argparse.ArgumentParser(
         prog="replalg",
@@ -46,19 +48,22 @@ def build_parser():
                     "hereditary path algebras")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", parents=[common], help="algebra summary")
-    sub.add_parser("indecs", parents=[common], help="catalog of indecomposables")
-    arq = sub.add_parser("ar-quiver", parents=[common], help="irreducible maps and meshes")
+    sub.add_parser("indecs", parents=[common, catalog], help="catalog of indecomposables")
+    arq = sub.add_parser("ar-quiver", parents=[common, catalog],
+                         help="irreducible maps and meshes")
     arq.add_argument("--dot", default=None, help="write a DOT file here")
-    sub.add_parser("tau-orbits", parents=[common], help="tau-orbit table")
+    sub.add_parser("tau-orbits", parents=[common, catalog], help="tau-orbit table")
     st = sub.add_parser("strata", parents=[common], help="Sigma_k / U_k strata")
     st.add_argument("--k", type=int, required=True)
     sub.add_parser("gldim", parents=[common], help="global dimension of the algebra")
-    ge = sub.add_parser("gldim-end", parents=[common],
+    ge = sub.add_parser("gldim-end", parents=[common, catalog],
                         help="gl.dim of the endomorphism algebra of a generator-cogenerator")
+    ge.add_argument("--window", type=int, default=3,
+                    help="per-vertex dimension bound (>= 1) of the windowed mode")
     ge.add_argument("--gencog", default=None, help="GenCog JSON file")
     ge.add_argument("--summands", default=None,
                     help="comma-separated catalog ids (with all proj/inj added)")
-    co = sub.add_parser("construct", parents=[common],
+    co = sub.add_parser("construct", parents=[common, catalog],
                         help="build one of the named generator-cogenerators")
     co.add_argument("kind", choices=["thm32", "E", "lem47", "lem48"])
     co.add_argument("--d", type=int, default=None)
@@ -68,6 +73,8 @@ def build_parser():
     ve.add_argument("suite", choices=list(vf.SUITES))
     ve.add_argument("--samples", type=int, default=None)
     ve.add_argument("--d", type=int, default=None)
+    ve.add_argument("--window", type=int, default=None,
+                    help="per-vertex dimension bound (>= 1) of a suite that takes one")
     return parser
 
 
@@ -79,8 +86,9 @@ def _load_quiver(path):
 
 def _catalog_cached(algebra, args):
     """Catalog with optional on-disk caching keyed by the algebra
-    fingerprint; corrupt or stale caches, and caches that cannot be read,
-    created or written, are ignored with a warning."""
+    fingerprint; corrupt or stale caches, caches over a base that is not
+    Dynkin, and caches that cannot be read, created or written, are
+    ignored with a warning."""
     if not args.cache:
         return ar.indec_catalog(algebra, budget=args.budget)
     path = os.path.join(args.cache, f"catalog_{algebra.fingerprint()}.json")
@@ -88,7 +96,7 @@ def _catalog_cached(algebra, args):
         try:
             with open(path) as fh:
                 return ar.IndecCatalog.from_json(algebra, json.load(fh))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, BudgetExceeded) as exc:
             print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
     catalog = ar.indec_catalog(algebra, budget=args.budget)
     try:
@@ -370,7 +378,7 @@ def cmd_verify(args):
     params = {"m": args.m, "p": args.prime}
     if "seed" in accepted:
         params["seed"] = args.seed
-    if "bound" in accepted:
+    if args.window is not None:
         params["bound"] = args.window
     if args.samples is not None:
         params["samples"] = args.samples

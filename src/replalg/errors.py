@@ -18,8 +18,8 @@ class ContractError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration exceeded its entry or time budget (expected for
-    representation-infinite instances); a signal, not a crash."""
+    """An enumeration exceeded its entry budget, or a catalog was asked of
+    a representation-infinite instance; a signal, not a crash."""
 
 
 class OracleUnavailable(RuntimeError):

@@ -13,7 +13,8 @@ and quotient projections.  It eliminates on lists of Python ints, like
 `det` and `char_poly`: almost every system here is small (Hom spaces,
 submodules, action edges), and on those per-entry numpy indexing costs
 far more than list arithmetic.  On large inputs (Kronecker windows at
-d >= 7) a vectorized update per pivot would be faster (ROADMAP item 3).
+d >= 7) a vectorized update per pivot would be faster (see the ROADMAP
+item on sparse elimination for Hom complexes).
 
 Kernel memo: `rank`, `null_space` and `quotient_projection` look their
 result up in a bounded LRU cache of MEMO_SIZE = 256 entries each, keyed by

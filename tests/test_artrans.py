@@ -155,10 +155,22 @@ def test_stable_hom_examples(cat_a2):
 
 
 def test_budget_signal_for_kronecker(monkeypatch):
-    monkeypatch.setattr(ar, "PHASE_SECONDS", 30.0)
+    # Gabriel's test refuses the catalog before a single tau is computed
+    def refuse(m):
+        raise AssertionError("transpose_layered called")
+
+    monkeypatch.setattr(ar, "transpose_layered", refuse)
     alg = rp.build_replicated(kronecker(), 1, P)
-    with pytest.raises(BudgetExceeded, match="25 entries"):
+    with pytest.raises(BudgetExceeded, match="not Dynkin"):
         ar.indec_catalog(alg, budget=25)
+
+
+def test_cached_catalog_over_a_non_dynkin_base_is_refused(cat_a2):
+    # the cache path runs the same check as indec_catalog, whatever the file holds
+    alg = rp.build_replicated(kronecker(), 1, P)
+    data = dict(cat_a2.to_json(), fingerprint=alg.fingerprint())
+    with pytest.raises(BudgetExceeded, match="not Dynkin"):
+        ar.IndecCatalog.from_json(alg, data)
 
 
 def test_dot_export(cat_a2):

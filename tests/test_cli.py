@@ -1,3 +1,5 @@
+import argparse
+import ast
 import hashlib
 import json
 import os
@@ -456,7 +458,7 @@ def test_dynkin_catalog_over_budget_is_a_budget_signal():
     code, out, err = run_cli("gldim-end", "--quiver", quiver("a3.q"), "--m", "2",
                              "--budget", "3")
     assert code == 3 and out == ""
-    assert "budget" in err
+    assert "budget: catalog exceeded 3 entries\n" in err
 
 
 @pytest.mark.parametrize("suite, extra", [("lem47", ("--d", "5")), ("lem48", ())])
@@ -503,6 +505,12 @@ def test_empty_window_and_negative_seed_are_input_errors(argv):
      "prime 2147483647 is too large"),
     (("verify", "lem47", "--quiver", quiver("kron.q"), "--prime", "1048583"),
      "prime 1048583 is too large"),
+    (("verify", "thm1", "--quiver", quiver("a2.q"), "--window", "2"),
+     "suite thm1 does not take bound"),
+    (("verify", "lem48", "--quiver", quiver("kron.q"), "--window", "2"),
+     "suite lem48 does not take bound"),
+    (("verify", "lem48", "--quiver", quiver("kron.q"), "--window", "-4"),
+     "window bound must be >= 1, got -4"),
 ])
 def test_unusable_options_are_input_errors(argv, message):
     # an option the suite does not take ended in a TypeError traceback; a
@@ -512,3 +520,123 @@ def test_unusable_options_are_input_errors(argv, message):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert f"error: {message}" in err and "Traceback" not in err
+
+
+def _refuse_tau(monkeypatch):
+    from replalg import artrans
+
+    def refuse(m):
+        raise AssertionError("transpose_layered called")
+
+    monkeypatch.setattr(artrans, "transpose_layered", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ("indecs",), ("tau-orbits",), ("ar-quiver",), ("construct", "thm32", "--d", "3"),
+    ("verify", "thm1"), ("verify", "thm32_all_d"), ("verify", "lem23_2"),
+    ("verify", "lem31_random"), ("verify", "lem45"),
+])
+def test_a_catalog_over_a_non_dynkin_base_is_refused_at_once(monkeypatch, capsys, argv):
+    # Gabriel's test answers before the tau closure starts: a budget signal
+    # with no tau computed, where the closure used to run into a time limit
+    from replalg.cli import main
+
+    _refuse_tau(monkeypatch)
+    assert main([*argv, "--quiver", quiver("kron.q"), "--m", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Gabriel" in err
+
+
+def test_a_cached_catalog_over_a_non_dynkin_base_is_ignored(monkeypatch, capsys, tmp_path):
+    from replalg import quiverrep as qr
+    from replalg import replicated as rp
+    from replalg.cli import main
+
+    fingerprint = rp.fingerprint(qr.Quiver.load(quiver("kron.q")), 1, 32003)
+    path = tmp_path / f"catalog_{fingerprint}.json"
+    path.write_text(json.dumps({"fingerprint": fingerprint, "modules": [], "tau": [],
+                                "tau_inv": [], "projective": [], "injective": []}))
+    _refuse_tau(monkeypatch)
+    assert main(["indecs", "--quiver", quiver("kron.q"), "--m", "1",
+                 "--cache", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"warning: ignoring cache {path}: the base quiver is not Dynkin" in err
+    assert "budget: the base quiver is not Dynkin" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm1", "--quiver", quiver("a2.q"), "--m", "1", "--budget", "3"),
+    ("info", "--quiver", quiver("a2.q"), "--m", "1", "--window", "0"),
+    ("gldim", "--quiver", quiver("a2.q"), "--m", "1", "--budget", "-5"),
+    ("strata", "--quiver", quiver("a2.q"), "--k", "1", "--cache", "somewhere"),
+    ("construct", "E", "--quiver", quiver("a3.q"), "--i", "1", "--window", "2"),
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def handler_reads(source):
+    """Command name -> the names `args.<name>` that its handler in main's
+    `handlers` table, or any function of `source` it calls, reads."""
+    tree = ast.parse(source)
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    table = next(n.value for n in ast.walk(funcs["main"]) if isinstance(n, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "handlers" for t in n.targets))
+
+    def reads(name):
+        seen, todo, out = set(), [name], set()
+        while todo:
+            fname = todo.pop()
+            if fname in seen:
+                continue
+            seen.add(fname)
+            for node in ast.walk(funcs[fname]):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "args"):
+                    out.add(node.attr)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id in funcs):
+                    todo.append(node.func.id)
+        return out
+
+    return {key.value: reads(value.id) for key, value in zip(table.keys, table.values)}
+
+
+def unread_options(parser, source):
+    """(command, dest) of every option of a subparser that its handler
+    does not read."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    reads = handler_reads(source)
+    return sorted((name, action.dest) for name, command in sub.choices.items()
+                  for action in command._actions
+                  if not isinstance(action, argparse._HelpAction)
+                  and action.dest not in reads[name])
+
+
+def test_every_option_is_read_by_its_command():
+    from replalg import cli
+
+    with open(cli.__file__) as fh:
+        source = fh.read()
+    parser = cli.build_parser()
+    assert unread_options(parser, source) == []
+    # the detector sees an option that nothing reads
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub.choices["info"].add_argument("--window", type=int, default=3)
+    assert unread_options(parser, source) == [("info", "window")]
+
+
+@pytest.mark.parametrize("path, mode", [("a2.q", "exact"), ("kron.q", "windowed")])
+def test_lem22_labels_its_mode(monkeypatch, path, mode):
+    # over a non-Dynkin base the modules X are a window census, not all of ind A
+    from replalg import quiverrep as qr
+    from replalg import verify as vf
+    from replalg import windows as w
+
+    if mode == "windowed":  # the bound-6 census takes 18 s on the Kronecker quiver
+        monkeypatch.setattr(w, "base_indecomposables", lambda *args, **kwargs: [])
+    report = vf.verify("lem22", qr.Quiver.load(quiver(path)), m=1, p=3)
+    assert report["verdict"] == "pass" and report["params"]["mode"] == mode
