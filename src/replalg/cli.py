@@ -3,8 +3,10 @@
 Exit codes: 0 success; 1 a verifier reported a counterexample (or the
 machinery flagged a mathematical anomaly, with a machine-readable
 payload); 2 input or contract error; 3 budget/resource signal.  Stdout is
-byte-identical for identical (inputs, seed, prime, version); wall-clock
-timings go to stderr.
+byte-identical for identical (inputs, seed, prime, version).  Each handler
+cmd_<name>(algebra, args) returns (results, exit code); main loads the
+quiver, builds A^(m), emits the report and, on every exit path, prints
+one wall-clock `time: N ms` line to stderr.
 """
 
 import argparse
@@ -198,75 +200,42 @@ def _emit_text(report, indent=0):
             print(f"{pad}{key}: {value}")
 
 
-def _base_report(command, quiver, args):
+def cmd_info(algebra, args):
+    quiver = algebra.quiver
     return {
-        "command": command,
-        "version": __version__,
-        "fingerprint": rp.fingerprint(quiver, args.m, args.prime),
-        "inputs": {"m": args.m, "prime": args.prime, "seed": args.seed},
-    }
-
-
-def cmd_info(args):
-    quiver = _load_quiver(args.quiver)
-    algebra = rp.build_replicated(quiver, args.m, args.prime)
-    report = _base_report("info", quiver, args)
-    report["results"] = {
         "vertices": quiver.vertices,
         "arrows": [f"{n}: {s} -> {t}" for n, s, t in quiver.arrows],
         "paths": quiver.paths.n,
         "maximal_paths": [quiver.paths.name(q) for q in quiver.paths.maximal],
         "algebra_dim": algebra.dim,
         "components": algebra.n_components,
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
-def cmd_gldim(args):
-    quiver = _load_quiver(args.quiver)
-    algebra = rp.build_replicated(quiver, args.m, args.prime)
-    report = _base_report("gldim", quiver, args)
-    report["results"] = {"global_dimension": rp.global_dimension(algebra)}
-    _emit(report, args)
-    return 0
+def cmd_gldim(algebra, args):
+    return {"global_dimension": rp.global_dimension(algebra)}, 0
 
 
-def cmd_indecs(args):
-    quiver = _load_quiver(args.quiver)
-    algebra = rp.build_replicated(quiver, args.m, args.prime)
+def cmd_indecs(algebra, args):
     catalog = _catalog_cached(algebra, args)
-    report = _base_report("indecs", quiver, args)
-    report["results"] = {
+    return {
         "count": len(catalog),
         "modules": [{"id": i, "dims": catalog.modules[i].dim_label(),
                      "projective": i in catalog.projective,
                      "injective": i in catalog.injective}
                     for i in range(len(catalog))],
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
-def cmd_tau_orbits(args):
-    quiver = _load_quiver(args.quiver)
-    algebra = rp.build_replicated(quiver, args.m, args.prime)
-    catalog = _catalog_cached(algebra, args)
-    table = ar.tau_orbits(catalog)
-    report = _base_report("tau-orbits", quiver, args)
-    report["results"] = table.to_json()
-    _emit(report, args)
-    return 0
+def cmd_tau_orbits(algebra, args):
+    return ar.tau_orbits(_catalog_cached(algebra, args)).to_json(), 0
 
 
-def cmd_ar_quiver(args):
-    quiver = _load_quiver(args.quiver)
-    algebra = rp.build_replicated(quiver, args.m, args.prime)
+def cmd_ar_quiver(algebra, args):
     catalog = _catalog_cached(algebra, args)
     arq = ar.ar_quiver(catalog)
     violations = arq.mesh_violations()
-    report = _base_report("ar-quiver", quiver, args)
-    report["results"] = {
+    results = {
         "nodes": len(catalog),
         "arrows": [{"from": catalog.label(i), "to": catalog.label(j),
                     "mult": int(arq.mult[i, j])}
@@ -276,58 +245,42 @@ def cmd_ar_quiver(args):
     }
     if args.dot:
         _write_output(args.dot, "DOT file", arq.to_dot())
-        report["results"]["dot"] = args.dot
-    _emit(report, args)
-    return 1 if violations else 0
+        results["dot"] = args.dot
+    return results, 1 if violations else 0
 
 
-def cmd_strata(args):
-    quiver = _load_quiver(args.quiver)
-    algebra = rp.build_replicated(quiver, args.m, args.prime)
-    report = _base_report("strata", quiver, args)
+def cmd_strata(algebra, args):
     gd = rp.global_dimension(algebra)
-    report["results"] = {
+    return {
         "k": args.k,
         "sigma": [x.dim_label() for x in rp.sigma_stratum(algebra, args.k)],
         "u": ([x.dim_label() for x in rp.u_stratum(algebra, args.k)]
               if args.k <= gd - 1 else []),
-    }
-    _emit(report, args)
-    return 0
+    }, 0
 
 
-def cmd_gldim_end(args):
-    quiver = _load_quiver(args.quiver)
-    algebra = rp.build_replicated(quiver, args.m, args.prime)
-    report = _base_report("gldim-end", quiver, args)
+def cmd_gldim_end(algebra, args):
     engine = _engine(algebra, args)
     extra = _extra_summands(algebra, engine, args)
     gencog = gc.GenCog(engine, engine.required_ids() | extra)
     if engine.catalog is not None:
         res = gc.gldim_end(gencog)
-        report["results"] = {"mode": "exact",
-                             "value": "inf" if res.value == math.inf else res.value,
-                             "summands": len(gencog.summands)}
-    else:
-        census = w.census_modules(algebra, args.window, args.seed)
-        res = gc.gldim_end_windowed(gencog, census)
-        report["results"] = {
-            "mode": "windowed",
-            "lower": "inf" if res.value == math.inf else res.lower,
-            "window_checked": res.lower,
-            "window_bound": args.window,
-            "window_size": res.window_size,
-            "indeterminate": res.indeterminates,
-        }
-    _emit(report, args)
-    return 0
+        return {"mode": "exact",
+                "value": "inf" if res.value == math.inf else res.value,
+                "summands": len(gencog.summands)}, 0
+    census = w.census_modules(algebra, args.window, args.seed)
+    res = gc.gldim_end_windowed(gencog, census)
+    return {
+        "mode": "windowed",
+        "lower": "inf" if res.value == math.inf else res.lower,
+        "window_checked": res.lower,
+        "window_bound": args.window,
+        "window_size": res.window_size,
+        "indeterminate": res.indeterminates,
+    }, 0
 
 
-def cmd_construct(args):
-    quiver = _load_quiver(args.quiver)
-    algebra = rp.build_replicated(quiver, args.m, args.prime)
-    report = _base_report(f"construct {args.kind}", quiver, args)
-    results = {}
+def cmd_construct(algebra, args):
     if args.kind == "thm32":
         if args.d is None:
             raise InputError("construct thm32 needs --d")
@@ -367,31 +320,26 @@ def cmd_construct(args):
     if args.out:
         _write_output(args.out, "GenCog file", json.dumps(gencog.to_json(), sort_keys=True))
         results["out"] = args.out
-    report["results"] = results
-    _emit(report, args)
-    return 0
+    return results, 0
 
 
-def cmd_verify(args):
-    quiver = _load_quiver(args.quiver)
+def cmd_verify(algebra, args):
+    """Map the flags to suite parameters; a flag whose parameter the suite
+    does not take is an input error that names the flag."""
     accepted = vf.parameters(args.suite)
     params = {"m": args.m, "p": args.prime}
     if "seed" in accepted:
         params["seed"] = args.seed
-    if args.window is not None:
-        params["bound"] = args.window
-    if args.samples is not None:
-        params["samples"] = args.samples
-    if args.d is not None:
-        params["d"] = args.d
-    report = vf.verify(args.suite, quiver, **params)
-    wall = report.pop("wall_ms", None)
-    base = _base_report(f"verify {args.suite}", quiver, args)
-    base["results"] = report
-    _emit(base, args)
-    if wall is not None:
-        print(f"time: {wall} ms", file=sys.stderr)
-    return 0 if report["verdict"] == "pass" else 1
+    for flag, name, value in (("--window", "bound", args.window),
+                              ("--samples", "samples", args.samples),
+                              ("--d", "d", args.d)):
+        if value is None:
+            continue
+        if name not in accepted:
+            raise InputError(f"verify {args.suite} does not take {flag}")
+        params[name] = value
+    report = vf.verify(args.suite, algebra.quiver, **params)
+    return report, 0 if report["verdict"] == "pass" else 1
 
 
 def main(argv=None):
@@ -408,12 +356,21 @@ def main(argv=None):
         "construct": cmd_construct,
         "verify": cmd_verify,
     }
+    # construct and verify are reported with their kind or suite
+    subject = vars(args).get("kind", vars(args).get("suite"))
+    command = args.command if subject is None else f"{args.command} {subject}"
     t0 = time.monotonic()
     try:
         # the library accepts m = 0 (the base algebra); the CLI studies A^(m), m >= 1
         if args.m < 1:
             raise InputError(f"replication level m must be >= 1, got {args.m}")
-        code = handlers[args.command](args)
+        algebra = rp.build_replicated(_load_quiver(args.quiver), args.m, args.prime)
+        results, code = handlers[args.command](algebra, args)
+        _emit({"command": command,
+               "version": __version__,
+               "fingerprint": algebra.fingerprint(),
+               "inputs": {"m": args.m, "prime": args.prime, "seed": args.seed},
+               "results": results}, args)
     except (InputError, ContractError, WindowOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -424,8 +381,7 @@ def main(argv=None):
         print(json.dumps({"anomaly": str(exc)}, sort_keys=True))
         return 1
     finally:
-        if args.command != "verify":
-            print(f"time: {int((time.monotonic() - t0) * 1000)} ms", file=sys.stderr)
+        print(f"time: {int((time.monotonic() - t0) * 1000)} ms", file=sys.stderr)
     return code
 
 

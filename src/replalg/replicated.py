@@ -830,14 +830,13 @@ class LayeredMorphism:
     def is_surjective(self):
         return all(ef.rank(b, self.p) == b.shape[0] for b in self.blocks)
 
-    def dual(self, dual_source=None, dual_target=None):
-        """The dual morphism between the dual modules (direction reverses)."""
+    def dual(self, dual_source, dual_target):
+        """The dual morphism dual_target -> dual_source (direction
+        reverses), between the given duals of target and source."""
         alg = self.source.algebra
-        src = dual_target if dual_target is not None else self.target.dual()
-        tgt = dual_source if dual_source is not None else self.source.dual()
         blocks = [self.blocks[alg.comp_index(alg.m - kk, i)].T
                   for kk, i in alg.components()]
-        return LayeredMorphism._reduced(src, tgt, blocks)
+        return LayeredMorphism._reduced(dual_target, dual_source, blocks)
 
     def __repr__(self):
         return f"LayeredMorphism({self.source!r} -> {self.target!r})"

@@ -2,12 +2,13 @@
 
 Each suite runs a batch of checks and returns a report dict with a
 verdict and, on failure, machine-readable counterexample payloads
-sufficient to replay the failing check.
+sufficient to replay the failing check.  Reports are deterministic: the
+same inputs give the same dict, and no report carries a timing (the CLI
+times the whole command).
 """
 
 import inspect
 import math
-import time
 
 import numpy as np
 
@@ -57,21 +58,19 @@ def random_gencogs(pool, engine, samples, seed):
     return out
 
 
-def _report(suite, params, checks, counterexamples, t0):
+def _report(suite, params, checks, counterexamples):
     return {
         "suite": suite,
         "params": params,
         "verdict": "pass" if not counterexamples else "fail",
         "checks": checks,
         "counterexamples": counterexamples,
-        "wall_ms": int((time.monotonic() - t0) * 1000),
     }
 
 
 def suite_thm1(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=200):
     """Both directions of the orbit-cardinality theorem on a
     representation-finite catalog, plus a randomized upper-bound sweep."""
-    t0 = time.monotonic()
     _, catalog, engine = catalog_context(quiver, m, p)
     table = ar.tau_orbits(catalog)
     cap = table.max_cardinality()
@@ -104,11 +103,10 @@ def suite_thm1(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=20
     params = {"quiver": quiver.to_text(), "m": m, "p": p, "seed": seed,
               "samples": samples, "max_orbit": cap,
               "achievable": sorted(set(achievable))}
-    return _report("thm1", params, checks, bad, t0)
+    return _report("thm1", params, checks, bad)
 
 
 def suite_thm32_all_d(quiver, m=1, p=ef.DEFAULT_PRIME):
-    t0 = time.monotonic()
     _, catalog, engine = catalog_context(quiver, m, p)
     cap = ar.tau_orbits(catalog).max_cardinality()
     checks, bad = [], []
@@ -119,13 +117,12 @@ def suite_thm32_all_d(quiver, m=1, p=ef.DEFAULT_PRIME):
         if got != d:
             bad.append({"d": d, "got": got})
     return _report("thm32_all_d", {"quiver": quiver.to_text(), "m": m, "p": p,
-                                   "max_orbit": cap}, checks, bad, t0)
+                                   "max_orbit": cap}, checks, bad)
 
 
 def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, bound=3):
     """gl.dim End(E_i) = i + 2 for i = 1..t-1; exact over a catalog when the
     base quiver is Dynkin (Gabriel), lower-bound-plus-window otherwise."""
-    t0 = time.monotonic()
     algebra = rp.build_replicated(quiver, m, p)
     t = rp.global_dimension(algebra)
     mode = "exact" if qr.is_dynkin(quiver) else "windowed"
@@ -162,7 +159,7 @@ def suite_prop41(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, bound=3)
                 bad.append(entry)
     params = {"quiver": quiver.to_text(), "m": m, "p": p, "mode": mode,
               "gldim": t, "bound": bound if mode != "exact" else None}
-    return _report("prop41", params, checks, bad, t0)
+    return _report("prop41", params, checks, bad)
 
 
 def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
@@ -171,7 +168,6 @@ def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
     projective-injective, checked inside the window algebra.  Over a
     Dynkin base (Gabriel) X runs over all of ind A ("exact"); otherwise
     over a bound-6 window census of it ("windowed")."""
-    t0 = time.monotonic()
     window = 2 * m + 1
     walg = rp.build_replicated(quiver, window, p)
     mode = "exact" if qr.is_dynkin(quiver) else "windowed"
@@ -199,13 +195,12 @@ def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
     checks.append({"check": f"all (i < j <= {window}) x {len(base)} modules",
                    "ok": not bad})
     return _report("lem22", {"quiver": quiver.to_text(), "m": m, "p": p,
-                             "mode": mode, "window": window}, checks, bad, t0)
+                             "mode": mode, "window": window}, checks, bad)
 
 
 def suite_lem23_2(quiver, m=1, p=ef.DEFAULT_PRIME):
     """pd sandwich: pd M = k iff Sigma_{k-1} < M <= Sigma_k, with the
     predecessor relation computed in the K = 2m+1 window catalog."""
-    t0 = time.monotonic()
     algebra, catalog, _ = catalog_context(quiver, m, p)
     window = 2 * m + 1
     walg = rp.build_replicated(quiver, window, p)
@@ -250,14 +245,13 @@ def suite_lem23_2(quiver, m=1, p=ef.DEFAULT_PRIME):
     checks.append({"check": f"sandwich iff pd, over {len(catalog)} modules",
                    "ok": not bad})
     return _report("lem23_2", {"quiver": quiver.to_text(), "m": m, "p": p,
-                               "window": window}, checks, bad, t0)
+                               "window": window}, checks, bad)
 
 
 def suite_lem31_random(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
                        samples=30):
     """If every X outside add M has tau^(d-1) X = 0, then
     gl.dim End(M) <= d, sampled over random generator-cogenerators."""
-    t0 = time.monotonic()
     _, catalog, engine = catalog_context(quiver, m, p)
     table = ar.tau_orbits(catalog)
     steps = {}
@@ -273,14 +267,13 @@ def suite_lem31_random(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED,
             bad.append({"summands": sorted(gencog.summands), "d": d_min, "got": got})
     checks.append({"check": f"{samples} sampled generator-cogenerators", "ok": not bad})
     return _report("lem31_random", {"quiver": quiver.to_text(), "m": m, "p": p,
-                                    "samples": samples}, checks, bad, t0)
+                                    "samples": samples}, checks, bad)
 
 
 def suite_lem45(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=16):
     """For generator-cogenerators whose non-injective summands are all
     layer-0 modules, Omega_M^(2m)(X) is a layer-0 module for every
     non-injective indecomposable X."""
-    t0 = time.monotonic()
     _, catalog, engine = catalog_context(quiver, m, p)
     layer0 = [i for i in range(len(catalog)) if catalog.layer0(i)]
     gencogs = random_gencogs(layer0, engine, samples, seed + 2)
@@ -298,14 +291,13 @@ def suite_lem45(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, samples=1
     checks.append({"check": f"{len(gencogs)} qualifying generator-cogenerators",
                    "ok": not bad})
     return _report("lem45", {"quiver": quiver.to_text(), "m": m, "p": p,
-                             "samples": samples}, checks, bad, t0)
+                             "samples": samples}, checks, bad)
 
 
 def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, bound=3):
     """Representation dimension is at most 3: gl.dim End(E_1) <= 3;
     on representation-finite instances (a Dynkin base quiver) the additive
     generator gives <= 2."""
-    t0 = time.monotonic()
     algebra = rp.build_replicated(quiver, m, p)
     mode = "exact" if qr.is_dynkin(quiver) else "windowed"
     checks, bad = [], []
@@ -333,13 +325,12 @@ def suite_cor42(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, bound=3):
         if not ok:
             bad.append({"E_1_window": res.lower})
     return _report("cor42", {"quiver": quiver.to_text(), "m": m, "p": p,
-                             "mode": mode}, checks, bad, t0)
+                             "mode": mode}, checks, bad)
 
 
 def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, bound=3):
     """Desk-scale witness chain for the d >= 2m+3 construction, plus the
     windowed upper check."""
-    t0 = time.monotonic()
     algebra = rp.build_replicated(quiver, m, p)
     engine = MDimEngine.windowed(algebra)
     gencog, n, z = gc.construct_lem47(algebra, d, engine=engine)
@@ -392,13 +383,12 @@ def suite_lem47(quiver, m=1, d=5, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED, boun
                     "indeterminates": upper.indeterminates})
     return _report("lem47", {"quiver": quiver.to_text(), "m": m, "p": p, "d": d,
                              "bound": bound, "witness_Z": z.component_dims(),
-                             "witness_N": n.dim_label()}, checks, bad, t0)
+                             "witness_N": n.dim_label()}, checks, bad)
 
 
 def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME):
     """The infinite case: Omega_M(N) = N + projective and M-dim N = inf
     with a cycle certificate."""
-    t0 = time.monotonic()
     algebra = rp.build_replicated(quiver, m, p)
     engine = MDimEngine.windowed(algebra)
     gencog, n0, nprime = gc.construct_lem48(algebra, engine=engine)
@@ -422,7 +412,7 @@ def suite_lem48(quiver, m=1, p=ef.DEFAULT_PRIME):
         bad.append({"mdim": str(mdim_n)})
     return _report("lem48", {"quiver": quiver.to_text(), "m": m, "p": p,
                              "N": n0.dim_label(), "Nprime": nprime.component_dims()},
-                   checks, bad, t0)
+                   checks, bad)
 
 
 def parameters(suite):

@@ -3,6 +3,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -222,6 +223,33 @@ def test_timing_on_stderr_not_stdout():
     assert "time:" not in out
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("gldim", "--quiver", quiver("a2.q"), "--m", "1"), 0),
+    (("verify", "thm32_all_d", "--quiver", quiver("a2.q"), "--m", "1"), 0),
+    (("verify", "thm32_all_d", "--quiver", quiver("kron.q"), "--m", "1"), 3),
+    (("verify", "lem48", "--quiver", quiver("kron.q"), "--m", "1", "--window", "2"), 2),
+    (("verify", "thm1", "--quiver", quiver("a2.q"), "--m", "0"), 2),
+    (("verify", "thm1", "--quiver", quiver("a2.q"), "--m", "1"), 1),
+], ids=["gldim", "verify", "not-dynkin", "unread-window", "m-0", "anomaly"])
+def test_every_exit_path_prints_one_time_line(monkeypatch, capsys, argv, want):
+    from replalg import cli
+    from replalg import verify as vf
+    from replalg.errors import AnomalyError
+
+    if want == 1:
+        def anomaly(suite, quiver, **params):
+            raise AnomalyError("planted")
+
+        monkeypatch.setattr(vf, "verify", anomaly)
+    assert cli.main(list(argv)) == want
+    out, err = capsys.readouterr()
+    time_line = re.compile(r"^time: \d+ ms$", re.MULTILINE)
+    assert len(time_line.findall(err)) == 1
+    assert not time_line.findall(out)
+    if want == 1:
+        assert json.loads(out) == {"anomaly": "planted"}
+
+
 def test_exit_code_1_when_suite_reports_counterexample(monkeypatch, capsys):
     # a suite verdict of "fail" maps to exit code 1 with the report on stdout
     from replalg import cli
@@ -229,8 +257,7 @@ def test_exit_code_1_when_suite_reports_counterexample(monkeypatch, capsys):
 
     def fake_verify(suite, quiver, **params):
         return {"suite": suite, "params": params, "verdict": "fail",
-                "checks": [], "counterexamples": [{"witness": "X0"}],
-                "wall_ms": 1}
+                "checks": [], "counterexamples": [{"witness": "X0"}]}
 
     monkeypatch.setattr(vf, "verify", fake_verify)
     code = cli.main(["verify", "thm1", "--quiver", quiver("a2.q"), "--m", "1",
@@ -490,11 +517,11 @@ def test_empty_window_and_negative_seed_are_input_errors(argv):
 
 @pytest.mark.parametrize("argv, message", [
     (("verify", "lem22", "--quiver", quiver("a2.q"), "--samples", "3"),
-     "suite lem22 does not take samples"),
+     "verify lem22 does not take --samples"),
     (("verify", "thm32_all_d", "--quiver", quiver("a2.q"), "--d", "4"),
-     "suite thm32_all_d does not take d"),
+     "verify thm32_all_d does not take --d"),
     (("verify", "thm1", "--quiver", quiver("a2.q"), "--d", "4"),
-     "suite thm1 does not take d"),
+     "verify thm1 does not take --d"),
     (("verify", "lem31_random", "--quiver", quiver("a2.q"), "--samples", "-1"),
      "samples must be >= 1"),
     (("verify", "lem45", "--quiver", quiver("a2.q"), "--samples", "-2"),
@@ -506,11 +533,14 @@ def test_empty_window_and_negative_seed_are_input_errors(argv):
     (("verify", "lem47", "--quiver", quiver("kron.q"), "--prime", "1048583"),
      "prime 1048583 is too large"),
     (("verify", "thm1", "--quiver", quiver("a2.q"), "--window", "2"),
-     "suite thm1 does not take bound"),
+     "verify thm1 does not take --window"),
     (("verify", "lem48", "--quiver", quiver("kron.q"), "--window", "2"),
-     "suite lem48 does not take bound"),
-    (("verify", "lem48", "--quiver", quiver("kron.q"), "--window", "-4"),
+     "verify lem48 does not take --window"),
+    (("verify", "lem47", "--quiver", quiver("kron.q"), "--window", "-4"),
      "window bound must be >= 1, got -4"),
+    # a flag the suite does not take is refused whatever its value
+    (("verify", "lem48", "--quiver", quiver("kron.q"), "--window", "-4"),
+     "verify lem48 does not take --window"),
 ])
 def test_unusable_options_are_input_errors(argv, message):
     # an option the suite does not take ended in a TypeError traceback; a
@@ -579,8 +609,8 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(argv):
 
 
 def handler_reads(source):
-    """Command name -> the names `args.<name>` that its handler in main's
-    `handlers` table, or any function of `source` it calls, reads."""
+    """Command name -> the names `args.<name>` that main, its handler in
+    main's `handlers` table, or any function of `source` they call, reads."""
     tree = ast.parse(source)
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     table = next(n.value for n in ast.walk(funcs["main"]) if isinstance(n, ast.Assign)
@@ -602,7 +632,9 @@ def handler_reads(source):
                     todo.append(node.func.id)
         return out
 
-    return {key.value: reads(value.id) for key, value in zip(table.keys, table.values)}
+    shared = reads("main")
+    return {key.value: shared | reads(value.id)
+            for key, value in zip(table.keys, table.values)}
 
 
 def unread_options(parser, source):
@@ -627,6 +659,9 @@ def test_every_option_is_read_by_its_command():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub.choices["info"].add_argument("--window", type=int, default=3)
     assert unread_options(parser, source) == [("info", "window")]
+    # main's reads count for every command, but not an option nobody reads
+    sub.choices["verify"].add_argument("--unread", default=None)
+    assert unread_options(parser, source) == [("info", "window"), ("verify", "unread")]
 
 
 @pytest.mark.parametrize("path, mode", [("a2.q", "exact"), ("kron.q", "windowed")])

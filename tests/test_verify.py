@@ -52,8 +52,15 @@ def test_report_shape():
     report = vf.verify("thm32_all_d", a2(), m=1, p=P)
     assert report["verdict"] == "pass"
     assert set(report) >= {"suite", "params", "verdict", "checks",
-                           "counterexamples", "wall_ms"}
+                           "counterexamples"}
     assert report["counterexamples"] == []
+
+
+def test_verify_is_a_function_of_its_inputs():
+    # no timing or other run state leaks into a report
+    first = vf.verify("thm32_all_d", a2(), m=1, p=P)
+    assert first == vf.verify("thm32_all_d", a2(), m=1, p=P)
+    assert "wall_ms" not in first
 
 
 def test_unknown_suite():
