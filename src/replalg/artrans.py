@@ -153,6 +153,12 @@ def ar_sequence(z, tz=None):
     returned sequence is certified."""
     if tz is None:
         tz = tau(z)
+    return tz, rp.decompose_layered(_almost_split_middle(z, tz))
+
+
+def _almost_split_middle(z, tz):
+    """The middle term E of the almost split sequence ending in Z (see
+    ar_sequence), as one module."""
     p0, cover, _ = rp.proj_cover(z)
     omega, incl = cover.kernel()
     restricted = [g.compose(incl) for g in rp.hom_layered(p0, tz)]
@@ -164,7 +170,7 @@ def ar_sequence(z, tz=None):
     f = next(h for h in classes if rp.span_dim(restricted + [h]) > base)
     total, _ = LayeredModule.block_sum([tz, p0])
     span = [np.vstack([fb, np.mod(-ib, z.p)]) for fb, ib in zip(f.blocks, incl.blocks)]
-    return tz, rp.decompose_layered(total.quotient(span)[0])
+    return total.quotient(span)[0]
 
 
 class IndecCatalog:
@@ -248,7 +254,9 @@ class IndecCatalog:
         ignored.  As in indec_catalog, a base quiver that is not Dynkin
         raises BudgetExceeded at once.  The data must be a JSON object; its
         modules, table lengths, ids and translation tables are checked as
-        indec_catalog checks them, and a failure is an InputError."""
+        indec_catalog checks them, and a failure is an InputError: each
+        module is certified indecomposable (which fills its verdict memo)
+        and must be isomorphic to no module before it."""
         require_representation_finite(algebra)
         if not isinstance(data, dict):
             raise InputError(f"catalog JSON is a {type(data).__name__}, not an object")
@@ -265,8 +273,15 @@ class IndecCatalog:
             return out
 
         try:
-            registry = rp.IsoRegistry(LayeredModule.from_json(algebra, d)
-                                      for d in data["modules"])
+            registry = rp.IsoRegistry()
+            for d in data["modules"]:
+                m = LayeredModule.from_json(algebra, d)
+                if len(fitting_split(m)) != 1:
+                    raise AnomalyError(f"module X{len(registry)} is decomposable")
+                twin = registry.find(m)
+                if twin is not None:
+                    raise AnomalyError(f"modules X{twin} and X{len(registry)} are isomorphic")
+                registry.add(m)
             n = len(registry)
             cat = cls(algebra, registry, ids("tau", n), ids("tau_inv", n),
                       set(ids("projective", algebra.n_components)),
@@ -359,19 +374,21 @@ class ARQuiver:
 
     def __init__(self, catalog):
         self.catalog = catalog
-        mods, alg = catalog.modules, catalog.algebra
+        mods, alg, registry = catalog.modules, catalog.algebra, catalog.registry
         self.mult = np.zeros((len(catalog), len(catalog)), dtype=np.int64)
         for z, tz in enumerate(catalog.tau_map):
             if tz is None:
                 (k, i), _ = rp.top_generators(mods[z])[0]
-                middle = rp.decompose_layered(rp.syzygy(alg.simple(i, k)))
+                middle = rp.syzygy(alg.simple(i, k))
             else:
-                _, middle = ar_sequence(mods[z], mods[tz])
-            for y, mult in middle:
-                idx = catalog.find(y)
-                if idx is None:
-                    raise AnomalyError(f"an arrow into {catalog.label(z)} leaves the catalog")
-                self.mult[idx, z] = mult * (catalog.hom_dim(idx, idx) - len(mods[idx].rad_end()))
+                middle = _almost_split_middle(mods[z], mods[tz])
+            # split with lookups in the catalog: every piece is a member
+            ids = [registry.identity_index(y) for y in registry.split(middle)]
+            if None in ids:
+                raise AnomalyError(f"an arrow into {catalog.label(z)} leaves the catalog")
+            for idx in set(ids):
+                self.mult[idx, z] = ids.count(idx) * (catalog.hom_dim(idx, idx)
+                                                      - len(mods[idx].rad_end()))
 
     def mesh_violations(self):
         """Non-projective nodes z whose mesh fails: the dimension identity

@@ -23,7 +23,7 @@ from . import quiverrep as qr
 from . import replicated as rp
 from .errors import AnomalyError, ContractError, InputError
 from .replicated import IsoRegistry, LayeredModule, LayeredMorphism
-from .splitting import fitting_split, single_eigenvalue
+from .splitting import single_eigenvalue
 
 MDIM_MAX_STEPS = 64
 MDIM_DIM_CAP = 600
@@ -195,8 +195,10 @@ class MDimEngine:
 
     def state(self, module):
         """The Krull-Schmidt state of a module: the sorted registry ids of
-        its indecomposable summands, with multiplicity."""
-        return tuple(sorted(self.registry.canon(piece) for piece in fitting_split(module)))
+        its indecomposable summands, with multiplicity.  The split looks
+        its pieces up in the registry (IsoRegistry.decompose), so a piece
+        of a known class is neither split nor certified again."""
+        return tuple(sorted(self.registry.decompose(module)))
 
     def omega_ids(self, x_id, summand_ids):
         """State of Omega_M(X) for the registry id of X; cached on (X,

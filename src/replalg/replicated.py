@@ -35,6 +35,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import exactfield as ef
+from . import splitting
 from .errors import AnomalyError, InputError, WindowOverflow
 from .splitting import find_invertible_combo, fitting_split, rad_end_blocks
 
@@ -469,7 +470,9 @@ class LayeredModule:
 
     End(M) and rad End(M) are computed once, on the module (end_basis and
     rad_end); the first end_basis makes the action matrices read-only, so
-    the memo cannot go stale."""
+    the memo cannot go stale.  So is the indecomposability verdict:
+    `verdict` is None until a Fitting split decides it, then the verdict
+    kind (splitting.VERDICT_KINDS) or False for a decomposable module."""
 
     def __init__(self, algebra, layers, conn=None):
         """layers: one (dims, maps) pair per level, with conn the connecting
@@ -483,6 +486,7 @@ class LayeredModule:
         self._iso_key = None
         self._end = None
         self._rad = None
+        self.verdict = None
 
     def _coerce(self, layers, conn):
         """Public input: layers as (dims, maps) pairs and connecting
@@ -917,11 +921,12 @@ def is_iso_layered(m, n):
     when N is the indecomposable one.
 
     So when no basis element is invertible, M and N are not isomorphic if M
-    is indecomposable, and otherwise they are compared through their
-    Krull-Schmidt decompositions, whose pieces the scan decides exactly.
-    The random generator inside a Fitting split picks which split is
-    found, never whether one exists, and the pieces are unique up to
-    isomorphism (Krull-Schmidt), so the verdict does not depend on it.
+    is indecomposable (read from its memoized verdict when it has one), and
+    otherwise they are compared through their Krull-Schmidt decompositions,
+    whose pieces the scan decides exactly.  The random generator inside a
+    Fitting split picks which split is found, never whether one exists,
+    and the pieces are unique up to isomorphism (Krull-Schmidt), so the
+    verdict does not depend on it.
     """
     if m is n:
         return True
@@ -934,12 +939,14 @@ def is_iso_layered(m, n):
         return False
     if find_invertible_combo([h.blocks for h in basis], m.p) is not None:
         return True
+    if m.verdict:
+        return False
     pieces = fitting_split(m)
     if len(pieces) == 1:
         return False
     classes = IsoRegistry()
     ids = sorted(classes.canon(x) for x in pieces)
-    return ids == sorted(classes.canon(y) for y in fitting_split(n))
+    return ids == sorted(classes.decompose(n))
 
 
 SEMI_INVARIANT_POINTS = (0, 1, 2, 5, 7, 11)
@@ -952,7 +959,8 @@ def semi_invariants(m):
     source c and target c' have dim c = dim c' = n > 0, the tuple holds
     det(M_e + t M_e') for t in SEMI_INVARIANT_POINTS (mod p) and then
     det M_e' (the point t = infinity), divided by its first nonzero entry
-    (left as is when every entry is zero).
+    (left as is when every entry is zero).  Points with the same residue
+    mod p give the same determinant, so it is computed once per residue.
 
     Proof of invariance.  An isomorphism phi: M -> N has invertible
     components with N_e phi_c = phi_c' M_e for every action edge, so
@@ -964,12 +972,14 @@ def semi_invariants(m):
     """
     dims, mats, p = m._dims, m._edge_mats, m.p
     edges = m.algebra.edges
+    residues = [t % p for t in SEMI_INVARIANT_POINTS]
     out = []
     for e, f in m.algebra.parallel_edge_pairs():
         src, tgt = edges[e]
         if not dims[src] or dims[src] != dims[tgt]:
             continue
-        vals = [ef.det(mats[e] + t * mats[f], p) for t in SEMI_INVARIANT_POINTS]
+        dets = {t: ef.det(mats[e] + t * mats[f], p) for t in dict.fromkeys(residues)}
+        vals = [dets[t] for t in residues]
         vals.append(ef.det(mats[f], p))
         lead = next((v for v in vals if v), 1)
         inv = pow(lead, p - 2, p)
@@ -983,12 +993,17 @@ class IsoRegistry:
     iso_key() (which adds the semi-invariants, equal for isomorphic
     modules) and tried in id order, so a lookup finds the id a linear scan
     would, skipping only modules that cannot be isomorphic.  A module alone
-    in its dimensions never computes its key.  Candidates are tested with
+    in its dimensions never computes its key, and a registered object is
+    found at once as its own class.  Candidates are tested with
     is_iso_layered.
 
-    The registry is also the Hom cache of its modules: hom_basis computes
-    each space once per pair of distinct ids, and End comes from the
-    module's own memo (LayeredModule.end_basis)."""
+    The registry is also the decomposition index of its modules: split and
+    decompose run the Fitting split with lookups here (splitting), so a
+    piece isomorphic to a member certified indecomposable is never split
+    or certified again; a member without a verdict is certified on first
+    use.  And it is the Hom cache of its modules: hom_basis computes each
+    space once per pair of distinct ids, and End comes from the module's
+    own memo (LayeredModule.end_basis)."""
 
     def __init__(self, modules=()):
         self.modules = []
@@ -1000,6 +1015,9 @@ class IsoRegistry:
 
     def find(self, m):
         """Id of a registered module isomorphic to m, or None."""
+        idx = self._by_identity.get(id(m))
+        if idx is not None:
+            return idx
         for idx in self._buckets.get(m._dims, ()):
             cand = self.modules[idx]
             if cand.iso_key() == m.iso_key() and is_iso_layered(cand, m):
@@ -1023,6 +1041,17 @@ class IsoRegistry:
         """Id of this very object, or None (no iso test)."""
         return self._by_identity.get(id(m))
 
+    def split(self, m):
+        """The indecomposable pieces of m, with repetition, in the order of
+        fitting_split; a piece isomorphic to a member certified
+        indecomposable is that member.  Nothing is registered."""
+        return splitting.fitting_split(m, self)
+
+    def decompose(self, m):
+        """Ids of the indecomposable summands of m, with multiplicity, in
+        the order of split(m); new classes are registered in that order."""
+        return [self.canon(piece) for piece in self.split(m)]
+
     def hom_basis(self, i, j):
         """Basis of Hom(M_i, M_j) for ids i, j, computed once."""
         if i == j:
@@ -1037,16 +1066,11 @@ class IsoRegistry:
 
 
 def decompose_layered(m):
-    """Indecomposable summands of a layered module with multiplicities."""
+    """Indecomposable summands of a layered module with multiplicities:
+    its decomposition over an empty registry, one class per first piece."""
     classes = IsoRegistry()
-    mults = []
-    for piece in fitting_split(m):
-        idx = classes.find(piece)
-        if idx is None:
-            idx = classes.add(piece)
-            mults.append(0)
-        mults[idx] += 1
-    return list(zip(classes.modules, mults))
+    ids = classes.decompose(m)
+    return [(x, ids.count(i)) for i, x in enumerate(classes.modules)]
 
 
 def span_dim(morphisms):
@@ -1065,13 +1089,18 @@ def span_dim(morphisms):
 
 def rep_at_layer(algebra, rep, k):
     """Embed an A-module (a module over the m = 0 algebra of the same
-    quiver and prime) as a layered module concentrated in layer k."""
+    quiver and prime) as a layered module concentrated in layer k.
+    A morphism between modules concentrated in one layer meets no
+    connecting action, so Hom over A^(m) there is Hom over A: End is the
+    same algebra, and the embedding keeps rep's indecomposability verdict."""
     base = rep.algebra
     if base.m != 0 or base.p != algebra.p or (
             base.quiver is not algebra.quiver
             and base.quiver.to_text() != algebra.quiver.to_text()):
         raise InputError("rep_at_layer: not a module over the base algebra")
-    return algebra._concentrated(rep.layers[0], k)
+    out = algebra._concentrated(rep.layers[0], k)
+    out.verdict = rep.verdict
+    return out
 
 
 def radical_span(m):

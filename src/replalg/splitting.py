@@ -19,6 +19,20 @@ is found, never whether one exists.  A module with local End(M) is
 indecomposable, so the certificate never hides a split.  Its ideal J is
 rad End(M) (`rad_end_blocks`, memoized by LayeredModule.rad_end).
 
+The verdict is memoized on the module (`LayeredModule.verdict`: its kind,
+or False once a split found the module decomposable), so a module is
+certified once however often it is split or looked up.
+
+With an `IsoRegistry`, a split is also a Krull-Schmidt lookup: each node,
+the module itself first, is looked up in the registry, and a node
+isomorphic to a member certified indecomposable is a leaf, given as that
+member, without a split of its own.  A member without a verdict is
+certified on first use; one that splits never ends a branch.  A node
+isomorphic to an indecomposable is indecomposable, so it is a leaf of the
+split without the registry as well, and leaves come out in the same
+breadth-first order: the pieces are the same up to isomorphism and in the
+same order, with or without a registry (Krull-Schmidt, ARS ch. I-II).
+
 `find_invertible_combo` scans a basis of Hom(M, N) for an isomorphism,
 which decides whether M and N are isomorphic when one of them is
 indecomposable (proof at replicated.is_iso_layered).
@@ -271,7 +285,30 @@ def _split_once(m):
                        "failed to split it")
 
 
-def fitting_split_labelled(m):
+def _split_step(m):
+    """The pieces of one split of m, or None when m is indecomposable; the
+    verdict is read from m's memo or decided by `_split_once` and stored."""
+    if m.verdict:
+        return None
+    pieces, kind = _split_once(m)
+    m.verdict = kind or False
+    return pieces
+
+
+def _certified_member(node, registry):
+    """The registered member isomorphic to node when it is certified
+    indecomposable (a member without a verdict is certified here, once),
+    else None."""
+    idx = registry.find(node)
+    if idx is None:
+        return None
+    member = registry.modules[idx]
+    if member.verdict is None:
+        _split_step(member)
+    return member if member.verdict else None
+
+
+def fitting_split_labelled(m, registry=None):
     """The pieces of `fitting_split`, in the same order, each paired with
     the kind of its indecomposability verdict (one of VERDICT_KINDS)."""
     if m.total_dim > DIM_CAP:
@@ -282,15 +319,21 @@ def fitting_split_labelled(m):
         cur = stack.pop(0)
         if cur.total_dim == 0:
             continue
-        pieces, kind = _split_once(cur)
+        member = None if registry is None else _certified_member(cur, registry)
+        if member is not None:
+            out.append((member, member.verdict))
+            continue
+        pieces = _split_step(cur)
         if pieces is None:
-            out.append((cur, kind))
+            out.append((cur, cur.verdict))
         else:
             stack.extend(pieces)
     return out
 
 
-def fitting_split(m):
+def fitting_split(m, registry=None):
     """All indecomposable pieces of m, with repetition, in a deterministic
-    order; [] for the zero module."""
-    return [piece for piece, _ in fitting_split_labelled(m)]
+    order; [] for the zero module.  With a registry (an IsoRegistry), a
+    piece isomorphic to a member certified indecomposable is that member
+    (see the module doc)."""
+    return [piece for piece, _ in fitting_split_labelled(m, registry)]

@@ -10,7 +10,10 @@ closure is explicitly partial (results quote the window); it combines
   * middle terms of extension classes between census members (every line
     of Ext^1 when p^e is small, the lines of the basis classes and of
     seeded random combinations otherwise; one class per line either way),
-    iterated to a fixpoint,
+    iterated to a fixpoint; each middle term is split with lookups in the
+    census registry, so a piece of a known class is never split or
+    certified again (`splitting`), and every member is certified
+    indecomposable once, as it joins,
 
 and then transports the base census into the replicated algebra by
 cosyzygy shifts computed in an enlarged window, keeping the shifts that
@@ -55,9 +58,14 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
     found = rp.IsoRegistry()
 
     def add(m):
+        """Register m when it is a new class inside the window.  A member is
+        certified indecomposable as it joins: a piece of a split reads its
+        verdict from the memo, a seed is certified here."""
         if m.total_dim == 0 or any(d > bound for d in m.component_dims()) \
                 or found.find(m) is not None:
             return False
+        if len(fitting_split(m)) != 1:
+            raise AnomalyError(f"census member {m!r} is decomposable")
         found.add(m)
         return True
 
@@ -114,7 +122,9 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
                         continue
                     realized.add(key)
                     middle, _, _ = qr.realize_extension_class(m, n, coeffs)
-                    for piece in fitting_split(middle):
+                    # a piece of a known class comes back as the member
+                    # itself, which add skips at once
+                    for piece in found.split(middle):
                         if add(piece):
                             grew = True
         if not grew:

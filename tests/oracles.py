@@ -686,6 +686,128 @@ def reference_base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
 
 
 # ---------------------------------------------------------------------------
+# the decomposition routes before the Fitting split looked its nodes up in
+# a registry: MDimEngine.state's body, windows.base_indecomposables with its
+# add loop, and decompose_layered with its grouping loop, kept verbatim as
+# references for IsoRegistry.split and IsoRegistry.decompose
+# ---------------------------------------------------------------------------
+
+
+def reference_state(registry, module):
+    """The Krull-Schmidt state of a module: the sorted registry ids of
+    its indecomposable summands, with multiplicity."""
+    return tuple(sorted(registry.canon(piece) for piece in sp.fitting_split(module)))
+
+
+def reference_decompose_layered(m):
+    """Indecomposable summands of a layered module with multiplicities."""
+    classes = rp.IsoRegistry()
+    mults = []
+    for piece in sp.fitting_split(m):
+        idx = classes.find(piece)
+        if idx is None:
+            idx = classes.add(piece)
+            mults.append(0)
+        mults[idx] += 1
+    return list(zip(classes.modules, mults))
+
+
+def reference_line_census(quiver, p, bound, seed=ef.DEFAULT_SEED):
+    """Window census of indecomposable modules over the base hereditary
+    algebra with every vertex dimension <= bound (partial by design).
+    A bound below 1 would give an empty window, on which every check
+    passes vacuously, so it is an input error, as is a negative seed."""
+    if bound < 1:
+        raise InputError(f"window bound must be >= 1, got {bound}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    found = rp.IsoRegistry()
+
+    def add(m):
+        if m.total_dim == 0 or any(d > bound for d in m.component_dims()) \
+                or found.find(m) is not None:
+            return False
+        found.add(m)
+        return True
+
+    for v in quiver.vertices:
+        add(qr.simple(quiver, p, v))
+        add(qr.projective(quiver, p, v))
+        add(qr.injective(quiver, p, v))
+    for v in quiver.vertices:
+        cur = qr.projective(quiver, p, v)
+        for _ in range(4 * bound):
+            cur = qr.tau_inverse(cur)
+            if cur.total_dim == 0 or any(d > bound for d in cur.component_dims()):
+                break
+            add(cur)
+        cur = qr.injective(quiver, p, v)
+        for _ in range(4 * bound):
+            cur = qr.tau(cur)
+            if cur.total_dim == 0 or any(d > bound for d in cur.component_dims()):
+                break
+            add(cur)
+    rng = np.random.default_rng(seed)
+    # kept across rounds, keyed by census ids: a class realized in an
+    # earlier round has already offered every piece of its middle term
+    ext1, realized = {}, set()
+    for _ in range(w.CLOSURE_ROUNDS):
+        grew = False
+        snapshot = list(found.modules)
+        for i, m in enumerate(snapshot):
+            for j, n in enumerate(snapshot):
+                if any(a + b > bound for a, b in zip(m.component_dims(), n.component_dims())):
+                    continue
+                if (i, j) not in ext1:
+                    ext1[i, j] = qr.ext1_dim(m, n)
+                e = ext1[i, j]
+                if e == 0:
+                    continue
+                if p ** e <= w.EXT_ENUM_CAP:
+                    # one class per line (see the module docstring): the
+                    # first in code order, whose most significant nonzero
+                    # digit is 1
+                    coeff_list = [c for c in (w._digits(code, p, e) for code in range(1, p ** e))
+                                  if next(x for x in reversed(c) if x) == 1]
+                else:
+                    coeff_list = [[1 if t == k else 0 for t in range(e)] for k in range(e)]
+                    coeff_list += [list(rng.integers(0, p, size=e)) for _ in range(4)]
+                for coeffs in coeff_list:
+                    if not any(coeffs):
+                        continue
+                    # key by the line's representative, so a drawn multiple
+                    # of a realized class is skipped (the draws themselves
+                    # are kept, which keeps the random stream)
+                    key = (i, j, w._line_representative(coeffs, p))
+                    if key in realized:
+                        continue
+                    realized.add(key)
+                    middle, _, _ = qr.realize_extension_class(m, n, coeffs)
+                    for piece in sp.fitting_split(middle):
+                        if add(piece):
+                            grew = True
+        if not grew:
+            break
+    return found.modules
+
+
+def reference_semi_invariants(m):
+    """rp.semi_invariants by the direct formula: one determinant per point
+    of SEMI_INVARIANT_POINTS, repeated residues mod p included."""
+    dims, mats, p = m.component_dims(), m.edge_matrices(), m.p
+    out = []
+    for e, f in m.algebra.parallel_edge_pairs():
+        src, tgt = m.algebra.edges[e]
+        if not dims[src] or dims[src] != dims[tgt]:
+            continue
+        vals = [ef.det(mats[e] + t * mats[f], p) for t in rp.SEMI_INVARIANT_POINTS]
+        vals.append(ef.det(mats[f], p))
+        lead = next((v for v in vals if v), 1)
+        out.append(tuple(v * pow(lead, p - 2, p) % p for v in vals))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # rad End(M) as replicated.rad_end_basis computed it before LayeredModule.rad_end
 # read it from the locality certificate alone, kept verbatim as a reference
 # ---------------------------------------------------------------------------

@@ -485,6 +485,23 @@ def test_cached_catalog_with_bad_tables_is_refused(cat_a2):
             ar.IndecCatalog.from_json(cat_a2.algebra, bad)
 
 
+def test_cached_catalog_of_non_classes_is_refused():
+    # the modules of a catalog file are certified indecomposable and
+    # pairwise non-isomorphic on load: X7 replaced by a copy of X6, or by
+    # X6 + X7, is refused (A_2, m = 1, p = 3)
+    alg = rp.build_replicated(a2(), 1, 3)
+    cat = ar.indec_catalog(alg)
+    data = cat.to_json()
+    assert len(data["modules"]) == 9
+    assert ar.IndecCatalog.from_json(alg, data).to_json() == data
+    x6_x7 = LayeredModule.direct_sum([cat.modules[6], cat.modules[7]])[0].to_json()
+    for module, message in ((data["modules"][6], "modules X6 and X7 are isomorphic"),
+                            (x6_x7, "module X7 is decomposable")):
+        bad = dict(data, modules=data["modules"][:7] + [module] + data["modules"][8:])
+        with pytest.raises(InputError, match=message):
+            ar.IndecCatalog.from_json(alg, bad)
+
+
 def test_short_projective_table_names_the_table_and_its_length(cat_a2):
     # projective and injective tables have one entry per component
     # (n_components = 4 for A_2, m = 1), not one per module

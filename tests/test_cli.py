@@ -209,6 +209,23 @@ def test_catalog_cache_files_are_pinned(tmp_path, path, m):
     assert digest == CATALOG_CACHE_SHA256[(path, m)]
 
 
+@pytest.mark.parametrize("path, m", sorted(CATALOG_CACHE_SHA256))
+def test_pinned_catalog_cache_files_load_back(tmp_path, path, m):
+    # loading certifies every module and checks it against the ones before
+    from replalg import artrans as ar
+    from replalg import quiverrep as qr
+    from replalg import replicated as rp
+    code, _, _ = run_cli("indecs", "--quiver", os.path.join(ROOT, path), "--m", m,
+                         "--cache", str(tmp_path), "--json")
+    assert code == 0
+    (cache_file,) = tmp_path.glob("catalog_*.json")
+    text = cache_file.read_text()
+    algebra = rp.build_replicated(qr.Quiver.load(os.path.join(ROOT, path)), int(m),
+                                  json.loads(text)["modules"][0]["p"])
+    catalog = ar.IndecCatalog.from_json(algebra, json.loads(text))
+    assert json.dumps(catalog.to_json(), sort_keys=True) == text
+
+
 def test_stdout_byte_identical():
     runs = [run_cli("verify", "thm32_all_d", "--quiver", quiver("a2.q"),
                     "--m", "1", "--json") for _ in range(2)]

@@ -9,7 +9,8 @@ from pathlib import Path
 from oracles import (LinearScanRegistry, reference_check_associativity,
                      reference_compile_relations, reference_dual_edges,
                      reference_hom_complex, reference_inj, reference_proj,
-                     reference_rad_end_basis, reference_simple, reference_validate)
+                     reference_rad_end_basis, reference_semi_invariants, reference_simple,
+                     reference_validate)
 from replalg import artrans as ar
 from replalg import cli
 from replalg import exactfield as ef
@@ -718,6 +719,33 @@ def test_semi_invariants_separate_points_of_the_projective_line():
     x = rp.LayeredModule(base, [([2, 2], [ef.eye(2), comp])], conn={})
     [vals] = rp.semi_invariants(x)
     assert all(vals) and len(vals) == len(rp.SEMI_INVARIANT_POINTS) + 1
+
+
+@pytest.mark.parametrize("p, bound", [(2, 3), (3, 3), (5, 2)])
+def test_semi_invariants_match_the_direct_formula(p, bound):
+    census = w.census_modules(rp.build_replicated(kronecker(), 1, p), bound)
+    keyed = [x for x in census if rp.semi_invariants(x)]
+    assert len(keyed) > 10
+    for x in census:
+        assert rp.semi_invariants(x) == reference_semi_invariants(x)
+
+
+def test_semi_invariants_take_one_determinant_per_residue(monkeypatch):
+    # at p = 3 the points 0, 1, 2, 5, 7, 11 fall on the residues 0, 1, 2,
+    # so one parallel pair costs 3 + 1 determinants instead of 6 + 1
+    base = rp.build_replicated(kronecker(), 0, 3)
+    x = rp.LayeredModule(base, [([2, 2], [ef.eye(2), ef.fmat([[0, 1], [1, 1]], 3)])], conn={})
+    want = reference_semi_invariants(x)
+    dets = []
+    real = ef.det
+
+    def counting(a, p):
+        dets.append(a)
+        return real(a, p)
+
+    monkeypatch.setattr(ef, "det", counting)
+    assert rp.semi_invariants(x) == want
+    assert len(dets) == 4
 
 
 def _registry_stream(rng):

@@ -3,19 +3,23 @@ verdict kinds, checked against the factor-based search they replace
 (`oracles.reference_fitting_split`, `oracles.reference_single_eigenvalue`)."""
 
 import collections
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from replalg import artrans as ar
 from replalg import exactfield as ef
+from replalg import gencog as gc
 from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg import splitting as sp
 from replalg import windows as w
-from oracles import reference_fitting_split, reference_single_eigenvalue
+from oracles import (reference_decompose_layered, reference_fitting_split,
+                     reference_line_census, reference_single_eigenvalue, reference_state)
 
 P = 32003
+QUIVERS = Path(__file__).resolve().parent.parent / "quivers"
 
 
 def a3():
@@ -210,3 +214,196 @@ def test_certificate_needs_commutators_on_skew_f4_algebra():
     for [r] in rad:
         # supported on the b block
         assert r[:2, 2:].any() and not r[:, :2].any() and not r[2:, :].any()
+
+
+# ---------------------------------------------------------------------------
+# splits with registry lookups against the routes they replaced: the same
+# ids, multiplicities and registration order (oracles.reference_state,
+# reference_decompose_layered, reference_line_census)
+# ---------------------------------------------------------------------------
+
+
+def _fresh(x):
+    """A copy of x with no memo: no End, no verdict."""
+    return rp.LayeredModule.from_json(x.algebra, x.to_json())
+
+
+def _calls_of(monkeypatch, module, name):
+    """The argument tuples of every call of module.name while monkeypatch
+    is active; the objects stay alive, so identity tests on them hold."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_census_matches_its_add_loop_reference():
+    got = w.base_indecomposables(kronecker(), 3, 3)
+    want = reference_line_census(kronecker(), 3, 3)
+    assert len(got) == 29
+    assert [x.to_json() for x in got] == [x.to_json() for x in want]
+
+
+def test_registry_split_matches_reference_on_kronecker_p3_census_middles(monkeypatch):
+    classes = _calls_of(monkeypatch, qr, "realize_extension_class")
+    census = w.base_indecomposables(kronecker(), 3, 3)
+    monkeypatch.undo()
+    assert len(classes) == 234
+    # every other member is registered up front without a verdict, so the
+    # middle terms both find (and certify) members and register new classes
+    seeded = census[::2]
+    new, ref = (rp.IsoRegistry(_fresh(x) for x in seeded) for _ in range(2))
+    found = 0
+    for m, n, coeffs in classes:
+        got = new.decompose(qr.realize_extension_class(m, n, coeffs)[0])
+        middle = qr.realize_extension_class(m, n, coeffs)[0]
+        assert got == [ref.canon(piece) for piece in sp.fitting_split(middle)]
+        found += sum(i < len(seeded) for i in got)
+    assert len(new) == len(ref) == 29 and found > 100
+    assert [x.to_json() for x in new.modules] == [x.to_json() for x in ref.modules]
+
+
+def test_registry_split_matches_reference_on_d4_m2_ar_middle_terms():
+    cat = ar.indec_catalog(rp.build_replicated(qr.Quiver.load(QUIVERS / "d4.q"), 2, P))
+    assert len(cat) == 60
+    want_mult = np.zeros((60, 60), dtype=np.int64)
+    for z, tz in enumerate(cat.tau_map):
+        if tz is None:
+            (k, i), _ = rp.top_generators(cat.modules[z])[0]
+            middles = [rp.syzygy(cat.algebra.simple(i, k)) for _ in range(3)]
+        else:
+            middles = [ar._almost_split_middle(cat.modules[z], cat.modules[tz])
+                       for _ in range(3)]
+        want = reference_decompose_layered(middles[0])
+        got = rp.decompose_layered(middles[1])
+        assert [(x.to_json(), mult) for x, mult in got] == \
+            [(x.to_json(), mult) for x, mult in want]
+        pieces = cat.registry.split(middles[2])
+        assert all(cat.registry.identity_index(y) is not None for y in pieces)
+        assert sorted(cat.registry.identity_index(y) for y in pieces) == sorted(
+            cat.find(y) for y, mult in want for _ in range(mult))
+        for y, mult in want:
+            idx = cat.find(y)
+            want_mult[idx, z] = mult * (cat.hom_dim(idx, idx) - len(cat.modules[idx].rad_end()))
+    assert np.array_equal(ar.ar_quiver(cat).mult, want_mult)
+
+
+def _omega_tables(engine_of, gencogs_of, monkeypatch, reference):
+    """engine._omega after the M-dimension walks of gencogs_of(engine),
+    with MDimEngine.state replaced by the reference route when asked."""
+    with monkeypatch.context() as mp:
+        if reference:
+            mp.setattr(gc.MDimEngine, "state",
+                       lambda self, module: reference_state(self.registry, module))
+        engine = engine_of()
+        for gencog, census in gencogs_of(engine):
+            if census is None:
+                gc.gldim_end(gencog)
+            else:
+                gc.gldim_end_windowed(gencog, census)
+    return engine
+
+
+def test_engine_states_match_reference_over_a3_m2(monkeypatch):
+    cat = ar.indec_catalog(rp.build_replicated(a3(), 2, P))
+
+    def gencogs(engine):
+        yield gc.GenCog(engine, engine.required_ids()), None
+        for d in range(2, ar.tau_orbits(cat).max_cardinality() + 1):
+            yield gc.construct_thm32(cat, d, engine)[0], None
+
+    new, ref = (_omega_tables(lambda: gc.MDimEngine.for_catalog(cat), gencogs,
+                              monkeypatch, reference) for reference in (False, True))
+    assert len(new._omega) > 20 and new._omega == ref._omega
+    mods = cat.modules
+    for i in range(len(cat)):
+        j, k = (i + 1) % len(cat), (i + 7) % len(cat)
+        total = rp.LayeredModule.direct_sum([mods[i], mods[i], mods[j], mods[k]])[0]
+        assert new.state(total) == reference_state(cat.registry, total)
+
+
+@pytest.mark.parametrize("p, bound", [(3, 3), (P, 2)])
+def test_engine_states_match_reference_on_windowed_kronecker(monkeypatch, p, bound):
+    alg = rp.build_replicated(kronecker(), 1, p)
+
+    def gencogs(engine):
+        yield gc.construct_lem47(alg, 5, engine)[0], w.census_modules(alg, bound)
+
+    new, ref = (_omega_tables(lambda: gc.MDimEngine.windowed(alg), gencogs,
+                              monkeypatch, reference) for reference in (False, True))
+    assert len(new._omega) > 50 and new._omega == ref._omega
+    assert [x.to_json() for x in new.registry.modules] == \
+        [x.to_json() for x in ref.registry.modules]
+
+
+def test_a_decomposable_member_never_ends_a_branch():
+    census = w.base_indecomposables(kronecker(), 3, 3)
+    x, y = [m for m in census if m.component_dims() == [1, 1]][:2]
+    alg = rp.build_replicated(kronecker(), 0, 3)
+    registries = []
+    for _ in range(2):
+        # the decomposable X + Y joins with add, so it carries no verdict
+        reg = rp.IsoRegistry()
+        reg.add(rp.LayeredModule.direct_sum([_fresh(x), _fresh(y)])[0])
+        registries.append(reg)
+    new, ref = registries
+    sums = [rp.LayeredModule.direct_sum([_fresh(z) for z in summands])[0]
+            for summands in ([x, y], [y, x], [x, x, y])]
+    # X + Y itself is found as member 0, but never returned for it
+    assert new.find(sums[0]) == 0
+    engine = gc.MDimEngine(alg, new)
+    for total, count in zip(sums, (2, 2, 3)):
+        pieces = new.split(total)
+        assert len(pieces) == count and not any(piece is new.modules[0] for piece in pieces)
+        assert engine.state(total) == reference_state(ref, total)
+    assert new.modules[0].verdict is False
+    assert [m.to_json() for m in new.modules] == [m.to_json() for m in ref.modules]
+
+
+def test_each_census_member_is_certified_exactly_once(monkeypatch):
+    q = kronecker()
+    # the standard modules of a memoized algebra may carry a verdict from
+    # an earlier computation, and are then not certified again
+    seeds = [make(q, 3, v) for v in q.vertices
+             for make in (qr.simple, qr.projective, qr.injective)]
+    known = [x for x in seeds if x.verdict is not None]
+    calls = _calls_of(monkeypatch, sp, "_split_once")
+    census = w.base_indecomposables(q, 3, 3)
+    assert [sum(m is x for (m,) in calls) for x in census] == \
+        [int(not any(x is y for y in known)) for x in census]
+    assert {x.verdict for x in census} == set(sp.VERDICT_KINDS)
+
+
+def test_layer_embedding_keeps_the_verdict():
+    # End over A^(m) of a module in one layer is End over A, so the
+    # embedded module's own certificate gives the kind it inherits
+    census = w.base_indecomposables(kronecker(), 3, 3)
+    alg = rp.build_replicated(kronecker(), 2, 3)
+    for x in census:
+        for k in range(3):
+            y = rp.rep_at_layer(alg, x, k)
+            assert y.verdict == x.verdict and y.verdict in sp.VERDICT_KINDS
+            [(piece, kind)] = sp.fitting_split_labelled(_fresh(y))
+            assert kind == y.verdict and len(piece.end_basis()) == len(x.end_basis())
+
+
+def test_each_uncertified_engine_member_is_certified_once_on_first_use(monkeypatch):
+    alg = rp.ReplicatedAlgebra(kronecker(), 1, 3)
+    engine = gc.MDimEngine.windowed(alg)
+    gencog, _, _ = gc.construct_lem47(alg, 5, engine)
+    census = w.census_modules(alg, 3)
+    # layer-0 copies of base census members inherit their verdict
+    known = [x for x in census + engine.registry.modules if x.verdict is not None]
+    assert len(known) > 20
+    calls = _calls_of(monkeypatch, sp, "_split_once")
+    gc.gldim_end_windowed(gencog, census)
+    members = engine.registry.modules
+    certified = [sum(m is x for (m,) in calls) for x in members]
+    assert set(certified) == {0, 1}
+    assert certified == [int(x.verdict is not None and not any(x is y for y in known))
+                         for x in members]
