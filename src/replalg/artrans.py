@@ -26,7 +26,7 @@ from . import quiverrep as qr
 from . import replicated as rp
 from .errors import AnomalyError, BudgetExceeded, InputError
 from .replicated import LayeredModule
-from .splitting import fitting_split
+from .splitting import certify, fitting_split
 
 CATALOG_BUDGET = 10000
 
@@ -176,18 +176,24 @@ def _almost_split_middle(z, tz):
 class IndecCatalog:
     """One representative per isomorphism class of indecomposables, closed
     under tau and tau^{-1}, with flags, translation tables and the
-    IsoRegistry that holds the modules and caches their Hom spaces."""
+    IsoRegistry that holds the modules and caches their Hom spaces.  Built
+    or loaded, it is assembled here: the flags are the ids of proj(i, k) and
+    inj(i, k) in the registry, and the tables are checked against them; a
+    missing one, or a failed check, raises AnomalyError."""
 
-    def __init__(self, algebra, registry, tau_map, tau_inv_map,
-                 projective, injective):
+    def __init__(self, algebra, registry, tau_map, tau_inv_map):
         self.algebra = algebra
         self.registry = registry
         self.modules = registry.modules
         self.tau_map = tau_map
         self.tau_inv_map = tau_inv_map
-        self.projective = projective
-        self.injective = injective
+        comps = algebra.components()
+        self.projective = {registry.find(algebra.proj(i, k)) for k, i in comps}
+        self.injective = {registry.find(algebra.inj(i, k)) for k, i in comps}
+        if None in self.projective | self.injective:
+            raise AnomalyError("a standard projective or injective is not in the catalog")
         self._leq = None
+        _check_translation_tables(self)
 
     def __len__(self):
         return len(self.modules)
@@ -252,11 +258,12 @@ class IndecCatalog:
     def from_json(cls, algebra, data):
         """Inverse of to_json; a "seed" key, written by older versions, is
         ignored.  As in indec_catalog, a base quiver that is not Dynkin
-        raises BudgetExceeded at once.  The data must be a JSON object; its
-        modules, table lengths, ids and translation tables are checked as
-        indec_catalog checks them, and a failure is an InputError: each
-        module is certified indecomposable (which fills its verdict memo)
-        and must be isomorphic to no module before it."""
+        raises BudgetExceeded at once.  The data must be a JSON object; a
+        failure of a check is an InputError.  Each module is certified
+        indecomposable (which fills its verdict memo) and must be isomorphic
+        to no module before it; table lengths and ids are checked; the
+        catalog is assembled as indec_catalog's is, and the file's flag
+        lists must equal the computed flags."""
         require_representation_finite(algebra)
         if not isinstance(data, dict):
             raise InputError(f"catalog JSON is a {type(data).__name__}, not an object")
@@ -276,17 +283,18 @@ class IndecCatalog:
             registry = rp.IsoRegistry()
             for d in data["modules"]:
                 m = LayeredModule.from_json(algebra, d)
-                if len(fitting_split(m)) != 1:
+                if not certify(m):
                     raise AnomalyError(f"module X{len(registry)} is decomposable")
                 twin = registry.find(m)
                 if twin is not None:
                     raise AnomalyError(f"modules X{twin} and X{len(registry)} are isomorphic")
                 registry.add(m)
             n = len(registry)
-            cat = cls(algebra, registry, ids("tau", n), ids("tau_inv", n),
-                      set(ids("projective", algebra.n_components)),
-                      set(ids("injective", algebra.n_components)))
-            _check_translation_tables(cat)
+            flags = [set(ids(name, algebra.n_components)) for name in ("projective", "injective")]
+            cat = cls(algebra, registry, ids("tau", n), ids("tau_inv", n))
+            if flags != [cat.projective, cat.injective]:
+                raise AnomalyError("the projective and injective tables are not the "
+                                   "catalog's projectives and injectives")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad catalog JSON: {exc}") from exc
         except AnomalyError as exc:  # the file is at fault, not the program
@@ -314,7 +322,7 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET):
         idx = index.find(m)
         if idx is not None:
             return idx, False
-        if len(fitting_split(m)) != 1:
+        if not certify(m):
             raise AnomalyError("tau closure produced a decomposable module")
         index.add(m)
         if len(modules) > budget:
@@ -340,17 +348,9 @@ def indec_catalog(algebra, budget=CATALOG_BUDGET):
             table[idx] = jdx
             if fresh:
                 queue.append(jdx)
-    # every proj and inj was registered as a seed, so each is found
-    comps = algebra.components()
-    projective = {index.find(algebra.proj(i, k)) for k, i in comps}
-    injective = {index.find(algebra.inj(i, k)) for k, i in comps}
-    cat = IndecCatalog(algebra,
-                       index,
-                       [tau_map.get(i) for i in range(len(modules))],
-                       [tau_inv_map.get(i) for i in range(len(modules))],
-                       projective, injective)
-    _check_translation_tables(cat)
-    return cat
+    return IndecCatalog(algebra, index,
+                        [tau_map.get(i) for i in range(len(modules))],
+                        [tau_inv_map.get(i) for i in range(len(modules))])
 
 
 def _check_translation_tables(cat):
@@ -383,7 +383,7 @@ class ARQuiver:
             else:
                 middle = _almost_split_middle(mods[z], mods[tz])
             # split with lookups in the catalog: every piece is a member
-            ids = [registry.identity_index(y) for y in registry.split(middle)]
+            ids = [registry.identity_index(y) for y in fitting_split(middle, registry)]
             if None in ids:
                 raise AnomalyError(f"an arrow into {catalog.label(z)} leaves the catalog")
             for idx in set(ids):

@@ -35,9 +35,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import exactfield as ef
-from . import splitting
 from .errors import AnomalyError, InputError, WindowOverflow
-from .splitting import find_invertible_combo, fitting_split, rad_end_blocks
+from .splitting import certify, find_invertible_combo, fitting_split, rad_end_blocks
 
 PATH = "p"
 DUAL = "d"
@@ -471,7 +470,7 @@ class LayeredModule:
     End(M) and rad End(M) are computed once, on the module (end_basis and
     rad_end); the first end_basis makes the action matrices read-only, so
     the memo cannot go stale.  So is the indecomposability verdict:
-    `verdict` is None until a Fitting split decides it, then the verdict
+    `verdict` is None until splitting._split_step decides it, then the verdict
     kind (splitting.VERDICT_KINDS) or False for a decomposable module."""
 
     def __init__(self, algebra, layers, conn=None):
@@ -997,13 +996,13 @@ class IsoRegistry:
     found at once as its own class.  Candidates are tested with
     is_iso_layered.
 
-    The registry is also the decomposition index of its modules: split and
-    decompose run the Fitting split with lookups here (splitting), so a
-    piece isomorphic to a member certified indecomposable is never split
-    or certified again; a member without a verdict is certified on first
-    use.  And it is the Hom cache of its modules: hom_basis computes each
-    space once per pair of distinct ids, and End comes from the module's
-    own memo (LayeredModule.end_basis)."""
+    The registry is also the decomposition index of its modules:
+    fitting_split(m, registry) stops at a piece isomorphic to a member
+    certified indecomposable (splitting.certify, which reads the member's
+    verdict memo or decides it once), and decompose canons the pieces.  And
+    it is the Hom cache of its modules: hom_basis computes each space once
+    per pair of distinct ids, and End comes from the module's own memo
+    (LayeredModule.end_basis)."""
 
     def __init__(self, modules=()):
         self.modules = []
@@ -1041,16 +1040,10 @@ class IsoRegistry:
         """Id of this very object, or None (no iso test)."""
         return self._by_identity.get(id(m))
 
-    def split(self, m):
-        """The indecomposable pieces of m, with repetition, in the order of
-        fitting_split; a piece isomorphic to a member certified
-        indecomposable is that member.  Nothing is registered."""
-        return splitting.fitting_split(m, self)
-
     def decompose(self, m):
         """Ids of the indecomposable summands of m, with multiplicity, in
-        the order of split(m); new classes are registered in that order."""
-        return [self.canon(piece) for piece in self.split(m)]
+        the order of fitting_split(m, self), registering new classes."""
+        return [self.canon(piece) for piece in fitting_split(m, self)]
 
     def hom_basis(self, i, j):
         """Basis of Hom(M_i, M_j) for ids i, j, computed once."""
@@ -1261,7 +1254,7 @@ def sigma_stratum(algebra, k):
             if sup and max(sup) > step + 1:
                 raise WindowOverflow(
                     f"Sigma_{k}: support layer {max(sup)} after {step + 1} cosyzygies")
-        if not x.is_zero() and len(fitting_split(x)) != 1:
+        if not x.is_zero() and not certify(x):
             raise AnomalyError(
                 f"cosyzygy of P({algebra.quiver.vertices[i]}) decomposed in Sigma_{k}")
         members.append(x)

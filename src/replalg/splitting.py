@@ -2,8 +2,8 @@
 
 An endomorphism whose characteristic polynomial has at least two distinct
 irreducible factors splits the module into the corresponding primary
-components (Fitting's lemma).  Each piece that does not split is returned
-with the kind of its indecomposability verdict; both kinds are proofs:
+components (Fitting's lemma).  Each piece that does not split carries the
+kind of its indecomposability verdict; both kinds are proofs:
 
   * ``brick``: End(M) is one-dimensional;
   * ``certified-local``: End(M) is proved local from one basis of it (see
@@ -19,9 +19,11 @@ is found, never whether one exists.  A module with local End(M) is
 indecomposable, so the certificate never hides a split.  Its ideal J is
 rad End(M) (`rad_end_blocks`, memoized by LayeredModule.rad_end).
 
-The verdict is memoized on the module (`LayeredModule.verdict`: its kind,
-or False once a split found the module decomposable), so a module is
-certified once however often it is split or looked up.
+A verdict is decided in one place, `_split_step`, and memoized on the
+module (`LayeredModule.verdict`: its kind, or False once a split found the
+module decomposable), so a module is certified once however often it is
+split or looked up.  Everything else reads the memo: `certify(m)`, or
+`piece.verdict` for a piece of `fitting_split`.
 
 With an `IsoRegistry`, a split is also a Krull-Schmidt lookup: each node,
 the module itself first, is looked up in the registry, and a node
@@ -295,6 +297,19 @@ def _split_step(m):
     return pieces
 
 
+def certify(m):
+    """The verdict kind of m (one of VERDICT_KINDS) when m is
+    indecomposable, else False (m decomposable or zero); read from m's
+    memo, or decided once."""
+    if m.total_dim > DIM_CAP:
+        raise BudgetExceeded(f"decomposition of a module of total dimension {m.total_dim}")
+    if m.total_dim == 0:
+        return False
+    if m.verdict is None:
+        _split_step(m)
+    return m.verdict
+
+
 def _certified_member(node, registry):
     """The registered member isomorphic to node when it is certified
     indecomposable (a member without a verdict is certified here, once),
@@ -303,14 +318,14 @@ def _certified_member(node, registry):
     if idx is None:
         return None
     member = registry.modules[idx]
-    if member.verdict is None:
-        _split_step(member)
-    return member if member.verdict else None
+    return member if certify(member) else None
 
 
-def fitting_split_labelled(m, registry=None):
-    """The pieces of `fitting_split`, in the same order, each paired with
-    the kind of its indecomposability verdict (one of VERDICT_KINDS)."""
+def fitting_split(m, registry=None):
+    """All indecomposable pieces of m, with repetition, in a deterministic
+    order, each with its kind as `piece.verdict`; [] for the zero module.
+    With a registry (an IsoRegistry), a piece isomorphic to a member
+    certified indecomposable is that member (see the module doc)."""
     if m.total_dim > DIM_CAP:
         raise BudgetExceeded(f"decomposition of a module of total dimension {m.total_dim}")
     out = []
@@ -321,19 +336,11 @@ def fitting_split_labelled(m, registry=None):
             continue
         member = None if registry is None else _certified_member(cur, registry)
         if member is not None:
-            out.append((member, member.verdict))
+            out.append(member)
             continue
         pieces = _split_step(cur)
         if pieces is None:
-            out.append((cur, cur.verdict))
+            out.append(cur)
         else:
             stack.extend(pieces)
     return out
-
-
-def fitting_split(m, registry=None):
-    """All indecomposable pieces of m, with repetition, in a deterministic
-    order; [] for the zero module.  With a registry (an IsoRegistry), a
-    piece isomorphic to a member certified indecomposable is that member
-    (see the module doc)."""
-    return [piece for piece, _ in fitting_split_labelled(m, registry)]

@@ -166,14 +166,14 @@ def suite_lem22(quiver, m=1, p=ef.DEFAULT_PRIME, seed=ef.DEFAULT_SEED):
     """Stable-Hom vanishing for cosyzygy shifts: for X in ind A and i < j,
     every map cosyzygy^i(A) -> cosyzygy^j(X) factors through a
     projective-injective, checked inside the window algebra.  Over a
-    Dynkin base (Gabriel) X runs over all of ind A ("exact"); otherwise
-    over a bound-6 window census of it ("windowed")."""
+    Dynkin base (Gabriel) X runs over all of ind A, the catalog of A^(0)
+    ("exact"); otherwise over a bound-6 window census of it ("windowed")."""
     window = 2 * m + 1
     walg = rp.build_replicated(quiver, window, p)
-    mode = "exact" if qr.is_dynkin(quiver) else "windowed"
-    # dims of indecomposables over a representation-finite hereditary
-    # algebra are bounded by 6 (the largest root coefficient, E_8)
-    base = w.base_indecomposables(quiver, p, bound=6, seed=seed)
+    if qr.is_dynkin(quiver):
+        mode, base = "exact", catalog_context(quiver, 0, p)[1].modules
+    else:
+        mode, base = "windowed", w.base_indecomposables(quiver, p, bound=6, seed=seed)
     proj_chains = {}
     for v in range(quiver.n_vertices):
         chain = [rp.rep_at_layer(walg, qr.projective(quiver, p, quiver.vertices[v]), 0)]

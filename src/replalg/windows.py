@@ -40,7 +40,7 @@ from . import exactfield as ef
 from . import quiverrep as qr
 from . import replicated as rp
 from .errors import AnomalyError, InputError
-from .splitting import fitting_split
+from .splitting import certify, fitting_split
 
 EXT_ENUM_CAP = 81
 CLOSURE_ROUNDS = 4
@@ -64,7 +64,7 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
         if m.total_dim == 0 or any(d > bound for d in m.component_dims()) \
                 or found.find(m) is not None:
             return False
-        if len(fitting_split(m)) != 1:
+        if not certify(m):
             raise AnomalyError(f"census member {m!r} is decomposable")
         found.add(m)
         return True
@@ -124,7 +124,7 @@ def base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
                     middle, _, _ = qr.realize_extension_class(m, n, coeffs)
                     # a piece of a known class comes back as the member
                     # itself, which add skips at once
-                    for piece in found.split(middle):
+                    for piece in fitting_split(middle, found):
                         if add(piece):
                             grew = True
         if not grew:

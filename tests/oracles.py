@@ -689,7 +689,7 @@ def reference_base_indecomposables(quiver, p, bound, seed=ef.DEFAULT_SEED):
 # the decomposition routes before the Fitting split looked its nodes up in
 # a registry: MDimEngine.state's body, windows.base_indecomposables with its
 # add loop, and decompose_layered with its grouping loop, kept verbatim as
-# references for IsoRegistry.split and IsoRegistry.decompose
+# references for splitting.fitting_split(m, registry) and IsoRegistry.decompose
 # ---------------------------------------------------------------------------
 
 

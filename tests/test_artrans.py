@@ -485,6 +485,34 @@ def test_cached_catalog_with_bad_tables_is_refused(cat_a2):
             ar.IndecCatalog.from_json(cat_a2.algebra, bad)
 
 
+def test_cached_catalog_with_wrong_flags_is_refused():
+    # A_2, m = 1, p = 3: X5 = [0,0|0,1] is injective, with tau^-1 X5 = 0.
+    # The flags are computed from the registry, never read from the file:
+    # a file listing X5 as not injective, with tau_inv[5] = 0 to match, and
+    # one listing the non-projective X6 as projective next to the true
+    # tables, are both refused
+    alg = rp.build_replicated(a2(), 1, 3)
+    data = ar.indec_catalog(alg).to_json()
+    assert data["injective"] == [2, 3, 4, 5] and data["tau_inv"][5] is None
+    assert data["projective"] == [0, 1, 2, 3]
+    tau_inv = data["tau_inv"][:5] + [0] + data["tau_inv"][6:]
+    for bad, message in (
+            (dict(data, injective=[2, 3, 4, 2], tau_inv=tau_inv),
+             r"tau\^-1 undefined exactly on injectives fails at X5\[0,0\|0,1\]"),
+            (dict(data, projective=[0, 1, 2, 6]),
+             "tables are not the catalog's projectives and injectives")):
+        with pytest.raises(InputError, match=message):
+            ar.IndecCatalog.from_json(alg, bad)
+    assert ar.IndecCatalog.from_json(alg, data).to_json() == data
+
+
+def test_catalog_without_a_standard_module_is_refused(cat_a2):
+    # the flags are the registry's copies of every proj(i, k) and inj(i, k)
+    registry = rp.IsoRegistry(cat_a2.modules[1:])
+    with pytest.raises(AnomalyError, match="not in the catalog"):
+        ar.IndecCatalog(cat_a2.algebra, registry, cat_a2.tau_map[1:], cat_a2.tau_inv_map[1:])
+
+
 def test_cached_catalog_of_non_classes_is_refused():
     # the modules of a catalog file are certified indecomposable and
     # pairwise non-isomorphic on load: X7 replaced by a copy of X6, or by

@@ -401,6 +401,35 @@ def test_cache_file_with_a_seed_key_still_loads(tmp_path):
     assert json.loads(path.read_text())["seed"] == 3  # loaded, not rebuilt
 
 
+@pytest.mark.parametrize("mutant", ["x5-not-injective", "x6-projective"])
+def test_cache_with_wrong_flags_is_ignored(tmp_path, mutant):
+    # A_2, m = 1, p = 3, where X5 = [0,0|0,1] is injective.  Once a file
+    # listing X5 as not injective, with tau_inv[5] = 0, loaded: indecs
+    # listed X5 as not injective, and tau-orbits and construct thm32 exited
+    # 1 with a tau-periodic orbit "anomaly".  The flags are now computed,
+    # so such a file is ignored like any other corrupt cache
+    cache = tmp_path / "cache"
+    base = ("--quiver", quiver("a2.q"), "--m", "1", "--prime", "3")
+    code, _, _ = run_cli("indecs", *base, "--cache", str(cache))
+    assert code == 0
+    [path] = cache.glob("catalog_*.json")
+    clean = path.read_bytes()
+    data = json.loads(clean)
+    if mutant == "x5-not-injective":
+        data["injective"] = [2, 3, 4, 2]
+        data["tau_inv"][5] = 0
+    else:
+        data["projective"] = [0, 1, 2, 6]
+    for command in (("indecs",), ("tau-orbits",), ("construct", "thm32", "--d", "3")):
+        code, want, _ = run_cli(*command, *base)
+        assert code == 0
+        path.write_text(json.dumps(data, sort_keys=True))
+        code, out, err = run_cli(*command, *base, "--cache", str(cache))
+        assert code == 0 and "warning: ignoring cache" in err and "inconsistent catalog" in err
+        assert out == want
+        assert path.read_bytes() == clean  # rebuilt, and written as before
+
+
 @pytest.mark.parametrize("corrupt", ["truncated-tau", "tau-none-off-projectives",
                                      "json-list", "modules-number", "maps-list"])
 def test_cache_with_bad_translation_tables_is_rebuilt(tmp_path, corrupt):

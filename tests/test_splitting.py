@@ -15,6 +15,7 @@ from replalg import quiverrep as qr
 from replalg import replicated as rp
 from replalg import splitting as sp
 from replalg import windows as w
+from replalg.errors import BudgetExceeded
 from oracles import (reference_decompose_layered, reference_fitting_split,
                      reference_line_census, reference_single_eigenvalue, reference_state)
 
@@ -36,18 +37,21 @@ def base_module(quiver, p, dims, maps):
 
 
 def _record_verdicts(monkeypatch):
-    """Counter of the verdict kinds of every Fitting split made by the
-    module machinery, the catalog and the window census while monkeypatch
-    is active."""
+    """Counter of the verdict kinds decided while monkeypatch is active.
+    `splitting._split_step` is the one place a verdict is decided, so this
+    sees every indecomposable certified, by any route (a split with or
+    without a registry, `certify`), and no verdict read from a memo."""
     seen = collections.Counter()
+    real = sp._split_step
 
-    def recording_split(m):
-        labelled = sp.fitting_split_labelled(m)
-        seen.update(kind for _, kind in labelled)
-        return [piece for piece, _ in labelled]
+    def recording_step(m):
+        known = m.verdict
+        pieces = real(m)
+        if m.verdict and not known:
+            seen[m.verdict] += 1
+        return pieces
 
-    for module in (rp, ar, w):
-        monkeypatch.setattr(module, "fitting_split", recording_split)
+    monkeypatch.setattr(sp, "_split_step", recording_step)
     return seen
 
 
@@ -156,10 +160,18 @@ def test_no_probabilistic_verdicts_in_a3_m2_catalog(verdicts):
 
 
 def test_verdict_counts_a3_m1_catalog(verdicts):
-    # one verdict per registered catalog entry; every entry is a brick
-    cat = ar.indec_catalog(rp.build_replicated(a3(), 1, P))
+    # every registered catalog entry is a brick, read from its memo: the
+    # standard modules of a memoized algebra may carry a verdict from an
+    # earlier test, and are then not certified again.  Each other entry is
+    # certified once, and nothing else is
+    alg = rp.build_replicated(a3(), 1, P)
+    known = [x for k, i in alg.components() for x in (alg.proj(i, k), alg.inj(i, k))
+             if x.verdict is not None]
+    cat = ar.indec_catalog(alg)
     assert len(cat.modules) == 18
-    assert dict(verdicts) == {sp.BRICK: 18}
+    assert collections.Counter(x.verdict for x in cat.modules) == {sp.BRICK: 18}
+    fresh = sum(not any(x is y for y in known) for x in cat.modules)
+    assert verdicts == collections.Counter({sp.BRICK: fresh})
 
 
 def test_certified_through_residue_field_branch():
@@ -171,8 +183,8 @@ def test_certified_through_residue_field_branch():
     # some endomorphism is not scalar + nilpotent, so End/rad is not F_3
     # and the certificate cannot have taken its e = 1 branch
     assert any(sp.single_eigenvalue(f.blocks, 3) is None for f in ends)
-    [(piece, kind)] = sp.fitting_split_labelled(m)
-    assert kind == sp.CERTIFIED_LOCAL
+    [piece] = sp.fitting_split(m)
+    assert piece.verdict == sp.CERTIFIED_LOCAL
     assert piece.component_dims() == [2, 2]
 
 
@@ -190,8 +202,34 @@ def test_certificate_refuses_non_local_end_and_search_splits():
     s2._end = [rp.LayeredMorphism(s2, s2, [b, ef.zeros(0, 0)]) for b in basis]
     for b in basis:
         assert sp.single_eigenvalue([b], p) is not None
-    labelled = sp.fitting_split_labelled(s2)
-    assert [(x.component_dims(), kind) for x, kind in labelled] == [([1, 0], sp.BRICK)] * 2
+    pieces = sp.fitting_split(s2)
+    assert [(x.component_dims(), x.verdict) for x in pieces] == [([1, 0], sp.BRICK)] * 2
+    assert s2.verdict is False
+
+
+def test_certify_reads_the_memo_and_decides_once(monkeypatch):
+    q = kronecker()
+    comp = ef.fmat([[0, 1], [1, 1]], 3)
+    local = base_module(q, 3, [2, 2], [ef.eye(2), comp])
+    s2 = base_module(q, 3, [2, 0], [ef.zeros(2, 0), ef.zeros(2, 0)])
+    zero = base_module(q, 3, [0, 0], [ef.zeros(0, 0), ef.zeros(0, 0)])
+    calls = _calls_of(monkeypatch, sp, "_split_once")
+    for _ in range(2):
+        assert sp.certify(local) == local.verdict == sp.CERTIFIED_LOCAL
+        assert sp.certify(s2) is s2.verdict is False
+        assert sp.certify(zero) is False
+    assert len(calls) == 2 and calls[0][0] is local and calls[1][0] is s2
+    assert zero.verdict is None
+
+
+def test_dim_cap_is_checked_before_any_end_basis(monkeypatch):
+    m = base_module(kronecker(), 3, [2, 2], [ef.eye(2), ef.eye(2)])
+    monkeypatch.setattr(sp, "DIM_CAP", 3)
+    for split in (sp.fitting_split, sp.certify,
+                  lambda x: sp.fitting_split(x, rp.IsoRegistry())):
+        with pytest.raises(BudgetExceeded, match="total dimension 4"):
+            split(m)
+    assert m._end is None and m.verdict is None
 
 
 def test_certificate_needs_commutators_on_skew_f4_algebra():
@@ -283,7 +321,7 @@ def test_registry_split_matches_reference_on_d4_m2_ar_middle_terms():
         got = rp.decompose_layered(middles[1])
         assert [(x.to_json(), mult) for x, mult in got] == \
             [(x.to_json(), mult) for x, mult in want]
-        pieces = cat.registry.split(middles[2])
+        pieces = sp.fitting_split(middles[2], cat.registry)
         assert all(cat.registry.identity_index(y) is not None for y in pieces)
         assert sorted(cat.registry.identity_index(y) for y in pieces) == sorted(
             cat.find(y) for y, mult in want for _ in range(mult))
@@ -358,7 +396,7 @@ def test_a_decomposable_member_never_ends_a_branch():
     assert new.find(sums[0]) == 0
     engine = gc.MDimEngine(alg, new)
     for total, count in zip(sums, (2, 2, 3)):
-        pieces = new.split(total)
+        pieces = sp.fitting_split(total, new)
         assert len(pieces) == count and not any(piece is new.modules[0] for piece in pieces)
         assert engine.state(total) == reference_state(ref, total)
     assert new.modules[0].verdict is False
@@ -388,8 +426,8 @@ def test_layer_embedding_keeps_the_verdict():
         for k in range(3):
             y = rp.rep_at_layer(alg, x, k)
             assert y.verdict == x.verdict and y.verdict in sp.VERDICT_KINDS
-            [(piece, kind)] = sp.fitting_split_labelled(_fresh(y))
-            assert kind == y.verdict and len(piece.end_basis()) == len(x.end_basis())
+            [piece] = sp.fitting_split(_fresh(y))
+            assert piece.verdict == y.verdict and len(piece.end_basis()) == len(x.end_basis())
 
 
 def test_each_uncertified_engine_member_is_certified_once_on_first_use(monkeypatch):

@@ -93,6 +93,18 @@ def test_lem22_a2():
     assert report["verdict"] == "pass", report["counterexamples"]
 
 
+def test_lem22_exact_mode_runs_over_the_m0_catalog(monkeypatch):
+    # over a Dynkin base ind A is the catalog of A = A^(0), complete by its
+    # tau closure: no window census is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact lem22 built a window census")
+
+    monkeypatch.setattr(windows, "base_indecomposables", refuse)
+    report = vf.suite_lem22(a3(), m=1, p=P)
+    assert report["verdict"] == "pass" and report["params"]["mode"] == "exact"
+    assert report["checks"] == [{"check": "all (i < j <= 3) x 6 modules", "ok": True}]
+
+
 def test_lem48_report_payload():
     report = vf.suite_lem48(kronecker(), m=1, p=P)
     assert report["verdict"] == "pass"
